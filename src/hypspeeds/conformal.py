@@ -1,15 +1,20 @@
-"""Explicit Riemann maps onto the supported Koenigs domains.
+"""Closed-form normalized Riemann maps onto the supported Koenigs domains.
 
-A map handle is a chain of invertible primitive links (affine maps, the
-Cayley map, the exponential strip map, the slit square root, and disk
-automorphisms).  ``build_koenigs`` composes a raw chain from the disk onto
-the requested domain and post-composes a disk automorphism so that the map
-sends 0 to 0 and the boundary point 1 to the prime end reached by the
-positive real axis.
+Every supported domain has an explicit conformal map ``to_h`` onto the right
+half-plane H = {Re W > 0} that sends the prime end reached by the positive
+real axis to infinity, with an explicit inverse ``from_h``.  The normalized
+Koenigs map is then exactly h = from_h o M, where the Moebius map
 
-Links propagate a point-at-infinity sentinel so that pullbacks of very large
-axis points degrade gracefully to the correct boundary point instead of
-overflowing.
+    M(z) = i Im W0 + Re W0 (1 + z)/(1 - z),    W0 = to_h(0),
+
+sends 0 to W0 and the boundary point 1 to infinity.  Nothing is estimated
+and no inverse is refined iteratively.
+
+A point of H is carried as (log|W|, W/|W|): on a strip W overflows long
+before the orbit ends, and a single complex log W would cost the digits of
+Re W near the imaginary axis.  Domain distances are distances of H, so they
+never pass through the disk, where far orbit points crowd against the unit
+circle.
 """
 
 from __future__ import annotations
@@ -17,182 +22,105 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from typing import Union
+from typing import Callable
 
-from .domains import (
-    DomainDescriptor,
-    HalfPlaneDom,
-    SlitPlane,
-    StripDom,
-    contains,
-    dist_to_boundary,
-)
-from .errors import ConstructionError, DomainError, NumericError, UnsupportedDomainError
-from .hyperbolic import (
-    AT_INFINITY,
-    BOUNDARY_TOL,
-    MoebiusMap,
-    apply_mobius,
-    disk_distance,
-    is_at_infinity,
-    region_distance,
-    RIGHT_HALF_PLANE,
-)
+from .domains import DomainDescriptor, HalfPlaneDom, SlitPlane, StripDom, contains, dist_to_boundary
+from .errors import ConstructionError, DomainError, UnsupportedDomainError
+from .hyperbolic import BOUNDARY_TOL
 
-_EXP_OVERFLOW = 700.0
-
-
-@dataclass(frozen=True)
-class Affine:
-    """z -> a z + b with a != 0."""
-
-    a: complex
-    b: complex = 0j
-
-    def __post_init__(self):
-        if self.a == 0:
-            raise ConstructionError("affine map needs a != 0")
-
-    def fwd(self, z: complex) -> complex:
-        if is_at_infinity(z):
-            return AT_INFINITY
-        return self.a * z + self.b
-
-    def inv(self, w: complex) -> complex:
-        if is_at_infinity(w):
-            return AT_INFINITY
-        return (w - self.b) / self.a
-
-    def dfwd(self, z: complex) -> complex:
-        return self.a
-
-
-class Cayley:
-    """Unit disk -> right half-plane, z -> (1+z)/(1-z); sends 0 to 1."""
-
-    def fwd(self, z: complex) -> complex:
-        if is_at_infinity(z):
-            return -1.0 + 0j
-        if z == 1.0:
-            return AT_INFINITY
-        return (1.0 + z) / (1.0 - z)
-
-    def inv(self, w: complex) -> complex:
-        if is_at_infinity(w):
-            return 1.0 + 0j
-        if w == -1.0:
-            return AT_INFINITY
-        return (w - 1.0) / (w + 1.0)
-
-    def dfwd(self, z: complex) -> complex:
-        return 2.0 / (1.0 - z) ** 2
-
-
-class ExpStrip:
-    """Canonical strip {0 < Im < pi} -> upper half-plane, z -> exp(z)."""
-
-    def fwd(self, z: complex) -> complex:
-        if is_at_infinity(z) or z.real > _EXP_OVERFLOW:
-            return AT_INFINITY
-        return cmath.exp(z)
-
-    def inv(self, w: complex) -> complex:
-        if is_at_infinity(w):
-            return AT_INFINITY
-        if w == 0:
-            raise DomainError("log of zero in strip map")
-        return cmath.log(w)
-
-    def dfwd(self, z: complex) -> complex:
-        return cmath.exp(z)
-
-
-class SlitSqrt:
-    """Plane minus {Re z <= 0, Im z = -1} -> right half-plane, z -> sqrt(z + i).
-
-    The branch cut runs exactly along the removed slit; evaluation within
-    1e-12 of the cut is rejected, branch flips being the dominant bug class.
-    """
-
-    def fwd(self, z: complex) -> complex:
-        if is_at_infinity(z):
-            return AT_INFINITY
-        u = z + 1j
-        if u.real <= 0.0 and abs(u.imag) <= 1e-12 * max(1.0, abs(u.real)):
-            raise DomainError(f"z={z} lies on (or within 1e-12 of) the slit")
-        return cmath.sqrt(u)
-
-    def inv(self, w: complex) -> complex:
-        if is_at_infinity(w):
-            return AT_INFINITY
-        return w * w - 1j
-
-    def dfwd(self, z: complex) -> complex:
-        return 0.5 / cmath.sqrt(z + 1j)
+#: A point W of H as (log|W|, W/|W|).
+HPoint = tuple[float, complex]
 
 
 def slit_sqrt_forward(z: complex) -> complex:
-    """Branch of sqrt(z + i) with positive real part, cut along the slit."""
-    return SlitSqrt().fwd(complex(z))
+    """Branch of sqrt(z + i) with positive real part, cut along the slit.
+
+    Maps the plane minus {Re z <= 0, Im z = -1} onto H.  Evaluation within
+    1e-12 of the cut is rejected, branch flips being the dominant bug class.
+    """
+    u = complex(z) + 1j
+    if u.real <= 0.0 and abs(u.imag) <= 1e-12 * max(1.0, abs(u.real)):
+        raise DomainError(f"z={z} lies on (or within 1e-12 of) the slit")
+    return cmath.sqrt(u)
 
 
-class _MoebiusLink:
-    """A Moebius map as a chain link."""
-
-    def __init__(self, m: MoebiusMap):
-        self.m = m
-        self.m_inv = m.inverse()
-
-    def fwd(self, z: complex) -> complex:
-        return apply_mobius(self.m, z)
-
-    def inv(self, w: complex) -> complex:
-        return apply_mobius(self.m_inv, w)
-
-    def dfwd(self, z: complex) -> complex:
-        return self.m.derivative(z)
-
-
-Link = Union[Affine, Cayley, ExpStrip, SlitSqrt, _MoebiusLink]
-
-
-@dataclass(frozen=True)
-class MapHandle:
-    """Composition chain; each entry is (link, inverted)."""
-
-    links: tuple[tuple[Link, bool], ...]
-
-    def forward(self, z: complex) -> complex:
-        for link, inverted in self.links:
-            z = link.inv(z) if inverted else link.fwd(z)
-        return z
-
-    def inverse(self, w: complex) -> complex:
-        for link, inverted in reversed(self.links):
-            w = link.fwd(w) if inverted else link.inv(w)
-        return w
-
-    def derivative(self, z: complex) -> complex:
-        """d(forward)/dz by the chain rule."""
-        deriv = 1.0 + 0j
-        for link, inverted in self.links:
-            if inverted:
-                z_next = link.inv(z)
-                deriv /= link.dfwd(z_next)
-                z = z_next
-            else:
-                deriv *= link.dfwd(z)
-                z = link.fwd(z)
-        return deriv
+def _polar(big_w: complex) -> HPoint:
+    r = abs(big_w)
+    return math.log(r), big_w / r
 
 
 @dataclass(frozen=True)
 class KoenigsMap:
-    """Normalized Riemann map h: disk -> domain with h(0) = 0, h(1) = P_inf."""
+    """Normalized Riemann map h = from_h o M: disk -> domain, h(0) = 0, h(1) = P_inf.
+
+    ``dlog(L)`` is |d from_h / d log W| at log|W| = L, the stretch that
+    ``pullback_density`` divides by.
+    """
 
     domain: DomainDescriptor
-    handle: MapHandle
-    normalization: MoebiusMap
+    to_h: Callable[[complex], HPoint]
+    from_h: Callable[[float, complex], complex]
+    dlog: Callable[[float], float]
+    w0: complex
+
+
+def _half_plane_maps(d: HalfPlaneDom):
+    # {Im w > c} or {Im w < c}: shift the boundary line to the real axis, then turn by a quarter
+    rot = 1j if d.side == "above" else -1j
+    shift = 1j * d.boundary_height
+    return (
+        lambda w: _polar((w - shift) / rot),
+        lambda L, u: rot * math.exp(L) * u + shift,
+        math.exp,
+    )
+
+
+def _strip_maps(d: StripDom):
+    # W = -i exp(pi (w - i y_low)/width): log|W| is linear in Re w, arg W in Im w
+    width = d.y_high - d.y_low
+    mid = 0.5 * (d.y_low + d.y_high)
+    scale = width / math.pi
+    return (
+        lambda w: (math.pi * w.real / width, cmath.rect(1.0, math.pi * (w.imag - mid) / width)),
+        lambda L, u: complex(scale * L, scale * cmath.phase(u) + mid),
+        lambda L: scale,
+    )
+
+
+def _slit_maps(d: SlitPlane):
+    # plane minus {Re w <= a0, Im w = -b0}: W = sqrt((w - a0)/b0 + i)
+    ((a0, b0),) = d.slits
+    return (
+        lambda w: _polar(slit_sqrt_forward((w - a0) / b0)),
+        lambda L, u: b0 * (math.exp(2.0 * L) * u * u - 1j) + a0,
+        lambda L: 2.0 * b0 * math.exp(2.0 * L),
+    )
+
+
+def build_koenigs(d: DomainDescriptor) -> KoenigsMap:
+    """Normalized Riemann map for a supported descriptor.
+
+    Supported: horizontal half-planes, strips, and single-slit planes.
+    """
+    if not contains(d, 0):
+        raise ConstructionError("the Koenigs domain must contain 0")
+    if isinstance(d, HalfPlaneDom):
+        maps = _half_plane_maps(d)
+    elif isinstance(d, StripDom):
+        maps = _strip_maps(d)
+    elif isinstance(d, SlitPlane) and len(d.slits) == 1:
+        maps = _slit_maps(d)
+    elif isinstance(d, SlitPlane):
+        raise UnsupportedDomainError(
+            "no explicit Riemann map for multi-slit planes; only the single-slit base case is supported"
+        )
+    else:
+        raise UnsupportedDomainError(
+            f"no explicit Riemann map for {type(d).__name__}; distances there are bounded via quasihyperbolic estimates"
+        )
+    to_h, from_h, dlog = maps
+    log_r, u = to_h(0j)
+    return KoenigsMap(domain=d, to_h=to_h, from_h=from_h, dlog=dlog, w0=math.exp(log_r) * u)
 
 
 def map_forward(k: KoenigsMap, z: complex) -> complex:
@@ -200,185 +128,56 @@ def map_forward(k: KoenigsMap, z: complex) -> complex:
     z = complex(z)
     if abs(z) >= 1.0 - BOUNDARY_TOL:
         raise DomainError(f"z={z} too close to the unit circle")
-    return k.handle.forward(z)
+    big_w = 1j * k.w0.imag + k.w0.real * (1.0 + z) / (1.0 - z)
+    return k.from_h(*_polar(big_w))
 
 
-def _coordinate_scale(d: DomainDescriptor) -> float:
-    """Magnitude of the coordinates the map chain works with; sets the
-    attainable absolute accuracy in domain space."""
-    if isinstance(d, HalfPlaneDom):
-        return max(1.0, abs(d.boundary_height))
-    if isinstance(d, StripDom):
-        return max(1.0, -d.y_low, d.y_high)
-    if isinstance(d, SlitPlane):
-        return max(1.0, max(abs(a) + b for a, b in d.slits))
-    return 1.0
-
-
-def map_inverse(k: KoenigsMap, w: complex, newton_tol: float = 1e-12, max_iter: int = 50) -> complex:
-    """Evaluate h^{-1}(w), closed form link by link with a Newton fallback."""
+def _checked_to_h(k: KoenigsMap, w: complex) -> HPoint:
     w = complex(w)
     if not contains(k.domain, w):
         raise DomainError(f"w={w} is not in the Koenigs domain")
     if dist_to_boundary(k.domain, w) < 1e-12:
         raise DomainError(f"w={w} within 1e-12 of the domain boundary")
-    z = k.handle.inverse(w)
-    if is_at_infinity(z):
-        raise NumericError(f"inverse of w={w} escaped to infinity")
-    if abs(z) >= 1.0 - BOUNDARY_TOL:
-        # Pullback of a far-out axis point; exact to the working precision but
-        # not refinable (the forward map is singular there).
-        return z
-    scale = max(_coordinate_scale(k.domain), abs(w))
+    return k.to_h(w)
 
-    def acceptable(residual: float, deriv: float) -> bool:
-        # accept either w-space accuracy or z-space accuracy 1e-14: near the
-        # boundary |h'| blows up and the w residual floor is |h'| * ulp(z)
-        return residual <= newton_tol * scale or residual <= 1e-14 * deriv
 
-    deriv = abs(k.handle.derivative(z))
-    residual = abs(k.handle.forward(z) - w)
-    if acceptable(residual, deriv):
-        return z
-    for _ in range(max_iter):
-        f = k.handle.forward(z) - w
-        residual = abs(f)
-        dh = k.handle.derivative(z)
-        if acceptable(residual, abs(dh)):
-            return z
-        z = z - f / dh
-    raise NumericError(f"Newton refinement stalled at residual {residual:.3e} for w={w}")
+def map_inverse(k: KoenigsMap, w: complex) -> complex:
+    """Evaluate h^{-1}(w) = M^{-1}(to_h(w)) in closed form.
+
+    Far along the orbit the result may round onto the unit circle; it is
+    returned as is, since the domain-side distances do not need it.
+    """
+    log_r, u = _checked_to_h(k, w)
+    # M^{-1}(W) = (W - W0)/(W + conj W0), both terms scaled by 1/max(|W|, 1) so exp cannot overflow
+    top = max(log_r, 0.0)
+    s = math.exp(-top)
+    big_w = math.exp(log_r - top) * u
+    return (big_w - s * k.w0) / (big_w + s * k.w0.conjugate())
+
+
+def _h_distance(p: HPoint, q: HPoint) -> float:
+    """Hyperbolic distance of H (density 1/(2 Re W)) between two points."""
+    (l1, u1), (l2, u2) = (p, q) if p[0] >= q[0] else (q, p)
+    d = 0.5 * (l1 - l2)
+    if d > 20.0:
+        # asinh(y) = log(2y) + O(y^-2), and y > e^20 / 2 here
+        return d + math.log(abs(u1 - math.exp(-2.0 * d) * u2)) - 0.5 * (math.log(u1.real) + math.log(u2.real))
+    # sinh(rho) = |W1 - W2| / (2 sqrt(Re W1 Re W2)), divided through by sqrt(|W1| |W2|)
+    chord = abs(math.sinh(d) * (u1 + u2) + math.cosh(d) * (u1 - u2))
+    return math.asinh(chord / (2.0 * math.sqrt(u1.real * u2.real)))
 
 
 def domain_distance(k: KoenigsMap, w1: complex, w2: complex) -> float:
-    """Hyperbolic distance of the domain: disk distance of the pullbacks."""
-    return disk_distance(map_inverse(k, w1), map_inverse(k, w2))
-
-
-def pullback_density(k: KoenigsMap, w: complex) -> float:
-    """Hyperbolic density of the domain at w, pulled back through the map."""
-    z = map_inverse(k, w)
-    lam_disk = 1.0 / (1.0 - abs(z) ** 2)
-    return lam_disk / abs(k.handle.derivative(z))
-
-
-# ---------------------------------------------------------------------------
-# Construction
-
-
-def _raw_chain(d: DomainDescriptor) -> tuple[tuple[Link, bool], ...]:
-    if isinstance(d, HalfPlaneDom):
-        if d.side == "above":
-            if d.boundary_height >= 0.0:
-                raise ConstructionError("half-plane must contain 0: need boundary_height < 0")
-            turn = 1j  # right half-plane -> upper half-plane
-        else:
-            if d.boundary_height <= 0.0:
-                raise ConstructionError("half-plane must contain 0: need boundary_height > 0")
-            turn = -1j
-        return ((Cayley(), False), (Affine(turn), False), (Affine(1.0, 1j * d.boundary_height), False))
-    if isinstance(d, StripDom):
-        scale = (d.y_high - d.y_low) / math.pi
-        return (
-            (Cayley(), False),
-            (Affine(1j), False),
-            (ExpStrip(), True),  # upper half-plane -> canonical strip via log
-            (Affine(scale, 1j * d.y_low), False),
-        )
-    if isinstance(d, SlitPlane):
-        if len(d.slits) != 1:
-            raise UnsupportedDomainError(
-                "no explicit Riemann map for multi-slit planes; only the single-slit base case is supported"
-            )
-        a0, b0 = d.slits[0]
-        return (
-            (Cayley(), False),
-            (SlitSqrt(), True),  # right half-plane -> slit plane via w^2 - i
-            (Affine(complex(b0), complex(a0)), False),
-        )
-    raise UnsupportedDomainError(
-        f"no explicit Riemann map for {type(d).__name__}; distances there are bounded via quasihyperbolic estimates"
-    )
-
-
-def _prime_end_pullback(raw: MapHandle) -> complex:
-    """Unit-modulus pullback of the prime end reached by x -> +infinity.
-
-    Evaluated at x = 1e6 with a Richardson check at 1e5 (the argument decays
-    like 1/x for every supported chain).
-    """
-    args = []
-    for x in (1e5, 1e6):
-        z = raw.inverse(complex(x))
-        if is_at_infinity(z):
-            raise NumericError("prime-end pullback escaped to infinity")
-        args.append(cmath.phase(z))
-    if abs(args[1] - args[0]) > 1e-3:
-        raise NumericError(f"prime-end pullback did not stabilize: args {args}")
-    arg_star = (10.0 * args[1] - args[0]) / 9.0
-    return cmath.exp(1j * arg_star)
-
-
-def build_koenigs(d: DomainDescriptor) -> KoenigsMap:
-    """Normalized Riemann map handle for a supported descriptor.
-
-    Supported: horizontal half-planes, strips, and single-slit planes.  The
-    normalizing disk automorphism sends 0 to the pullback of 0 and 1 to the
-    pullback of the prime end at +infinity.
-    """
-    if not contains(d, 0):
-        raise ConstructionError("the Koenigs domain must contain 0")
-    raw = MapHandle(_raw_chain(d))
-    z0 = raw.inverse(0j)
-    if is_at_infinity(z0) or abs(z0) >= 1.0:
-        raise NumericError(f"pullback of 0 landed at {z0}")
-    zeta = _prime_end_pullback(raw)
-    rot = (zeta - z0) / (1.0 - z0.conjugate() * zeta)
-    rot /= abs(rot)
-    sigma = MoebiusMap(rot, z0, z0.conjugate() * rot, 1.0)
-    handle = MapHandle(((_MoebiusLink(sigma), False),) + raw.links)
-    origin = handle.forward(0j)
-    if abs(origin) > 1e-10:
-        raise NumericError(f"normalization failed: h(0) = {origin}")
-    return KoenigsMap(domain=d, handle=handle, normalization=sigma)
-
-
-# ---------------------------------------------------------------------------
-# Stable axis distances (no disk pullback, safe for very large abscissae)
-
-
-def _strip_ray_distance(delta: float, theta: float) -> float:
-    """Hyperbolic distance between two points of a ray arg = theta in the
-    upper half-plane whose log-coordinates differ by delta."""
-    x = 0.5 * abs(delta)
-    s = math.sin(theta)
-    if x > 20.0:
-        # asinh(sinh(x)/s) = x - log(s) + O(e^{-2x}); the tail is below 1 ulp here
-        return x - math.log(s)
-    return math.asinh(math.sinh(x) / s)
+    """Hyperbolic distance of the domain, evaluated in H."""
+    return _h_distance(_checked_to_h(k, w1), _checked_to_h(k, w2))
 
 
 def axis_distance(k: KoenigsMap, x1: float, x2: float) -> float:
-    """rho_Omega(x1, x2) for real axis points, stable for large separations.
+    """rho_Omega(x1, x2) for real axis points, stable for large separations."""
+    return domain_distance(k, complex(x1), complex(x2))
 
-    Strips route through the exponential map in log coordinates; half-planes
-    use the sinh^2 identity directly; single slits push to the right
-    half-plane by the square-root map.
-    """
-    d = k.domain
-    if x1 == x2:
-        return 0.0
-    if isinstance(d, StripDom):
-        width = d.y_high - d.y_low
-        theta = math.pi * (0.0 - d.y_low) / width
-        delta = math.pi * (x2 - x1) / width
-        return _strip_ray_distance(delta, theta)
-    if isinstance(d, HalfPlaneDom):
-        gap = abs(d.boundary_height)
-        return math.asinh(abs(x2 - x1) / (2.0 * gap))
-    if isinstance(d, SlitPlane) and len(d.slits) == 1:
-        a0, b0 = d.slits[0]
-        u1 = slit_sqrt_forward((x1 - a0) / b0)
-        u2 = slit_sqrt_forward((x2 - a0) / b0)
-        return region_distance(RIGHT_HALF_PLANE, u1, u2)
-    raise UnsupportedDomainError(f"no stable axis distance for {type(d).__name__}")
+
+def pullback_density(k: KoenigsMap, w: complex) -> float:
+    """Hyperbolic density of the domain at w: 1/(2 Re W |dw/dW|)."""
+    log_r, u = _checked_to_h(k, w)
+    return 1.0 / (2.0 * u.real * k.dlog(log_r))

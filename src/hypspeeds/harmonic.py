@@ -147,16 +147,35 @@ def _simplify_polyline(verts: np.ndarray, tol: float = 1e-6) -> np.ndarray:
     return verts[np.asarray(keep)]
 
 
-def _polyline_segments(verts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _polyline_segments(verts: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Starts, steps, conjugate steps and squared lengths of the nonzero segments.
+
+    Computed once per obstacle: the walk queries the distance at every step.
+    """
     starts, steps = verts[:-1], np.diff(verts)
     keep = np.abs(steps) > 0.0
-    return starts[keep], steps[keep]
+    starts, steps = starts[keep], steps[keep]
+    return starts, steps, np.conj(steps), np.abs(steps) ** 2
 
 
-def _dist_to_segments(p: np.ndarray, starts: np.ndarray, steps: np.ndarray) -> np.ndarray:
-    rel = p[:, None] - starts[None, :]
-    t = np.clip((rel * np.conj(steps)).real / np.abs(steps) ** 2, 0.0, 1.0)
-    return np.abs(rel - t * steps[None, :]).min(axis=1)
+#: Most point-segment pairs held in one temporary of ``_dist_to_segments``.
+_PAIR_BLOCK = 1 << 18
+
+
+def _dist_to_segments(p: np.ndarray, segments: tuple[np.ndarray, ...]) -> np.ndarray:
+    """Distance from each point to the nearest segment, in row blocks so the
+    walk's memory does not grow with the number of segments."""
+    starts, steps, conj_steps, norm2 = segments
+    rows = max(1, _PAIR_BLOCK // starts.size)
+    out = np.empty(p.size)
+    for lo in range(0, p.size, rows):
+        rel = p[lo : lo + rows, None] - starts
+        buf = rel * conj_steps
+        t = np.clip(buf.real / norm2, 0.0, 1.0)
+        # in place: fewer large temporaries per step, the same arithmetic
+        rel -= np.multiply(t, steps, out=buf)
+        np.abs(rel).min(axis=1, out=out[lo : lo + rows])
+    return out
 
 
 def mc_first_hit(
@@ -186,11 +205,11 @@ def mc_first_hit(
         raise ParameterError("obstacle must be empty or a polyline with >= 2 vertices")
     if np.any(np.abs(verts) > 1.0 + 1e-12):
         raise ParameterError("obstacle vertices must lie in the closed unit disk")
-    starts, steps = _polyline_segments(_simplify_polyline(verts))
-    if starts.size == 0:
+    segments = _polyline_segments(_simplify_polyline(verts))
+    if segments[0].size == 0:
         raise ParameterError("obstacle polyline has zero length")
     z0 = complex(z0)
-    start_gap = float(_dist_to_segments(np.asarray([z0]), starts, steps)[0])
+    start_gap = float(_dist_to_segments(np.asarray([z0]), segments)[0])
     if start_gap <= 10.0 * eps:
         raise ParameterError(f"start point within {start_gap:.2e} of the obstacle; eps={eps} too coarse")
     if 1.0 - abs(z0) <= 10.0 * eps:
@@ -205,7 +224,7 @@ def mc_first_hit(
         step_no = 0
         while alive.size and step_no < max_steps:
             p = pos[alive]
-            d_obs = _dist_to_segments(p, starts, steps)
+            d_obs = _dist_to_segments(p, segments)
             d_bnd = 1.0 - np.abs(p)
             hit = d_obs <= eps
             miss = ~hit & (d_bnd <= eps)

@@ -15,8 +15,6 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Sequence, Union
 
-from scipy.integrate import quad
-
 from .errors import ConstructionError, DomainError
 
 BOUNDARY_TOL = 1e-12
@@ -357,6 +355,9 @@ def integrate_density_along(
     quadrature to absolute tolerance `tol`.  Domain errors raised by the
     density (path touching the boundary) propagate.
     """
+    # scipy.integrate costs most of the package's import time; only this oracle needs it
+    from scipy.integrate import quad
+
     pts = [complex(p) for p in path]
     if len(pts) < 2:
         return 0.0

@@ -136,6 +136,21 @@ def test_strip_speed_matches_disk_route():
         assert s.pi_t == pytest.approx(foot_on_diameter(z_t), abs=1e-9)
 
 
+@pytest.mark.parametrize("t", (1e2, 1e4, 1e6, 1e8))
+def test_slit_speeds_far_out_match_half_plane_closed_form(t):
+    # sqrt(w + i) maps the slit plane onto the right half-plane with the
+    # Denjoy-Wolff point at infinity, where the geodesic from W0 to it is the
+    # horizontal ray Im W = Im W0 and the foot of W_t is explicit
+    m = make_model(SlitPlane(((0.0, 1.0),)))
+    w0 = cmath.sqrt(1j)
+    w_t = cmath.sqrt(t + 1j)
+    foot = abs(w_t - 1j * w0.imag) + 1j * w0.imag
+    s = speeds(m, t)
+    assert s.v == pytest.approx(region_distance(RIGHT_HALF_PLANE, w0, w_t), rel=1e-8, abs=0.0)
+    assert s.v_o == pytest.approx(region_distance(RIGHT_HALF_PLANE, w0, foot), rel=1e-8, abs=0.0)
+    assert s.v_T == pytest.approx(region_distance(RIGHT_HALF_PLANE, w_t, foot), rel=1e-8, abs=0.0)
+
+
 # ---------------------------------------------------------------------------
 # generalized speed
 
