@@ -7,6 +7,11 @@ of either.  The absorption layer gives an O(eps) bias, dominated by the
 sampling error at the sample counts used here.  Obstacle proximity is
 checked before boundary proximity, so walks landing near the junction of the
 obstacle with the boundary count as hits.
+
+One walk loop, ``_walk``, serves every absorbing set: the caller passes a
+vectorized ``absorb(p) -> (radius, class)``.  The distance to a polyline
+obstacle is exact; a bounding circle per block of consecutive segments only
+skips the blocks that cannot hold the nearest segment.
 """
 
 from __future__ import annotations
@@ -14,6 +19,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -21,7 +27,7 @@ from .conformal import map_forward, map_inverse
 from .domains import contains
 from .errors import DomainError, NumericError, ParameterError
 from .hyperbolic import perpendicular_geodesic, require_disk_point
-from .seeding import sample_uniforms
+from .seeding import sample_streams, sample_uniforms, stream_uniforms
 from .semigroup import SemigroupModel, log_one_minus_pi_sq, speeds
 
 TWO_PI = 2.0 * math.pi
@@ -48,17 +54,24 @@ class ArcOnCircle:
 
 @dataclass(frozen=True)
 class HMEstimate:
-    """Monte Carlo harmonic-measure value with its binomial standard error."""
+    """Monte Carlo harmonic-measure value with its binomial standard error.
+
+    ``truncated`` counts the walks still running after ``max_steps``; they are
+    in ``n_samples`` but in no absorbing class.
+    """
 
     value: float
     std_error: float
     n_samples: int
     seed: int
+    truncated: int = 0
 
 
-def _binomial_estimate(hits: int, n: int, seed: int) -> HMEstimate:
+def _binomial_estimate(hits: int, n: int, seed: int, truncated: int = 0) -> HMEstimate:
     value = hits / n
-    return HMEstimate(value=value, std_error=math.sqrt(value * (1.0 - value) / n), n_samples=n, seed=seed)
+    return HMEstimate(
+        value=value, std_error=math.sqrt(value * (1.0 - value) / n), n_samples=n, seed=seed, truncated=truncated
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -147,35 +160,118 @@ def _simplify_polyline(verts: np.ndarray, tol: float = 1e-6) -> np.ndarray:
     return verts[np.asarray(keep)]
 
 
-def _polyline_segments(verts: np.ndarray) -> tuple[np.ndarray, ...]:
-    """Starts, steps, conjugate steps and squared lengths of the nonzero segments.
+class _Segments(NamedTuple):
+    """Nonzero polyline segments in blocks of consecutive segments.
+
+    Arrays are (blocks, size); the last block repeats the last segment to
+    fill it.  Each block has a bounding circle, inflated so that rounding in
+    the distances cannot cull the block holding the nearest segment.
+    """
+
+    starts: np.ndarray
+    steps: np.ndarray
+    conj_steps: np.ndarray
+    norm2: np.ndarray
+    centers: np.ndarray
+    radii: np.ndarray
+
+
+def _polyline_segments(verts: np.ndarray) -> _Segments:
+    """Blocks of ceil(sqrt(count)) segments with their bounding circles.
 
     Computed once per obstacle: the walk queries the distance at every step.
     """
     starts, steps = verts[:-1], np.diff(verts)
     keep = np.abs(steps) > 0.0
+    if not keep.any():
+        raise ParameterError("obstacle polyline has zero length")
     starts, steps = starts[keep], steps[keep]
-    return starts, steps, np.conj(steps), np.abs(steps) ** 2
+    count = starts.size
+    size = math.isqrt(count - 1) + 1
+    blocks = -(-count // size)
+    take = np.minimum(np.arange(blocks * size), count - 1).reshape(blocks, size)
+    starts, steps = starts[take], steps[take]
+    ends = np.concatenate([starts, starts + steps], axis=1)
+    centers = 0.5 * (ends.real.min(axis=1) + ends.real.max(axis=1) + 1j * (ends.imag.min(axis=1) + ends.imag.max(axis=1)))
+    reach = np.abs(ends - centers[:, None]).max(axis=1)
+    # points and vertices lie in the closed unit disk, so every distance the
+    # culling compares is within a few ulp(2) of exact: 1e-14 covers them
+    return _Segments(starts, steps, np.conj(steps), np.abs(steps) ** 2, centers, reach * (1.0 + 1e-9) + 1e-14)
 
 
 #: Most point-segment pairs held in one temporary of ``_dist_to_segments``.
 _PAIR_BLOCK = 1 << 18
 
 
-def _dist_to_segments(p: np.ndarray, segments: tuple[np.ndarray, ...]) -> np.ndarray:
+def _exact(p: np.ndarray, starts, steps, conj_steps, norm2) -> np.ndarray:
+    """Distance from p to each segment, elementwise over broadcast shapes."""
+    rel = p - starts
+    buf = rel * conj_steps
+    t = np.clip(buf.real / norm2, 0.0, 1.0)
+    # in place: fewer large temporaries per step, the same arithmetic
+    rel -= np.multiply(t, steps, out=buf)
+    return np.abs(rel)
+
+
+def _dist_to_segments(p: np.ndarray, segments: _Segments) -> np.ndarray:
     """Distance from each point to the nearest segment, in row blocks so the
-    walk's memory does not grow with the number of segments."""
-    starts, steps, conj_steps, norm2 = segments
-    rows = max(1, _PAIR_BLOCK // starts.size)
+    walk's memory does not grow with the number of segments.
+
+    With several blocks, the nearest bounding circle's far side bounds the
+    distance from above; only blocks whose circle comes within that bound
+    are evaluated.  They always include the nearest segment, so the result
+    is the minimum over all segments, bit for bit.
+    """
+    starts, steps, conj_steps, norm2, centers, radii = segments
+    # each temporary holds at most rows x size pairs: blocks <= size
+    rows = max(1, _PAIR_BLOCK // starts.shape[1])
     out = np.empty(p.size)
     for lo in range(0, p.size, rows):
-        rel = p[lo : lo + rows, None] - starts
-        buf = rel * conj_steps
-        t = np.clip(buf.real / norm2, 0.0, 1.0)
-        # in place: fewer large temporaries per step, the same arithmetic
-        rel -= np.multiply(t, steps, out=buf)
-        np.abs(rel).min(axis=1, out=out[lo : lo + rows])
+        q = p[lo : lo + rows]
+        if centers.size == 1:
+            _exact(q[:, None], starts[0], steps[0], conj_steps[0], norm2[0]).min(axis=1, out=out[lo : lo + rows])
+            continue
+        gap = np.abs(q[:, None] - centers)
+        bound = (gap + radii).min(axis=1)
+        near = (gap - radii <= bound[:, None]).T
+        best = out[lo : lo + rows]
+        best.fill(np.inf)
+        for b in range(centers.size):
+            idx = np.flatnonzero(near[b])
+            if idx.size:
+                d = _exact(q[idx, None], starts[b], steps[b], conj_steps[b], norm2[b]).min(axis=1)
+                best[idx] = np.minimum(best[idx], d)
     return out
+
+
+def _walk(absorb, z0: complex, n: int, seed: int, chunk: int, max_steps: int, classes: int) -> tuple[list[int], int]:
+    """Walk-on-spheres from z0 for the samples 0 .. n-1.
+
+    ``absorb(p)`` returns, for each position, the radius of the next jump
+    and a class: 0 keeps walking, 1 .. ``classes`` absorbs there.  Returns
+    the walks absorbed in each class and the walks still running after
+    ``max_steps``.  Sample i draws from stream (seed, i), so ``chunk``
+    cannot change the result.
+    """
+    counts = np.zeros(classes + 1, dtype=np.int64)
+    truncated = 0
+    for lo in range(0, n, chunk):
+        m = min(chunk, n - lo)
+        keys = sample_streams(seed, np.arange(lo, lo + m, dtype=np.uint64))
+        pos = np.full(m, z0, dtype=complex)
+        alive = np.arange(m)
+        step_no = 0
+        while alive.size and step_no < max_steps:
+            radius, cls = absorb(pos[alive])
+            counts += np.bincount(cls, minlength=classes + 1)
+            live = cls == 0
+            alive = alive[live]
+            if alive.size:
+                u = stream_uniforms(keys[alive], step_no)
+                pos[alive] = pos[alive] + radius[live] * np.exp(2j * math.pi * u)
+            step_no += 1
+        truncated += alive.size
+    return [int(c) for c in counts[1:]], truncated
 
 
 def mc_first_hit(
@@ -192,7 +288,8 @@ def mc_first_hit(
 
     Deterministic given (seed, n): per-sample streams are derived from the
     seed and the sample index, so the chunk size (the parallel-partition
-    knob) cannot change the result.
+    knob) cannot change the result.  Walks cut off at ``max_steps`` count as
+    misses and are reported in ``truncated``.
     """
     verts = np.asarray([complex(v) for v in obstacle], dtype=complex)
     if n <= 0:
@@ -206,8 +303,6 @@ def mc_first_hit(
     if np.any(np.abs(verts) > 1.0 + 1e-12):
         raise ParameterError("obstacle vertices must lie in the closed unit disk")
     segments = _polyline_segments(_simplify_polyline(verts))
-    if segments[0].size == 0:
-        raise ParameterError("obstacle polyline has zero length")
     z0 = complex(z0)
     start_gap = float(_dist_to_segments(np.asarray([z0]), segments)[0])
     if start_gap <= 10.0 * eps:
@@ -215,29 +310,14 @@ def mc_first_hit(
     if 1.0 - abs(z0) <= 10.0 * eps:
         raise ParameterError("start point too close to the unit circle for this eps")
 
-    hits = 0
-    for lo in range(0, n, chunk):
-        m = min(chunk, n - lo)
-        idx = np.arange(lo, lo + m, dtype=np.uint64)
-        pos = np.full(m, z0, dtype=complex)
-        alive = np.arange(m)
-        step_no = 0
-        while alive.size and step_no < max_steps:
-            p = pos[alive]
-            d_obs = _dist_to_segments(p, segments)
-            d_bnd = 1.0 - np.abs(p)
-            hit = d_obs <= eps
-            miss = ~hit & (d_bnd <= eps)
-            hits += int(hit.sum())
-            cont = ~(hit | miss)
-            alive = alive[cont]
-            if alive.size:
-                radius = np.minimum(d_obs[cont], d_bnd[cont])
-                u = sample_uniforms(seed, idx[alive], step_no)
-                pos[alive] = pos[alive] + radius * np.exp(2j * math.pi * u)
-            step_no += 1
-        # walks that never absorbed within max_steps count as misses
-    return _binomial_estimate(hits, n, seed)
+    def absorb(p):
+        d_obs = _dist_to_segments(p, segments)
+        d_bnd = 1.0 - np.abs(p)
+        # 1: the obstacle, 2: the unit circle
+        return np.minimum(d_obs, d_bnd), np.where(d_obs <= eps, 1, 2 * (d_bnd <= eps))
+
+    (hits, _), truncated = _walk(absorb, z0, n, seed, chunk, max_steps, classes=2)
+    return _binomial_estimate(hits, n, seed, truncated)
 
 
 def semidisk_bisection_check(
@@ -257,29 +337,15 @@ def semidisk_bisection_check(
         raise DomainError(f"t0 must lie in (0, 1), got {t0}")
     if min(t0, 1.0 - t0) <= 10.0 * eps:
         raise ParameterError("start point too close to the semidisk boundary for this eps")
-    left = right = 0
-    for lo in range(0, n, chunk):
-        m = min(chunk, n - lo)
-        idx = np.arange(lo, lo + m, dtype=np.uint64)
-        pos = np.full(m, -1j * t0, dtype=complex)
-        alive = np.arange(m)
-        step_no = 0
-        while alive.size and step_no < max_steps:
-            p = pos[alive]
-            d_diam = np.abs(p.imag)
-            d_arc = 1.0 - np.abs(p)
-            on_diam = d_diam <= eps
-            on_arc = ~on_diam & (d_arc <= eps)
-            left += int((on_diam & (p.real < 0.0)).sum())
-            right += int((on_diam & (p.real >= 0.0)).sum())
-            cont = ~(on_diam | on_arc)
-            alive = alive[cont]
-            if alive.size:
-                radius = np.minimum(d_diam[cont], d_arc[cont])
-                u = sample_uniforms(seed, idx[alive], step_no)
-                pos[alive] = pos[alive] + radius * np.exp(2j * math.pi * u)
-            step_no += 1
-    return _binomial_estimate(left, n, seed), _binomial_estimate(right, n, seed)
+
+    def absorb(p):
+        d_diam = np.abs(p.imag)
+        d_arc = 1.0 - np.abs(p)
+        # 1: the left half of the diameter, 2: the right half, 3: the arc
+        return np.minimum(d_diam, d_arc), np.where(d_diam <= eps, 1 + (p.real >= 0.0), 3 * (d_arc <= eps))
+
+    (left, right, _), truncated = _walk(absorb, -1j * t0, n, seed, chunk, max_steps, classes=3)
+    return _binomial_estimate(left, n, seed, truncated), _binomial_estimate(right, n, seed, truncated)
 
 
 # ---------------------------------------------------------------------------

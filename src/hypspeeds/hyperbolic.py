@@ -197,17 +197,20 @@ def foot_on_diameter(z: complex) -> float:
     """Hyperbolic projection of z onto the real diameter (-1, 1).
 
     Closed form: the geodesic through z orthogonal to the reals is a circle
-    with real center c = (|z|^2+1)/(2 Re z); the foot is the root of
-    c -+ sqrt(c^2-1) lying inside the disk.
+    with real center c = (|z|^2+1)/(2 Re z); the foot is its root inside the
+    disk, sign/(|c| + sqrt(c^2-1)) with sign = sign(Re z).  Written with
+    e = |c| - 1 = |z - sign|^2/(2 |Re z|) as sign/(1 + e + sqrt(e(e+2))), it
+    keeps 1 - |foot| to full relative precision as z nears +-1, where
+    c - sqrt(c^2-1) cancels.
     """
     z = require_disk_point(z)
     if z.imag == 0.0:
         return z.real
     if z.real == 0.0:
         return 0.0
-    c = (abs(z) ** 2 + 1.0) / (2.0 * z.real)
-    r = math.sqrt(max(c * c - 1.0, 0.0))
-    return c - math.copysign(r, c)
+    sign = math.copysign(1.0, z.real)
+    e = abs(z - sign) ** 2 / (2.0 * abs(z.real))
+    return sign / (1.0 + e + math.sqrt(e * (e + 2.0)))
 
 
 def _golden_min(f: Callable[[float], float], lo: float, hi: float, tol: float = 1e-13) -> float:

@@ -3,7 +3,9 @@
 Every sample owns a deterministic stream addressed by (seed, sample index,
 step counter), so estimates are bit-identical under any chunking or parallel
 schedule.  The generator is a double splitmix64 finalizer chain, vectorized
-over sample indices.
+over sample indices.  ``sample_streams`` runs the first link once per sample,
+so a walk that draws at every step pays one finalizer per draw in
+``stream_uniforms``.
 """
 
 from __future__ import annotations
@@ -24,14 +26,24 @@ def _mix(x: np.ndarray) -> np.ndarray:
     return x ^ (x >> np.uint64(31))
 
 
-def sample_uniforms(seed: int, sample_indices, step: int) -> np.ndarray:
-    """Uniform [0, 1) draw for each sample index at the given step counter."""
+def sample_streams(seed: int, sample_indices) -> np.ndarray:
+    """Stream key of each sample index: the part of the chain fixed by (seed, index)."""
     idx = np.asarray(sample_indices, dtype=np.uint64)
     with np.errstate(over="ignore"):
         s = _mix(np.asarray(seed & _MASK, dtype=np.uint64))
-        x = _mix(s + _GAMMA * (idx + np.uint64(1)))
-        x = _mix(x + _GAMMA * np.uint64((step + 1) & _MASK))
+        return _mix(s + _GAMMA * (idx + np.uint64(1)))
+
+
+def stream_uniforms(keys: np.ndarray, step: int) -> np.ndarray:
+    """Uniform [0, 1) draw of each stream key at the given step counter."""
+    with np.errstate(over="ignore"):
+        x = _mix(keys + _GAMMA * np.uint64((step + 1) & _MASK))
     return (x >> np.uint64(11)).astype(np.float64) * 2.0**-53
+
+
+def sample_uniforms(seed: int, sample_indices, step: int) -> np.ndarray:
+    """Uniform [0, 1) draw for each sample index at the given step counter."""
+    return stream_uniforms(sample_streams(seed, sample_indices), step)
 
 
 def uniform_at(seed: int, index: int, step: int) -> float:

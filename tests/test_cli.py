@@ -99,6 +99,18 @@ def test_speeds_run_and_csv_schema(tmp_path):
     assert len(lines) == 8
 
 
+def test_speeds_far_out_on_the_slit_exits_zero(tmp_path):
+    # v_o must stay below v out to t = 1e8, where 1 - pi_t is about 1.4e-4
+    cfg_path = write_config(
+        tmp_path,
+        {
+            "domain": {"kind": "slit_plane", "slits": [[0, 1]]},
+            "t_grid": {"start": 0.0, "stop": 1e8, "step": 1e7},
+        },
+    )
+    assert main(["speeds", "--config", str(cfg_path), "--out", str(tmp_path)]) == 0
+
+
 def test_main_exit_codes(tmp_path):
     # malformed grid -> 2
     cfg_path = write_config(

@@ -6,10 +6,13 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from hypspeeds.domains import HalfPlaneDom, StripDom
+from hypspeeds.domains import HalfPlaneDom, SlitPlane, StripDom
 from hypspeeds.errors import DomainError, ParameterError
 from hypspeeds.harmonic import (
     ArcOnCircle,
+    _dist_to_segments,
+    _polyline_segments,
+    _simplify_polyline,
     disk_arc_measure,
     discretize_orbit_tail,
     geodesic_cut_measure,
@@ -134,6 +137,68 @@ def test_mc_first_hit_chunk_invariance():
     a = mc_first_hit(obstacle, 0j, 4_000, seed=21, chunk=4096)
     b = mc_first_hit(obstacle, 0j, 4_000, seed=21, chunk=257)
     assert a == b
+
+
+def _brute_dist(p, verts):
+    # every point against every nonzero segment, the arithmetic of the walk
+    starts, steps = verts[:-1], np.diff(verts)
+    keep = np.abs(steps) > 0.0
+    starts, steps = starts[keep], steps[keep]
+    rel = p[:, None] - starts
+    t = np.clip((rel * np.conj(steps)).real / np.abs(steps) ** 2, 0.0, 1.0)
+    return np.abs(rel - t * steps).min(axis=1)
+
+
+def _spiral(count):
+    s = np.linspace(0.0, 1.0, count + 1)
+    return (0.1 + 0.85 * s) * np.exp(4.0j * s) - 0.05j
+
+
+@pytest.mark.parametrize("count", (1, 2, 3, 7, 116, 234))
+def test_dist_to_segments_matches_brute_force_bitwise(count):
+    verts = _spiral(count)
+    segments = _polyline_segments(verts)
+    assert segments.starts.size >= count
+    rng = np.random.default_rng(count)
+    far = 0.99 * np.sqrt(rng.random(2000)) * np.exp(2j * math.pi * rng.random(2000))
+    on = verts[:-1] + rng.random(verts.size - 1) * np.diff(verts)
+    offsets = np.concatenate([rng.random(on.size) * 1e-4, np.full(on.size, 1e-13), np.zeros(on.size)])
+    near = np.concatenate([on, on, on]) + offsets * np.exp(2j * math.pi * rng.random(offsets.size))
+    for p in (far, near, verts):
+        assert np.array_equal(_dist_to_segments(p, segments), _brute_dist(p, verts))
+
+
+@pytest.mark.parametrize("t", (1.0, 5.0))
+def test_dist_to_orbit_tail_matches_brute_force_bitwise(t):
+    # simplified as the walk sees it: 234 segments at t = 1, 116 at t = 5
+    tail = _simplify_polyline(discretize_orbit_tail(make_model(SlitPlane(((0.0, 1.0),))), t))
+    segments = _polyline_segments(tail)
+    assert segments.centers.size > 1
+    rng = np.random.default_rng(int(t))
+    far = 0.999 * np.sqrt(rng.random(5000)) * np.exp(2j * math.pi * rng.random(5000))
+    near = tail + 1e-4 * rng.random(tail.size) * np.exp(2j * math.pi * rng.random(tail.size))
+    for p in (far, near):
+        assert np.array_equal(_dist_to_segments(p, segments), _brute_dist(p, tail))
+
+
+def test_mc_first_hit_chunk_invariance_on_curved_tail():
+    tail = discretize_orbit_tail(make_model(SlitPlane(((0.0, 1.0),))), 5.0)
+    a = mc_first_hit(tail, 0j, 3_000, seed=21, chunk=4096)
+    b = mc_first_hit(tail, 0j, 3_000, seed=21, chunk=257)
+    assert a == b
+
+
+def test_walks_cut_off_at_max_steps_are_counted():
+    obstacle = [0.5 + 0j, 1.0 + 0j]
+    full = mc_first_hit(obstacle, 0j, 2_000, seed=5)
+    cut = mc_first_hit(obstacle, 0j, 2_000, seed=5, max_steps=3)
+    assert full.truncated == 0
+    assert 0 < cut.truncated <= 2_000
+    # the same streams: a walk absorbed within 3 steps is absorbed alike in both runs
+    assert cut.value <= full.value
+    left, right = semidisk_bisection_check(0.5, 2_000, seed=5, max_steps=3)
+    assert left.truncated == right.truncated > 0
+    assert (left.value + right.value) * 2_000 + left.truncated <= 2_000
 
 
 def test_mc_first_hit_obstacle_monotonicity():

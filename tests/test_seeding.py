@@ -2,7 +2,7 @@
 
 import numpy as np
 
-from hypspeeds.seeding import sample_uniforms, uniform_at
+from hypspeeds.seeding import sample_streams, sample_uniforms, stream_uniforms, uniform_at
 
 
 def test_uniforms_in_unit_interval():
@@ -30,3 +30,30 @@ def test_partition_invariance():
 def test_scalar_matches_vector():
     vec = sample_uniforms(42, np.arange(5, dtype=np.uint64), 2)
     assert [uniform_at(42, i, 2) for i in range(5)] == list(vec)
+
+
+def _splitmix_reference(seed, index, step):
+    # the double finalizer chain on Python integers, one sample at a time
+    mask = (1 << 64) - 1
+
+    def mix(x):
+        x ^= x >> 30
+        x = (x * 0xBF58476D1CE4E5B9) & mask
+        x ^= x >> 27
+        x = (x * 0x94D049BB133111EB) & mask
+        return x ^ (x >> 31)
+
+    gamma = 0x9E3779B97F4A7C15
+    x = mix((mix(seed & mask) + gamma * (index + 1)) & mask)
+    x = mix((x + gamma * (step + 1)) & mask)
+    return (x >> 11) * 2.0**-53
+
+
+def test_hoisted_stream_keys_match_sample_uniforms_bitwise():
+    idx = np.arange(0, 5000, 7, dtype=np.uint64)
+    for seed in (0, 9, 2**63 + 5):
+        keys = sample_streams(seed, idx)
+        for step in (0, 1, 17, 9999):
+            u = stream_uniforms(keys, step)
+            assert u.tobytes() == sample_uniforms(seed, idx, step).tobytes()
+            assert [_splitmix_reference(seed, int(i), step) for i in idx[:20]] == list(u[:20])

@@ -3,6 +3,7 @@
 import cmath
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 
@@ -149,6 +150,22 @@ def test_slit_speeds_far_out_match_half_plane_closed_form(t):
     assert s.v == pytest.approx(region_distance(RIGHT_HALF_PLANE, w0, w_t), rel=1e-8, abs=0.0)
     assert s.v_o == pytest.approx(region_distance(RIGHT_HALF_PLANE, w0, foot), rel=1e-8, abs=0.0)
     assert s.v_T == pytest.approx(region_distance(RIGHT_HALF_PLANE, w_t, foot), rel=1e-8, abs=0.0)
+
+
+@pytest.mark.parametrize("t", (1e6, 1e7, 9e7, 1e8))
+def test_slit_foot_far_out_matches_mpmath(t):
+    # in the right half-plane W = sqrt(w + i) the foot is explicit:
+    # pi_t = (r - Re W0)/(r + Re W0) with r = |W_t - i Im W0|
+    with mp.workdps(60):
+        w0 = mp.sqrt(mp.mpc(0, 1))
+        r = abs(mp.sqrt(mp.mpc(t, 1)) - 1j * w0.imag)
+        ref = float((r - w0.real) / (r + w0.real))
+        gap = float(2 * w0.real / (r + w0.real))
+    s = speeds(make_model(SlitPlane(((0.0, 1.0),))), t)
+    assert s.v_o < s.v
+    assert s.pi_t == pytest.approx(ref, rel=1e-12, abs=0.0)
+    # 1 - pi_t is about 1e-4 here: a cancelling foot loses its digits first
+    assert 1.0 - s.pi_t == pytest.approx(gap, rel=1e-11, abs=0.0)
 
 
 # ---------------------------------------------------------------------------
