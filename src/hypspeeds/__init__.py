@@ -61,14 +61,26 @@ from .semigroup import (
     speed_difference_identity,
     speeds,
 )
-from .harmonic import (
-    ArcOnCircle,
-    HMEstimate,
-    disk_arc_measure,
-    geodesic_cut_measure,
-    mc_disk_arc,
-    mc_first_hit,
-    projection_bound_check,
-    semidisk_bisection_check,
-    theorem4_scan,
+# harmonic (and with it numpy) loads on the first use of one of its names, so
+# the analytic experiments start without numpy (PEP 562)
+_HARMONIC_NAMES = frozenset(
+    {
+        "ArcOnCircle",
+        "HMEstimate",
+        "disk_arc_measure",
+        "geodesic_cut_measure",
+        "mc_disk_arc",
+        "mc_first_hit",
+        "projection_bound_check",
+        "semidisk_bisection_check",
+        "theorem4_scan",
+    }
 )
+
+
+def __getattr__(name: str):
+    if name in _HARMONIC_NAMES:
+        from . import harmonic
+
+        return getattr(harmonic, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -17,8 +17,6 @@ import sys
 from dataclasses import dataclass, field
 from pathlib import Path
 
-import numpy as np
-
 from . import __version__
 from .domains import (
     DomainDescriptor,
@@ -28,15 +26,6 @@ from .domains import (
     StripDom,
 )
 from .errors import ConfigError, HypspeedsError
-from .harmonic import (
-    ArcOnCircle,
-    disk_arc_measure,
-    geodesic_cut_measure,
-    mc_disk_arc,
-    projection_bound_check,
-    semidisk_bisection_check,
-    theorem4_scan,
-)
 from .hyperbolic import (
     CAYLEY,
     RIGHT_HALF_PLANE,
@@ -48,7 +37,6 @@ from .hyperbolic import (
     region_distance,
 )
 from .quasihyperbolic import quasihyperbolic_axis, stage_ratio, theorem3_table
-from .seeding import sample_uniforms
 from .semigroup import dip_search, make_model, monotonicity_scan, slit_inequality_on_K, speeds
 
 EXPERIMENTS = ("dist", "speeds", "thm1", "thm2", "thm3", "thm4", "hm")
@@ -148,6 +136,8 @@ def parse_config(data: dict) -> ExperimentConfig:
     cfg.mc_sigma = float(tol.get("mc_sigma", cfg.mc_sigma))
     if "mc_chunk" in data:
         cfg.mc_chunk = int(data["mc_chunk"])
+        if cfg.mc_chunk <= 0:
+            raise ConfigError("mc_chunk must be positive")
     if "base_points" in data:
         cfg.base_points = [complex(p[0], p[1]) for p in data["base_points"]]
     table = data.get("table", {})
@@ -227,6 +217,10 @@ def _require_grid(cfg: ExperimentConfig) -> list[float]:
 
 
 def _run_dist(cfg: ExperimentConfig, out_dir: Path) -> RunReport:
+    import numpy as np
+
+    from .seeding import sample_uniforms
+
     seed = cfg.seed
     rows = []
     worst_pair = 0.0
@@ -344,6 +338,8 @@ def _run_thm3(cfg: ExperimentConfig, out_dir: Path) -> RunReport:
 def _run_thm4(cfg: ExperimentConfig, out_dir: Path) -> RunReport:
     if cfg.domain_tilde is None:
         raise ConfigError("thm4 needs 'domain' and 'domain_tilde' entries")
+    from .harmonic import theorem4_scan
+
     model = make_model(_require_domain(cfg))
     model_tilde = make_model(cfg.domain_tilde)
     report = theorem4_scan(model, model_tilde, _require_grid(cfg), seed=cfg.seed)
@@ -364,6 +360,15 @@ def _run_thm4(cfg: ExperimentConfig, out_dir: Path) -> RunReport:
 
 
 def _run_hm(cfg: ExperimentConfig, out_dir: Path) -> RunReport:
+    from .harmonic import (
+        ArcOnCircle,
+        disk_arc_measure,
+        geodesic_cut_measure,
+        mc_disk_arc,
+        projection_bound_check,
+        semidisk_bisection_check,
+    )
+
     seed, n, sigma = cfg.seed, cfg.n_samples, cfg.mc_sigma
     rows = []
     checks_ok = []
@@ -387,13 +392,13 @@ def _run_hm(cfg: ExperimentConfig, out_dir: Path) -> RunReport:
 
     model = make_model(_require_domain(cfg))
     for t in cfg.projection_ts:
-        res = projection_bound_check(model, t, n, seed=seed)
+        res = projection_bound_check(model, t, n, seed=seed, chunk=cfg.mc_chunk)
         rows.append(
             ("projection_bound", t, res.estimate.value, res.lower_bound, res.estimate.std_error, n, seed, res.passed)
         )
         checks_ok.append(res.passed)
 
-    left, right = semidisk_bisection_check(cfg.semidisk_t0, n, seed=seed)
+    left, right = semidisk_bisection_check(cfg.semidisk_t0, n, seed=seed, chunk=cfg.mc_chunk)
     joint = math.sqrt(left.std_error**2 + right.std_error**2 + 2.0 * left.value * right.value / n)
     ok = abs(left.value - right.value) <= sigma * joint
     rows.append(("semidisk_bisection", cfg.semidisk_t0, left.value, right.value, joint, n, seed, ok))

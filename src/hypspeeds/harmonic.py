@@ -253,6 +253,8 @@ def _walk(absorb, z0: complex, n: int, seed: int, chunk: int, max_steps: int, cl
     ``max_steps``.  Sample i draws from stream (seed, i), so ``chunk``
     cannot change the result.
     """
+    if chunk <= 0:
+        raise ParameterError("chunk must be positive")
     counts = np.zeros(classes + 1, dtype=np.int64)
     truncated = 0
     for lo in range(0, n, chunk):
@@ -396,14 +398,16 @@ class ProjectionBoundResult:
     passed: bool
 
 
-def projection_bound_check(m: SemigroupModel, t: float, n: int, seed: int = 0, eps: float = 1e-4) -> ProjectionBoundResult:
+def projection_bound_check(
+    m: SemigroupModel, t: float, n: int, seed: int = 0, eps: float = 1e-4, chunk: int = 8192
+) -> ProjectionBoundResult:
     """Check the projection lower bound for the orbit-tail hitting probability.
 
     The first-hit probability of the obstacle h^{-1}([t, inf)) from 0 must be
     at least (1/(2 pi)) arctan((1 - pi_t^2)/(2 pi_t)), up to 3 sigma.
     """
     obstacle = discretize_orbit_tail(m, t)
-    est = mc_first_hit(obstacle, 0j, n, eps=eps, seed=seed)
+    est = mc_first_hit(obstacle, 0j, n, eps=eps, seed=seed, chunk=chunk)
     pi_t = speeds(m, t).pi_t
     rhs = math.atan((1.0 - pi_t) * (1.0 + pi_t) / (2.0 * pi_t)) / (2.0 * math.pi)
     return ProjectionBoundResult(t=t, estimate=est, lower_bound=rhs, passed=est.value >= rhs - 3.0 * est.std_error)

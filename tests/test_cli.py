@@ -195,5 +195,37 @@ def test_rerun_is_byte_identical(tmp_path):
     assert csv1 == (out3 / "hm.csv").read_bytes()
 
 
+def test_mc_chunk_reaches_every_walk(tmp_path, monkeypatch):
+    import hypspeeds.harmonic as harmonic
+
+    seen = []
+    walk = harmonic._walk
+
+    def recording_walk(absorb, z0, n, seed, chunk, max_steps, classes):
+        seen.append(chunk)
+        return walk(absorb, z0, n, seed, chunk, max_steps, classes)
+
+    monkeypatch.setattr(harmonic, "_walk", recording_walk)
+    data = {
+        "experiment": "hm",
+        "domain": {"kind": "strip", "y_low": -1, "y_high": 1},
+        "seed": 99,
+        "n_samples": 500,
+        "mc_chunk": 333,
+        "hm": {"projection_ts": [1.0, 5.0], "semidisk_t0": 0.5},
+    }
+    run(parse_config(data), tmp_path)
+    # two projection bounds and the semidisk bisection
+    assert seen == [333, 333, 333]
+
+
+def test_mc_chunk_must_be_positive():
+    base = {"experiment": "hm", "domain": {"kind": "strip", "y_low": -1, "y_high": 1}, "seed": 1}
+    assert parse_config(dict(base, mc_chunk=1)).mc_chunk == 1
+    for chunk in (0, -4):
+        with pytest.raises(ConfigError):
+            parse_config(dict(base, mc_chunk=chunk))
+
+
 def test_experiments_registry_complete():
     assert set(EXPERIMENTS) == {"dist", "speeds", "thm1", "thm2", "thm3", "thm4", "hm"}

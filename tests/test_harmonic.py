@@ -181,6 +181,15 @@ def test_dist_to_orbit_tail_matches_brute_force_bitwise(t):
         assert np.array_equal(_dist_to_segments(p, segments), _brute_dist(p, tail))
 
 
+def test_non_positive_chunk_rejected():
+    # a negative chunk would run no walk at all and report zero hits
+    for chunk in (0, -5):
+        with pytest.raises(ParameterError):
+            mc_first_hit([0.5 + 0j, 1.0 + 0j], 0j, 100, seed=1, chunk=chunk)
+        with pytest.raises(ParameterError):
+            semidisk_bisection_check(0.5, 100, seed=1, chunk=chunk)
+
+
 def test_mc_first_hit_chunk_invariance_on_curved_tail():
     tail = discretize_orbit_tail(make_model(SlitPlane(((0.0, 1.0),))), 5.0)
     a = mc_first_hit(tail, 0j, 3_000, seed=21, chunk=4096)

@@ -7,7 +7,9 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from hypspeeds.errors import ConstructionError, DomainError
+from hypspeeds.conformal import build_koenigs, pullback_density
+from hypspeeds.domains import SlitPlane
+from hypspeeds.errors import ConstructionError, DomainError, NumericError
 from hypspeeds.hyperbolic import (
     AT_INFINITY,
     CAYLEY,
@@ -332,6 +334,72 @@ def test_integrate_density_half_plane_segment():
 def test_integrate_density_boundary_touch_rejected():
     with pytest.raises(DomainError):
         integrate_density_along([0j, 1.0 + 0j], density_of(UNIT_DISK))
+
+
+def quad_along(path, density):
+    """Independent oracle: scipy's adaptive quadrature, segment by segment."""
+    total = 0.0
+    for p, q in zip(path[:-1], path[1:]):
+        step = q - p
+
+        def integrand(t, p=p, step=step):
+            return density(p + t * step) * abs(step)
+
+        val, _ = quad(integrand, 0.0, 1.0, epsabs=1e-13, epsrel=1e-13, limit=200)
+        total += val
+    return total
+
+
+SLIT = build_koenigs(SlitPlane(((0.0, 1.0),)))
+
+
+def slit_density(w):
+    return pullback_density(SLIT, w)
+
+
+@pytest.mark.parametrize(
+    "density, path",
+    [
+        (density_of(UNIT_DISK), [0j, 0.85 + 0j]),
+        (density_of(UNIT_DISK), [-0.2j, -0.95j]),
+        (density_of(UNIT_DISK), [-0.6 + 0.1j, 0.3 + 0.7j]),
+        (density_of(UNIT_DISK), [0.9 + 0.3j, -0.3 + 0.9j]),
+        (density_of(UNIT_DISK), [0.8j, -0.5 + 0.2j, 0.1 - 0.7j, 0.85 + 0j]),
+        (density_of(RIGHT_HALF_PLANE), [0.01 + 2.0j, 3.0 - 1.0j]),
+        (slit_density, [0j, 2.0 + 1.0j, -1.0 + 1.0j, -3.0 - 0.5j]),
+        (slit_density, [-2.0 - 0.9j, 1.0 - 1.0j, 1.0 - 1.1j, -2.0 - 1.2j]),
+    ],
+    ids=[
+        "disk-radial",
+        "disk-radial-deep",
+        "disk-chord",
+        "disk-chord-near-boundary",
+        "disk-polyline",
+        "half-plane",
+        "slit-around-tip",
+        "slit-along-both-sides",
+    ],
+)
+def test_integrate_density_matches_scipy_quad(density, path):
+    assert integrate_density_along(path, density) == pytest.approx(quad_along(path, density), rel=0.0, abs=1e-12)
+
+
+def test_integrate_density_boundary_vertex_inside_polyline_rejected():
+    # no Gauss-Kronrod node is an endpoint, so only the vertex check sees it
+    with pytest.raises(DomainError):
+        integrate_density_along([-0.5 + 0j, 1j, 0.5 + 0j], density_of(UNIT_DISK))
+    with pytest.raises(DomainError):
+        integrate_density_along([2.0 + 1.0j, 1j], density_of(RIGHT_HALF_PLANE))
+
+
+def test_integrate_density_budget_exhausted_raises():
+    # 1/|z - c| with c on the path but not at a node: the integral diverges
+    # and bisection never meets the tolerance
+    c = 0.3 + 0j
+    with pytest.raises(NumericError):
+        integrate_density_along([0j, 1.0 + 0j], lambda z: 1.0 / abs(z - c))
+    with pytest.raises(NumericError):
+        integrate_density_along([0.5j, -0.5 + 0j, 0.5 + 0j], lambda z: 1.0 / abs(z - c))
 
 
 def test_general_pair_distance_vs_arc_quadrature():
