@@ -391,14 +391,18 @@ def _run_hm(cfg: ExperimentConfig, out_dir: Path) -> RunReport:
     checks_ok.append(ok)
 
     model = make_model(_require_domain(cfg))
+    truncated = 0
     for t in cfg.projection_ts:
         res = projection_bound_check(model, t, n, seed=seed, chunk=cfg.mc_chunk)
+        truncated += res.estimate.truncated
         rows.append(
             ("projection_bound", t, res.estimate.value, res.lower_bound, res.estimate.std_error, n, seed, res.passed)
         )
         checks_ok.append(res.passed)
 
     left, right = semidisk_bisection_check(cfg.semidisk_t0, n, seed=seed, chunk=cfg.mc_chunk)
+    # one walk per sample serves both halves: count its truncations once
+    truncated += left.truncated
     joint = math.sqrt(left.std_error**2 + right.std_error**2 + 2.0 * left.value * right.value / n)
     ok = abs(left.value - right.value) <= sigma * joint
     rows.append(("semidisk_bisection", cfg.semidisk_t0, left.value, right.value, joint, n, seed, ok))
@@ -409,7 +413,8 @@ def _run_hm(cfg: ExperimentConfig, out_dir: Path) -> RunReport:
         ["check", "param", "value", "reference", "std_error", "n", "seed", "passed"],
         out_dir / "hm.csv",
     )
-    return RunReport("hm", all(checks_ok), {"n_checks": len(checks_ok)}, _provenance(cfg))
+    summary = {"n_checks": len(checks_ok), "truncated_walks": truncated}
+    return RunReport("hm", all(checks_ok), summary, _provenance(cfg))
 
 
 _RUNNERS = {

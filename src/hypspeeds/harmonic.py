@@ -9,9 +9,23 @@ checked before boundary proximity, so walks landing near the junction of the
 obstacle with the boundary count as hits.
 
 One walk loop, ``_walk``, serves every absorbing set: the caller passes a
-vectorized ``absorb(p) -> (radius, class)``.  The distance to a polyline
-obstacle is exact; a bounding circle per block of consecutive segments only
-skips the blocks that cannot hold the nearest segment.
+vectorized ``absorb(p) -> (radius, class)``.  For a polyline obstacle the
+radius is ``min(d_obs, d_bnd)`` with ``d_bnd = 1 - |p|``, and the class
+reads ``d_obs`` only through ``d_obs <= eps``.  Each block of consecutive
+segments has a bounding circle ``(c, r)``, and ``lb = min |p - c| - r`` is
+a lower bound on the computed ``d_obs``.  Where ``lb > max(d_bnd, eps)``
+the exact distance cannot change the step: the radius is exactly ``d_bnd``
+and the obstacle does not absorb.  Elsewhere the distance is exact, taken
+over the block of least bound and then over the blocks whose bound does not
+exceed that distance.
+
+Why no skip changes a bit: points and vertices lie in the closed unit disk,
+so every computed distance here is within a few ulp(2) of the true one, far
+below the circles' inflation of 1e-9 relative plus 1e-14.  So a block's
+computed ``|p - c| - r`` is at most the computed distance to each of its
+segments, and a skipped block or point never holds a value the exact
+minimum would have taken.  Every estimate is the one the brute-force
+minimum over all segments gives.
 """
 
 from __future__ import annotations
@@ -115,6 +129,10 @@ def geodesic_cut_measure(pi_t: float) -> tuple[ArcOnCircle, float]:
 # Monte Carlo
 
 
+#: Samples per pass of ``mc_disk_arc``: its temporaries stay this long at any n.
+_ARC_CHUNK = 1 << 13
+
+
 def mc_disk_arc(z: complex, arc: ArcOnCircle, n: int, seed: int = 0) -> HMEstimate:
     """Estimate the arc measure from z by sampling the exact exit law.
 
@@ -124,12 +142,20 @@ def mc_disk_arc(z: complex, arc: ArcOnCircle, n: int, seed: int = 0) -> HMEstima
     z = require_disk_point(z)
     if n <= 0:
         raise ParameterError("need n > 0 samples")
-    u = sample_uniforms(seed, np.arange(n, dtype=np.uint64), 0)
-    pts = np.exp(2j * math.pi * u)
-    if z != 0:
-        pts = (pts + z) / (1.0 + z.conjugate() * pts)
-    hits = int(arc.contains_angle(np.angle(pts)).sum())
+    hits = 0
+    for lo in range(0, n, _ARC_CHUNK):
+        u = sample_uniforms(seed, np.arange(lo, min(n, lo + _ARC_CHUNK), dtype=np.uint64), 0)
+        pts = np.exp(2j * math.pi * u)
+        if z != 0:
+            pts = (pts + z) / (1.0 + z.conjugate() * pts)
+        hits += int(arc.contains_angle(np.angle(pts)).sum())
     return _binomial_estimate(hits, n, seed)
+
+
+#: Candidate chords tested per call of ``_simplify_polyline``, and the most
+#: vertex-chord pairs one call holds: on a long straight run the window narrows.
+_WINDOW = 32
+_WINDOW_PAIRS = 1 << 14
 
 
 def _simplify_polyline(verts: np.ndarray, tol: float = 1e-6) -> np.ndarray:
@@ -138,24 +164,36 @@ def _simplify_polyline(verts: np.ndarray, tol: float = 1e-6) -> np.ndarray:
     Orbit-tail polylines are resolved far below the walk absorption layer, so
     collapsing straight runs changes distances by at most `tol` while cutting
     the per-step cost dramatically.
+
+    From the current anchor, the chord to each later vertex j must pass
+    within `tol` of every vertex strictly between; the first j whose chord
+    does not makes j - 1 the next anchor.  The chords to a window of
+    consecutive j are tested in one call, with the arithmetic of testing
+    them one at a time.
     """
     if verts.size <= 2:
         return verts
     keep = [0]
     anchor = 0
-    for j in range(2, verts.size):
-        chord = verts[j] - verts[anchor]
-        span = abs(chord)
-        run = verts[anchor + 1 : j]
-        if span == 0.0:
-            dev = np.abs(run - verts[anchor]).max()
-        else:
-            rel = run - verts[anchor]
-            t = np.clip((rel * chord.conjugate()).real / (span * span), 0.0, 1.0)
-            dev = np.abs(rel - t * chord).max()
-        if dev > tol:
-            anchor = j - 1
+    j = 2
+    while j < verts.size:
+        width = max(1, min(_WINDOW, _WINDOW_PAIRS // (j - anchor)))
+        ends = np.arange(j, min(j + width, verts.size))
+        rel = verts[anchor + 1 : ends[-1]] - verts[anchor]
+        chord = (verts[ends] - verts[anchor])[:, None]
+        span = np.abs(chord)
+        # a zero chord gives t = 0, and so the distance to the anchor itself
+        t = np.clip((rel * chord.conjugate()).real / np.where(span == 0.0, 1.0, span * span), 0.0, 1.0)
+        dev = np.abs(rel - t * chord)
+        # the chord to ends[k] spans the vertices before it only
+        dev[np.arange(rel.size) >= (ends - anchor - 1)[:, None]] = 0.0
+        bad = np.flatnonzero(dev.max(axis=1) > tol)
+        if bad.size:
+            anchor = int(ends[bad[0]]) - 1
             keep.append(anchor)
+            j = anchor + 2
+        else:
+            j = int(ends[-1]) + 1
     keep.append(verts.size - 1)
     return verts[np.asarray(keep)]
 
@@ -213,34 +251,48 @@ def _exact(p: np.ndarray, starts, steps, conj_steps, norm2) -> np.ndarray:
     return np.abs(rel)
 
 
-def _dist_to_segments(p: np.ndarray, segments: _Segments) -> np.ndarray:
-    """Distance from each point to the nearest segment, in row blocks so the
+def _dist_to_segments(p: np.ndarray, segments: _Segments, cap=np.inf) -> np.ndarray:
+    """Distance from each point to the nearest segment where it is at most
+    ``cap``; elsewhere a value above ``cap``.  Works in row blocks so the
     walk's memory does not grow with the number of segments.
 
-    With several blocks, the nearest bounding circle's far side bounds the
-    distance from above; only blocks whose circle comes within that bound
-    are evaluated.  They always include the nearest segment, so the result
-    is the minimum over all segments, bit for bit.
+    With several blocks, ``|p - c| - r`` over a block's bounding circle is at
+    most the computed distance to each of its segments (the rounding
+    argument is in the module docstring).  A point whose least such bound
+    exceeds ``cap`` gets that bound, with no exact distance taken.  Every
+    other point gets the exact distance to the block of least bound, which
+    bounds its nearest distance from above, and then to the blocks whose
+    bound is at most that: they hold the nearest segment, so the result is
+    the minimum over all segments, bit for bit.  One-block obstacles skip
+    the bounds, which cost as much as the exact distance there.
     """
     starts, steps, conj_steps, norm2, centers, radii = segments
     # each temporary holds at most rows x size pairs: blocks <= size
     rows = max(1, _PAIR_BLOCK // starts.shape[1])
     out = np.empty(p.size)
+    cap = np.broadcast_to(cap, p.shape)
     for lo in range(0, p.size, rows):
         q = p[lo : lo + rows]
-        if centers.size == 1:
-            _exact(q[:, None], starts[0], steps[0], conj_steps[0], norm2[0]).min(axis=1, out=out[lo : lo + rows])
-            continue
-        gap = np.abs(q[:, None] - centers)
-        bound = (gap + radii).min(axis=1)
-        near = (gap - radii <= bound[:, None]).T
         best = out[lo : lo + rows]
-        best.fill(np.inf)
-        for b in range(centers.size):
-            idx = np.flatnonzero(near[b])
-            if idx.size:
-                d = _exact(q[idx, None], starts[b], steps[b], conj_steps[b], norm2[b]).min(axis=1)
-                best[idx] = np.minimum(best[idx], d)
+        if centers.size == 1:
+            _exact(q[:, None], starts[0], steps[0], conj_steps[0], norm2[0]).min(axis=1, out=best)
+            continue
+        lower = np.abs(q[:, None] - centers)
+        lower -= radii
+        lower.min(axis=1, out=best)
+        todo = np.flatnonzero(best <= cap[lo : lo + rows])
+        if not todo.size:
+            continue
+        lower = lower[todo]
+        first = lower.argmin(axis=1)
+        q = q[todo, None]
+        d = _exact(q, starts[first], steps[first], conj_steps[first], norm2[first]).min(axis=1)
+        near = lower <= d[:, None]
+        near[np.arange(todo.size), first] = False
+        for b in np.flatnonzero(near.any(axis=0)):
+            idx = np.flatnonzero(near[:, b])
+            d[idx] = np.minimum(d[idx], _exact(q[idx], starts[b], steps[b], conj_steps[b], norm2[b]).min(axis=1))
+        best[todo] = d
     return out
 
 
@@ -255,25 +307,43 @@ def _walk(absorb, z0: complex, n: int, seed: int, chunk: int, max_steps: int, cl
     """
     if chunk <= 0:
         raise ParameterError("chunk must be positive")
+    if max_steps < 1:
+        raise ParameterError("max_steps must be at least 1")
     counts = np.zeros(classes + 1, dtype=np.int64)
     truncated = 0
     for lo in range(0, n, chunk):
         m = min(chunk, n - lo)
+        # positions and stream keys of the live walks only, compacted each step
         keys = sample_streams(seed, np.arange(lo, lo + m, dtype=np.uint64))
         pos = np.full(m, z0, dtype=complex)
-        alive = np.arange(m)
         step_no = 0
-        while alive.size and step_no < max_steps:
-            radius, cls = absorb(pos[alive])
+        while pos.size and step_no < max_steps:
+            radius, cls = absorb(pos)
             counts += np.bincount(cls, minlength=classes + 1)
             live = cls == 0
-            alive = alive[live]
-            if alive.size:
-                u = stream_uniforms(keys[alive], step_no)
-                pos[alive] = pos[alive] + radius[live] * np.exp(2j * math.pi * u)
+            pos, keys = pos[live], keys[live]
+            if pos.size:
+                pos += radius[live] * np.exp(2j * math.pi * stream_uniforms(keys, step_no))
             step_no += 1
-        truncated += alive.size
+        truncated += pos.size
     return [int(c) for c in counts[1:]], truncated
+
+
+def _obstacle_absorb(segments: _Segments, eps: float):
+    """``absorb`` of ``mc_first_hit``: class 1 within ``eps`` of the obstacle,
+    else class 2 within ``eps`` of the unit circle; the radius is the smaller
+    distance.
+
+    A capped obstacle distance above ``max(d_bnd, eps)`` changes neither, so
+    the exact distance is taken only where it is at most that.
+    """
+
+    def absorb(p):
+        d_bnd = 1.0 - np.abs(p)
+        d_obs = _dist_to_segments(p, segments, np.maximum(d_bnd, eps))
+        return np.minimum(d_obs, d_bnd), np.where(d_obs <= eps, 1, 2 * (d_bnd <= eps))
+
+    return absorb
 
 
 def mc_first_hit(
@@ -289,9 +359,9 @@ def mc_first_hit(
     z0 hits the obstacle polyline before the unit circle.
 
     Deterministic given (seed, n): per-sample streams are derived from the
-    seed and the sample index, so the chunk size (the parallel-partition
-    knob) cannot change the result.  Walks cut off at ``max_steps`` count as
-    misses and are reported in ``truncated``.
+    seed and the sample index, so the chunk size cannot change the result.
+    Walks cut off at ``max_steps`` count as misses and are reported in
+    ``truncated``.
     """
     verts = np.asarray([complex(v) for v in obstacle], dtype=complex)
     if n <= 0:
@@ -312,13 +382,7 @@ def mc_first_hit(
     if 1.0 - abs(z0) <= 10.0 * eps:
         raise ParameterError("start point too close to the unit circle for this eps")
 
-    def absorb(p):
-        d_obs = _dist_to_segments(p, segments)
-        d_bnd = 1.0 - np.abs(p)
-        # 1: the obstacle, 2: the unit circle
-        return np.minimum(d_obs, d_bnd), np.where(d_obs <= eps, 1, 2 * (d_bnd <= eps))
-
-    (hits, _), truncated = _walk(absorb, z0, n, seed, chunk, max_steps, classes=2)
+    (hits, _), truncated = _walk(_obstacle_absorb(segments, eps), z0, n, seed, chunk, max_steps, classes=2)
     return _binomial_estimate(hits, n, seed, truncated)
 
 
@@ -337,6 +401,8 @@ def semidisk_bisection_check(
     """
     if not 0.0 < t0 < 1.0:
         raise DomainError(f"t0 must lie in (0, 1), got {t0}")
+    if eps <= 0.0:
+        raise ParameterError("eps must be positive")
     if min(t0, 1.0 - t0) <= 10.0 * eps:
         raise ParameterError("start point too close to the semidisk boundary for this eps")
 

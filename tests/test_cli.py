@@ -219,6 +219,34 @@ def test_mc_chunk_reaches_every_walk(tmp_path, monkeypatch):
     assert seen == [333, 333, 333]
 
 
+def test_hm_report_counts_truncated_walks(tmp_path, monkeypatch):
+    import hypspeeds.harmonic as harmonic
+
+    data = {
+        "experiment": "hm",
+        "domain": {"kind": "strip", "y_low": -1, "y_high": 1},
+        "seed": 99,
+        "n_samples": 500,
+        "hm": {"projection_ts": [1.0, 5.0], "semidisk_t0": 0.5},
+    }
+    assert run(parse_config(data), tmp_path / "full").summary["truncated_walks"] == 0
+
+    cut = []
+    walk = harmonic._walk
+
+    def short_walk(absorb, z0, n, seed, chunk, max_steps, classes):
+        counts, truncated = walk(absorb, z0, n, seed, chunk, 3, classes)
+        cut.append(truncated)
+        return counts, truncated
+
+    monkeypatch.setattr(harmonic, "_walk", short_walk)
+    report = run(parse_config(data), tmp_path / "cut")
+    payload = json.loads((tmp_path / "cut" / "hm_report.json").read_text())
+    # two projection bounds and one semidisk walk, whose two halves share it
+    assert len(cut) == 3 and min(cut) > 0
+    assert report.summary["truncated_walks"] == payload["summary"]["truncated_walks"] == sum(cut)
+
+
 def test_mc_chunk_must_be_positive():
     base = {"experiment": "hm", "domain": {"kind": "strip", "y_low": -1, "y_high": 1}, "seed": 1}
     assert parse_config(dict(base, mc_chunk=1)).mc_chunk == 1

@@ -9,8 +9,13 @@ from scipy.integrate import quad
 from hypspeeds.domains import HalfPlaneDom, SlitPlane, StripDom
 from hypspeeds.errors import DomainError, ParameterError
 from hypspeeds.harmonic import (
+    _ARC_CHUNK,
+    _WINDOW,
+    _WINDOW_PAIRS,
     ArcOnCircle,
+    HMEstimate,
     _dist_to_segments,
+    _obstacle_absorb,
     _polyline_segments,
     _simplify_polyline,
     disk_arc_measure,
@@ -22,6 +27,7 @@ from hypspeeds.harmonic import (
     semidisk_bisection_check,
     theorem4_scan,
 )
+from hypspeeds.seeding import sample_uniforms
 from hypspeeds.semigroup import make_model
 
 LOG2 = math.log(2.0)
@@ -112,6 +118,24 @@ def test_mc_disk_arc_deterministic():
     assert a == b
 
 
+def _disk_arc_unchunked(z, arc, n, seed):
+    # every sample in one pass
+    u = sample_uniforms(seed, np.arange(n, dtype=np.uint64), 0)
+    pts = np.exp(2j * math.pi * u)
+    if z != 0:
+        pts = (pts + z) / (1.0 + z.conjugate() * pts)
+    hits = int(arc.contains_angle(np.angle(pts)).sum())
+    value = hits / n
+    return HMEstimate(value, math.sqrt(value * (1.0 - value) / n), n, seed)
+
+
+@pytest.mark.parametrize("n", (_ARC_CHUNK - 1, _ARC_CHUNK, _ARC_CHUNK + 1, 1_000_000))
+def test_mc_disk_arc_chunks_match_one_pass(n):
+    arc = ArcOnCircle(0.0, math.pi / 2)
+    for z in (0j, 0.3 + 0.2j):
+        assert mc_disk_arc(z, arc, n, seed=31) == _disk_arc_unchunked(z, arc, n, 31)
+
+
 # ---------------------------------------------------------------------------
 # Monte Carlo: first hit
 
@@ -130,6 +154,37 @@ def test_mc_first_hit_parameter_errors():
         mc_first_hit([0.5, 1.0], 0j, 100, eps=0.2, seed=1)  # eps too coarse
     with pytest.raises(ParameterError):
         mc_first_hit([1.5, 2.0], 0j, 100, seed=1)  # outside the disk
+
+
+def test_walk_rejects_non_positive_max_steps():
+    # a walk of no steps absorbs nothing and would report 0 +- 0
+    for max_steps in (0, -3):
+        with pytest.raises(ParameterError):
+            mc_first_hit([0.5 + 0j, 1.0 + 0j], 0j, 100, seed=1, max_steps=max_steps)
+        with pytest.raises(ParameterError):
+            semidisk_bisection_check(0.5, 100, seed=1, max_steps=max_steps)
+
+
+def _slit_tail(t):
+    return discretize_orbit_tail(make_model(SlitPlane(((0.0, 1.0),))), t)
+
+
+def test_walk_estimates_are_pinned():
+    # exact values at fixed seeds: a change to any step's arithmetic or to
+    # which walks draw which uniforms moves at least one of them
+    cases = [
+        (mc_first_hit([0.5, 1.0], 0j, 5000, seed=14), 1048, 0.00575617650875996),
+        (mc_first_hit(_slit_tail(1.0), 0j, 3000, seed=11), 1193, 0.008935470308250686),
+        (mc_first_hit(_slit_tail(5.0), 0.1j, 3000, seed=12, eps=1e-3), 551, 0.007069493669333097),
+    ]
+    left, right = semidisk_bisection_check(0.5, 5000, seed=15)
+    cases += [(left, 1081, 0.005821641692856062), (right, 973, 0.005598764863789156)]
+    left, right = semidisk_bisection_check(0.3, 5000, seed=16, eps=1e-3)
+    cases += [(left, 1585, 0.006580440714724204), (right, 1563, 0.006555627201115085)]
+    for est, hits, std_error in cases:
+        assert est.value == hits / est.n_samples
+        assert est.std_error == std_error
+        assert est.truncated == 0
 
 
 def test_mc_first_hit_chunk_invariance():
@@ -179,6 +234,89 @@ def test_dist_to_orbit_tail_matches_brute_force_bitwise(t):
     near = tail + 1e-4 * rng.random(tail.size) * np.exp(2j * math.pi * rng.random(tail.size))
     for p in (far, near):
         assert np.array_equal(_dist_to_segments(p, segments), _brute_dist(p, tail))
+
+
+def _brute_absorb(p, verts, eps):
+    # the absorb rule over every segment, 500 points at a time
+    d_obs = np.concatenate([_brute_dist(p[i : i + 500], verts) for i in range(0, p.size, 500)])
+    d_bnd = 1.0 - np.abs(p)
+    return np.minimum(d_obs, d_bnd), np.where(d_obs <= eps, 1, 2 * (d_bnd <= eps))
+
+
+@pytest.mark.parametrize("eps", (1e-4, 1e-2))
+@pytest.mark.parametrize(
+    "model, t",
+    [
+        (make_model(SlitPlane(((0.0, 1.0),))), 1.0),
+        (make_model(SlitPlane(((0.0, 1.0),))), 5.0),
+        # 700 segments after simplification
+        (make_model(HalfPlaneDom(-1.0)), 0.5),
+    ],
+)
+def test_obstacle_absorb_matches_brute_force_bitwise(model, t, eps):
+    tail = _simplify_polyline(discretize_orbit_tail(model, t))
+    absorb = _obstacle_absorb(_polyline_segments(tail), eps)
+    rng = np.random.default_rng(int(10 * t))
+    far = 0.9999 * np.sqrt(rng.random(3000)) * np.exp(2j * math.pi * rng.random(3000))
+    on = tail[:-1] + rng.random(tail.size - 1) * np.diff(tail)
+    offsets = np.concatenate([rng.random(on.size) * eps, np.full(on.size, 1e-13), np.zeros(on.size)])
+    near = np.concatenate([on, on, on]) + offsets * np.exp(2j * math.pi * rng.random(offsets.size))
+    # both distances under eps: the junction of the tail with the circle at 1
+    junction = 1.0 - eps * np.sqrt(rng.random(500)) * np.exp(1j * math.pi * (rng.random(500) - 0.5))
+    rim = (1.0 - eps * rng.random(1000)) * np.exp(2j * math.pi * rng.random(1000))
+    for p in (far, near, junction, rim, tail):
+        radius, cls = absorb(p)
+        ref_radius, ref_cls = _brute_absorb(p, tail, eps)
+        assert np.array_equal(radius, ref_radius)
+        assert np.array_equal(cls, ref_cls)
+    assert set(absorb(junction)[1]) == {1}
+
+
+def _simplify_reference(verts, tol=1e-6):
+    # one candidate chord per step
+    if verts.size <= 2:
+        return verts
+    keep = [0]
+    anchor = 0
+    for j in range(2, verts.size):
+        chord = verts[j] - verts[anchor]
+        span = abs(chord)
+        run = verts[anchor + 1 : j]
+        if span == 0.0:
+            dev = np.abs(run - verts[anchor]).max()
+        else:
+            rel = run - verts[anchor]
+            t = np.clip((rel * chord.conjugate()).real / (span * span), 0.0, 1.0)
+            dev = np.abs(rel - t * chord).max()
+        if dev > tol:
+            anchor = j - 1
+            keep.append(anchor)
+    keep.append(verts.size - 1)
+    return verts[np.asarray(keep)]
+
+
+def _simplify_cases():
+    slit = make_model(SlitPlane(((0.0, 1.0),)))
+    yield "slit tail t=1", discretize_orbit_tail(slit, 1.0)
+    yield "slit tail t=5", discretize_orbit_tail(slit, 5.0)
+    yield "half-plane tail t=0.5", discretize_orbit_tail(make_model(HalfPlaneDom(-1.0)), 0.5)
+    yield "strip tail t=1", discretize_orbit_tail(make_model(StripDom(-1.0, 1.0)), 1.0)
+    # a straight run long enough to narrow the window, then a kink
+    line = np.linspace(0.0, 0.5, 2 * _WINDOW_PAIRS // _WINDOW)
+    yield "long run", np.concatenate([line, 0.5 + 1j * line[1:]])
+    yield "runs of one window", np.linspace(0.0, 1.0, 3 * _WINDOW + 2) + 0j
+    rng = np.random.default_rng(7)
+    for k in range(40):
+        n = int(rng.integers(3, 400))
+        scale = (1e-7, 1e-6, 1e-5)[k % 3]
+        verts = np.cumsum(rng.normal(size=n) + 1j * rng.normal(size=n)) * scale
+        # each vertex up to 4 times in a row: zero chords
+        yield f"random {k}", np.repeat(verts, rng.integers(1, 5, size=n))
+
+
+@pytest.mark.parametrize("name, verts", list(_simplify_cases()), ids=lambda x: x if isinstance(x, str) else "")
+def test_simplify_polyline_matches_reference_loop(name, verts):
+    assert np.array_equal(_simplify_polyline(verts), _simplify_reference(verts))
 
 
 def test_non_positive_chunk_rejected():
@@ -242,6 +380,10 @@ def test_semidisk_bisection_validation():
         semidisk_bisection_check(1.5, 100)
     with pytest.raises(ParameterError):
         semidisk_bisection_check(1e-6, 100)
+    # eps = 0 never absorbs: most walks would end truncated, as a 0 +- 0 estimate
+    for eps in (0.0, -1e-4):
+        with pytest.raises(ParameterError):
+            semidisk_bisection_check(0.5, 200, seed=1, eps=eps)
 
 
 # ---------------------------------------------------------------------------
