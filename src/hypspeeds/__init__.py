@@ -11,6 +11,7 @@ from .domains import (
     StripDom,
     contains,
     dist_to_boundary,
+    includes,
     rectangle_chain,
     slit_plane,
 )
@@ -60,6 +61,7 @@ from .semigroup import (
     slit_inequality_on_K,
     speed_difference_identity,
     speeds,
+    theorem4_scan,
 )
 # harmonic (and with it numpy) loads on the first use of one of its names, so
 # the analytic experiments start without numpy (PEP 562)
@@ -73,7 +75,6 @@ _HARMONIC_NAMES = frozenset(
         "mc_first_hit",
         "projection_bound_check",
         "semidisk_bisection_check",
-        "theorem4_scan",
     }
 )
 

@@ -37,7 +37,7 @@ from .hyperbolic import (
     region_distance,
 )
 from .quasihyperbolic import quasihyperbolic_axis, stage_ratio, theorem3_table
-from .semigroup import dip_search, make_model, monotonicity_scan, slit_inequality_on_K, speeds
+from .semigroup import dip_search, make_model, monotonicity_scan, slit_inequality_on_K, speeds, theorem4_scan
 
 EXPERIMENTS = ("dist", "speeds", "thm1", "thm2", "thm3", "thm4", "hm")
 
@@ -151,6 +151,8 @@ def parse_config(data: dict) -> ExperimentConfig:
         float(dip.get("a0_log10_stop", cfg.dip_a0_log10[1])),
         int(dip.get("a0_count", cfg.dip_a0_log10[2])),
     )
+    if cfg.dip_a0_log10[2] < 2:
+        raise ConfigError(f"dip.a0_count must be at least 2, got {cfg.dip_a0_log10[2]}")
     cfg.k_radii = [float(r) for r in dip.get("k_radii", cfg.k_radii)]
     cfg.k_samples = int(dip.get("k_samples", cfg.k_samples))
     hm = data.get("hm", {})
@@ -160,7 +162,7 @@ def parse_config(data: dict) -> ExperimentConfig:
     cfg.min_dip = float(thresholds.get("min_dip", cfg.min_dip))
     cfg.diff_slack = float(thresholds.get("diff_slack", cfg.diff_slack))
     cfg.ratio_slack = float(thresholds.get("ratio_slack", cfg.ratio_slack))
-    if experiment in ("dist", "thm4", "hm") and cfg.seed is None:
+    if experiment in ("dist", "hm") and cfg.seed is None:
         raise ConfigError(f"experiment {experiment!r} samples randomly and needs a seed")
     return cfg
 
@@ -338,11 +340,9 @@ def _run_thm3(cfg: ExperimentConfig, out_dir: Path) -> RunReport:
 def _run_thm4(cfg: ExperimentConfig, out_dir: Path) -> RunReport:
     if cfg.domain_tilde is None:
         raise ConfigError("thm4 needs 'domain' and 'domain_tilde' entries")
-    from .harmonic import theorem4_scan
-
     model = make_model(_require_domain(cfg))
     model_tilde = make_model(cfg.domain_tilde)
-    report = theorem4_scan(model, model_tilde, _require_grid(cfg), seed=cfg.seed)
+    report = theorem4_scan(model, model_tilde, _require_grid(cfg))
     emit_csv(
         [(r.t, r.v_o, r.v_o_tilde, r.diff, r.ratio) for r in report.rows],
         ["t", "v_o", "v_o_tilde", "diff", "ratio"],
@@ -354,7 +354,6 @@ def _run_thm4(cfg: ExperimentConfig, out_dir: Path) -> RunReport:
         "tail_min_diff": report.tail_min_diff,
         "tail_min_ratio": report.tail_min_ratio,
         "bound": -LOG2,
-        "n_inclusion_checked": report.n_inclusion_checked,
     }
     return RunReport("thm4", diff_ok and ratio_ok, summary, _provenance(cfg))
 

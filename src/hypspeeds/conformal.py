@@ -167,6 +167,20 @@ def _h_distance(p: HPoint, q: HPoint) -> float:
     return math.asinh(chord / (2.0 * math.sqrt(u1.real * u2.real)))
 
 
+def _h_foot(p: HPoint, q: HPoint) -> tuple[float, float]:
+    """Foot of q on the geodesic of H from p to infinity, the ray Im W = Im W_p.
+
+    Returns ``(s, tangential)``.  The foot is i Im W_p + e^s Re W_p, so it lies
+    at signed distance s/2 from p along the ray, and ``tangential`` is the
+    distance from q to the foot.
+    """
+    (lp, up), (lq, uq) = p, q
+    # |W_q - i Im W_p| = |W_q| |u_q - i beta|, with beta = Im W_p / |W_q|
+    beta = math.exp(lp - lq) * up.imag
+    s = lq + 0.5 * math.log1p(beta * (beta - 2.0 * uq.imag)) - lp - math.log(up.real)
+    return s, 0.5 * math.asinh(abs(uq.imag - beta) / uq.real)
+
+
 def domain_distance(k: KoenigsMap, w1: complex, w2: complex) -> float:
     """Hyperbolic distance of the domain, evaluated in H."""
     return _h_distance(_checked_to_h(k, w1), _checked_to_h(k, w2))

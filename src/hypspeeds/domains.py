@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Union
 
-from .errors import ConstructionError, DomainError
+from .errors import ConstructionError, DomainError, UnsupportedDomainError
 
 RECT_MAX_STAGE = 6  # 2^(2^6) = 2^64 is the largest junction coordinate kept exact
 
@@ -201,6 +201,40 @@ def contains(d: DomainDescriptor, z: complex) -> bool:
     if isinstance(d, RectangleChain):
         return _chain_contains(d, z.real, z.imag)
     raise ConstructionError(f"unknown descriptor {d!r}")
+
+
+def _band(d: Union[HalfPlaneDom, StripDom]) -> tuple[float, float]:
+    """The open interval of Im z that a half-plane or strip consists of."""
+    if isinstance(d, StripDom):
+        return d.y_low, d.y_high
+    if d.side == "above":
+        return d.boundary_height, math.inf
+    return -math.inf, d.boundary_height
+
+
+def includes(d: DomainDescriptor, d_tilde: DomainDescriptor) -> bool:
+    """True iff d is a subset of d_tilde, decided exactly.
+
+    Both must be kinds with a closed-form Koenigs map: half-planes and strips
+    compare their intervals of Im z, and a slit plane contains d iff its slit
+    misses d.  Multi-slit planes and the rectangle chain raise
+    UnsupportedDomainError.
+    """
+    for x in (d, d_tilde):
+        if not (isinstance(x, (HalfPlaneDom, StripDom)) or (isinstance(x, SlitPlane) and len(x.slits) == 1)):
+            raise UnsupportedDomainError(f"no exact inclusion test for {x!r}")
+    if isinstance(d_tilde, SlitPlane):
+        ((a_t, b_t),) = d_tilde.slits
+        if isinstance(d, SlitPlane):
+            # complements: the slit of d_tilde must lie on the slit of d
+            ((a, b),) = d.slits
+            return b == b_t and a_t <= a
+        lo, hi = _band(d)
+        return not lo < -b_t < hi
+    if isinstance(d, SlitPlane):
+        return False
+    (lo, hi), (lo_t, hi_t) = _band(d), _band(d_tilde)
+    return lo_t <= lo and hi <= hi_t
 
 
 def dist_to_boundary(d: DomainDescriptor, z: complex) -> float:

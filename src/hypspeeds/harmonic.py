@@ -32,17 +32,16 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
-from .conformal import map_forward, map_inverse
-from .domains import contains
+from .conformal import map_inverse
 from .errors import DomainError, NumericError, ParameterError
 from .hyperbolic import perpendicular_geodesic, require_disk_point
 from .seeding import sample_streams, sample_uniforms, stream_uniforms
-from .semigroup import SemigroupModel, log_one_minus_pi_sq, speeds
+from .semigroup import SemigroupModel, speeds
 
 TWO_PI = 2.0 * math.pi
 
@@ -477,65 +476,3 @@ def projection_bound_check(
     pi_t = speeds(m, t).pi_t
     rhs = math.atan((1.0 - pi_t) * (1.0 + pi_t) / (2.0 * pi_t)) / (2.0 * math.pi)
     return ProjectionBoundResult(t=t, estimate=est, lower_bound=rhs, passed=est.value >= rhs - 3.0 * est.std_error)
-
-
-# ---------------------------------------------------------------------------
-# Nested-domain speed comparison
-
-
-@dataclass(frozen=True)
-class NestedSpeedRow:
-    t: float
-    v_o: float
-    v_o_tilde: float
-    diff: float
-    ratio: float
-
-
-@dataclass
-class NestedSpeedReport:
-    rows: list[NestedSpeedRow] = field(default_factory=list)
-    tail_min_diff: float = math.inf
-    tail_min_ratio: float = math.inf
-    n_inclusion_checked: int = 0
-
-    @property
-    def min_diff(self) -> float:
-        return min(r.diff for r in self.rows)
-
-
-def theorem4_scan(
-    m: SemigroupModel,
-    m_tilde: SemigroupModel,
-    t_grid,
-    n_inclusion: int = 1000,
-    seed: int = 0,
-    tail_fraction: float = 0.5,
-) -> NestedSpeedReport:
-    """Compare orthogonal speeds of nested models: rows of v_o - v_o_tilde and
-    the squared-gap ratio (1 - pi_tilde^2)/(1 - pi^2), with tail minima.
-
-    The inclusion of the first Koenigs domain in the second is verified on
-    `n_inclusion` sampled points before scanning.
-    """
-    idx = np.arange(n_inclusion, dtype=np.uint64)
-    u_r = sample_uniforms(seed, idx, 0)
-    u_a = sample_uniforms(seed, idx, 1)
-    for r, a in zip(np.sqrt(u_r) * 0.95, TWO_PI * u_a):
-        w = map_forward(m.koenigs, r * cmath.exp(1j * a))
-        if not contains(m_tilde.koenigs.domain, w):
-            raise DomainError(f"inclusion check failed: {w} escapes the enclosing domain")
-    report = NestedSpeedReport(n_inclusion_checked=n_inclusion)
-    grid = [float(t) for t in t_grid]
-    for t in grid:
-        v = speeds(m, t).v_o
-        v_t = speeds(m_tilde, t).v_o
-        log_gap = log_one_minus_pi_sq(m, t)
-        log_gap_t = log_one_minus_pi_sq(m_tilde, t)
-        arg = log_gap_t - log_gap
-        ratio = math.inf if arg > 700.0 else math.exp(arg)
-        report.rows.append(NestedSpeedRow(t=t, v_o=v, v_o_tilde=v_t, diff=v - v_t, ratio=ratio))
-    tail = report.rows[int(len(report.rows) * tail_fraction):] or report.rows
-    report.tail_min_diff = min(r.diff for r in tail)
-    report.tail_min_ratio = min(r.ratio for r in tail)
-    return report

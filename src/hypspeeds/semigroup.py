@@ -1,4 +1,5 @@
-"""Orbits, the three speeds, monotonicity scans, and the slit-plane dip search.
+"""Orbits, the three speeds, monotonicity scans, the nested-domain scan, and
+the slit-plane dip search.
 
 A semigroup model wraps a normalized Koenigs map h: the time-t map is
 h^{-1}(h(z) + t).  Speeds of the origin orbit:
@@ -7,9 +8,11 @@ h^{-1}(h(z) + t).  Speeds of the origin orbit:
     orthogonal  v_o(t) = rho(0, pi_t),  pi_t the foot of phi_t(0) on (-1, 1)
     tangential  v_T(t) = rho(phi_t(0), pi_t)
 
-Symmetric strips keep the orbit on the real axis; for them the speeds are
-evaluated in domain coordinates through the exponential map, which stays
-exact long after the disk coordinate of the orbit saturates at 1.
+All three are read in the right half-plane H, where the Koenigs map sends 0
+to W0 = to_h(0), phi_t(0) to W_t = to_h(t) and the diameter (-1, 1) to the
+horizontal ray Im W = Im W0.  The foot of W_t on that ray is explicit, so
+every supported domain takes the same closed-form route, and nothing passes
+through the disk, where far orbit points crowd against the unit circle.
 """
 
 from __future__ import annotations
@@ -19,21 +22,22 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from .conformal import (
+    HPoint,
     KoenigsMap,
-    axis_distance,
+    _h_distance,
+    _h_foot,
     build_koenigs,
     map_forward,
     map_inverse,
     slit_sqrt_forward,
 )
-from .domains import DomainDescriptor, StripDom
+from .domains import DomainDescriptor, StripDom, includes
 from .errors import DomainError, ParameterError
 from .hyperbolic import (
     Diameter,
     OrthoCircle,
     RIGHT_HALF_PLANE,
     disk_distance,
-    foot_on_diameter,
     project_to_geodesic,
     region_distance,
     require_disk_point,
@@ -79,22 +83,27 @@ def orbit(m: SemigroupModel, z: complex, t: float) -> complex:
     return map_inverse(m.koenigs, map_forward(m.koenigs, z) + t)
 
 
-def speeds(m: SemigroupModel, t: float) -> SpeedSample:
-    """Total, orthogonal, and tangential speed of the origin orbit at time t."""
+def _origin_orbit_h(m: SemigroupModel, t: float) -> tuple[HPoint, HPoint]:
+    """The H points of 0 and of phi_t(0) = h^{-1}(t)."""
     if t < 0.0:
         raise DomainError(f"time must be nonnegative, got {t}")
+    k = m.koenigs
+    return k.to_h(0j), k.to_h(complex(t))
+
+
+def speeds(m: SemigroupModel, t: float) -> SpeedSample:
+    """Total, orthogonal, and tangential speed of the origin orbit at time t.
+
+    With s/2 the signed H distance from W0 to the foot of W_t on the ray
+    Im W = Im W0: v_o = |s|/2, pi_t = tanh(s/2) (below 1 even where it
+    rounds to 1), v_T the H distance from W_t to that foot, and v the H
+    distance from W0 to W_t.
+    """
     if t == 0.0:
         return SpeedSample(0.0, 0.0, 0.0, 0.0, 0.0)
-    if _symmetric_strip(m) is not None:
-        v = axis_distance(m.koenigs, 0.0, t)
-        pi_t = min(math.tanh(v), _PREV_ONE)
-        return SpeedSample(t, v, v, 0.0, pi_t)
-    z_t = map_inverse(m.koenigs, complex(t))
-    pi_t = foot_on_diameter(z_t)
-    v = disk_distance(0j, z_t)
-    v_o = disk_distance(0j, complex(pi_t))
-    v_T = disk_distance(z_t, complex(pi_t))
-    return SpeedSample(t, v, v_o, v_T, pi_t)
+    p0, p_t = _origin_orbit_h(m, t)
+    s, v_T = _h_foot(p0, p_t)
+    return SpeedSample(t, _h_distance(p0, p_t), 0.5 * abs(s), v_T, min(math.tanh(0.5 * s), _PREV_ONE))
 
 
 def _geodesic_to_one(z: complex):
@@ -132,15 +141,14 @@ def generalized_speed(m: SemigroupModel, z: complex, t: float) -> float:
 
 
 def log_one_minus_pi_sq(m: SemigroupModel, t: float) -> float:
-    """log(1 - pi_t^2), stable even when pi_t saturates in floating point."""
+    """log(1 - pi_t^2) = -2 log cosh(v_o), stable even where pi_t rounds to 1."""
     if t == 0.0:
         return 0.0
-    if _symmetric_strip(m) is not None:
-        v = axis_distance(m.koenigs, 0.0, t)
-        # 1 - tanh^2 = sech^2; log sech(v) = -v + log 2 - log1p(exp(-2v))
-        return 2.0 * (math.log(2.0) - v - math.log1p(math.exp(-2.0 * v)))
-    pi_t = speeds(m, t).pi_t
-    return math.log1p(-pi_t * pi_t)
+    v_o = 0.5 * abs(_h_foot(*_origin_orbit_h(m, t))[0])
+    # cosh v = 1 + 2 sinh(v/2)^2 near 0, and e^v (1 + e^(-2v))/2 beyond
+    if v_o < 1.0:
+        return -2.0 * math.log1p(2.0 * math.sinh(0.5 * v_o) ** 2)
+    return 2.0 * (math.log(2.0) - v_o - math.log1p(math.exp(-2.0 * v_o)))
 
 
 # ---------------------------------------------------------------------------
@@ -204,6 +212,56 @@ def monotonicity_scan(
 
 
 # ---------------------------------------------------------------------------
+# Nested-domain speed comparison
+
+
+@dataclass(frozen=True)
+class NestedSpeedRow:
+    t: float
+    v_o: float
+    v_o_tilde: float
+    diff: float
+    ratio: float
+
+
+@dataclass
+class NestedSpeedReport:
+    rows: list[NestedSpeedRow] = field(default_factory=list)
+    tail_min_diff: float = math.inf
+    tail_min_ratio: float = math.inf
+
+    @property
+    def min_diff(self) -> float:
+        return min(r.diff for r in self.rows)
+
+
+def theorem4_scan(m: SemigroupModel, m_tilde: SemigroupModel, t_grid, tail_fraction: float = 0.5) -> NestedSpeedReport:
+    """Compare orthogonal speeds of nested models: rows of v_o - v_o_tilde and
+    the squared-gap ratio (1 - pi_tilde^2)/(1 - pi^2), with tail minima.
+
+    Raises DomainError unless the first Koenigs domain lies inside the second,
+    which ``includes`` decides exactly before scanning.
+    """
+    d, d_tilde = m.koenigs.domain, m_tilde.koenigs.domain
+    if not includes(d, d_tilde):
+        raise DomainError(f"inclusion check failed: {d} is not contained in {d_tilde}")
+    report = NestedSpeedReport()
+    grid = [float(t) for t in t_grid]
+    for t in grid:
+        v = speeds(m, t).v_o
+        v_t = speeds(m_tilde, t).v_o
+        log_gap = log_one_minus_pi_sq(m, t)
+        log_gap_t = log_one_minus_pi_sq(m_tilde, t)
+        arg = log_gap_t - log_gap
+        ratio = math.inf if arg > 700.0 else math.exp(arg)
+        report.rows.append(NestedSpeedRow(t=t, v_o=v, v_o_tilde=v_t, diff=v - v_t, ratio=ratio))
+    tail = report.rows[int(len(report.rows) * tail_fraction):] or report.rows
+    report.tail_min_diff = min(r.diff for r in tail)
+    report.tail_min_ratio = min(r.ratio for r in tail)
+    return report
+
+
+# ---------------------------------------------------------------------------
 # Slit-plane comparisons (evidence that the total speed can dip)
 
 _SLIT_LEFT_IMAGE = slit_sqrt_forward(-1.0)  # 2^(1/4) exp(3 pi i/8)
@@ -234,6 +292,8 @@ def slit_inequality_on_K(R: float, n_samples: int = 1000) -> KGapResult:
     """
     if R <= 1.0:
         raise ParameterError(f"need R > 1, got {R}")
+    if n_samples < 2:
+        raise ParameterError(f"need at least 2 samples on the arc, got {n_samples}")
     theta_lo = math.asin(1.0 / R)
     best = math.inf
     best_z = 0j

@@ -18,7 +18,6 @@ from hypspeeds.harmonic import (
     mc_first_hit,
     projection_bound_check,
     semidisk_bisection_check,
-    theorem4_scan,
 )
 from hypspeeds.hyperbolic import (
     CAYLEY,
@@ -40,6 +39,7 @@ from hypspeeds.semigroup import (
     orbit,
     slit_inequality_on_K,
     speeds,
+    theorem4_scan,
 )
 
 LOG2 = math.log(2.0)
@@ -199,7 +199,7 @@ def test_criterion_6_nested_domain_speed_bound():
     details = []
     ok = True
     for name, (m, mt) in pairs.items():
-        rep = theorem4_scan(m, mt, grid, seed=2024)
+        rep = theorem4_scan(m, mt, grid)
         ok = ok and rep.tail_min_diff >= -LOG2 - 0.05 and rep.tail_min_ratio >= 0.25 - 0.05
         details.append(f"{name}: min diff {rep.tail_min_diff:.4f}, min ratio {rep.tail_min_ratio:.3g}")
     report(6, ok, "; ".join(details) + f" (bounds {-LOG2:.4f}-0.05 and 0.2)")

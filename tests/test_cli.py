@@ -99,15 +99,19 @@ def test_speeds_run_and_csv_schema(tmp_path):
     assert len(lines) == 8
 
 
-def test_speeds_far_out_on_the_slit_exits_zero(tmp_path):
-    # v_o must stay below v out to t = 1e8, where 1 - pi_t is about 1.4e-4
-    cfg_path = write_config(
-        tmp_path,
-        {
-            "domain": {"kind": "slit_plane", "slits": [[0, 1]]},
-            "t_grid": {"start": 0.0, "stop": 1e8, "step": 1e7},
-        },
-    )
+@pytest.mark.parametrize(
+    "domain, stop",
+    [
+        ({"kind": "slit_plane", "slits": [[0, 1]]}, 1e8),
+        ({"kind": "strip", "y_low": -1, "y_high": 2}, 1e3),
+        ({"kind": "half_plane", "boundary_height": -1}, 1e8),
+    ],
+    ids=["slit", "asymmetric_strip", "half_plane"],
+)
+def test_speeds_far_out_exits_zero(tmp_path, domain, stop):
+    # v_o must stay below v out to the end of each grid, where 1 - pi_t is
+    # 1.4e-4 (slit), 2e-8 (half-plane) or below the spacing of doubles (strip)
+    cfg_path = write_config(tmp_path, {"domain": domain, "t_grid": {"start": 0.0, "stop": stop, "step": stop / 10}})
     assert main(["speeds", "--config", str(cfg_path), "--out", str(tmp_path)]) == 0
 
 
@@ -141,6 +145,11 @@ def test_main_exit_codes(tmp_path):
         },
     )
     assert main(["thm2", "--config", str(cfg_path), "--out", str(tmp_path)]) == 1
+
+    # too few arc samples or dip abscissae -> 2
+    for dip in ({"k_samples": 0}, {"k_samples": 1}, {"a0_count": 1}):
+        cfg_path = write_config(tmp_path, {"dip": dip})
+        assert main(["thm2", "--config", str(cfg_path), "--out", str(tmp_path)]) == 2, dip
 
     # passing run -> 0
     cfg_path = write_config(

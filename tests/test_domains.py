@@ -12,12 +12,13 @@ from hypspeeds.domains import (
     StripDom,
     contains,
     dist_to_boundary,
+    includes,
     rectangle_chain,
     slit_plane,
     stage_abscissa,
     stage_height,
 )
-from hypspeeds.errors import ConstructionError, DomainError
+from hypspeeds.errors import ConstructionError, DomainError, UnsupportedDomainError
 
 ALL_SAMPLES = {
     "half_plane": (HalfPlaneDom(-1.0, "above"), [0j, 5.0 + 3.0j, -2.0 - 0.5j]),
@@ -106,6 +107,76 @@ def test_half_plane_membership():
     below = HalfPlaneDom(2.0, "below")
     assert contains(above, 0j) and not contains(above, -2.0j)
     assert contains(below, 0j) and not contains(below, 3.0j)
+
+
+# ---------------------------------------------------------------------------
+# inclusion
+
+ABOVE, BELOW = "above", "below"
+INCLUSIONS = [
+    # half-plane in half-plane
+    (HalfPlaneDom(-1.0), HalfPlaneDom(-2.0), True),
+    (HalfPlaneDom(-1.0), HalfPlaneDom(-1.0), True),
+    (HalfPlaneDom(-2.0), HalfPlaneDom(-1.0), False),
+    (HalfPlaneDom(1.0, BELOW), HalfPlaneDom(2.0, BELOW), True),
+    (HalfPlaneDom(2.0, BELOW), HalfPlaneDom(1.0, BELOW), False),
+    (HalfPlaneDom(-1.0), HalfPlaneDom(1.0, BELOW), False),
+    # half-plane in strip: never
+    (HalfPlaneDom(-1.0), StripDom(-1.0, 50.0), False),
+    (HalfPlaneDom(1.0, BELOW), StripDom(-50.0, 1.0), False),
+    # half-plane in slit plane: the slit lies on or below the boundary line
+    (HalfPlaneDom(-1.0), SlitPlane(((0.0, 1.0),)), True),
+    (HalfPlaneDom(-1.0), SlitPlane(((0.0, 2.0),)), True),
+    (HalfPlaneDom(-1.0), SlitPlane(((0.0, 0.5),)), False),
+    (HalfPlaneDom(1.0, BELOW), SlitPlane(((0.0, 1.0),)), False),
+    # strip in half-plane
+    (StripDom(-1.0, 1.0), HalfPlaneDom(-1.0), True),
+    (StripDom(-1.0, 1.0), HalfPlaneDom(-0.5), False),
+    (StripDom(-1.0, 1.0), HalfPlaneDom(1.0, BELOW), True),
+    (StripDom(-1.0, 2.0), HalfPlaneDom(1.0, BELOW), False),
+    # strip in strip
+    (StripDom(-1.0, 1.0), StripDom(-1.0, 1.0), True),
+    (StripDom(-1.0, 1.0), StripDom(-2.0, 2.0), True),
+    (StripDom(-2.0, 2.0), StripDom(-1.0, 1.0), False),
+    (StripDom(-1.0, 2.0), StripDom(-2.0, 1.0), False),
+    # strip in slit plane: the slit lies on or below the lower edge
+    (StripDom(-1.0, 1.0), SlitPlane(((100.0, 1.0),)), True),
+    (StripDom(-1.0, 1.0), SlitPlane(((-100.0, 2.0),)), True),
+    (StripDom(-1.0, 1.0), SlitPlane(((100.0, 0.5),)), False),
+    # slit plane in half-plane or strip: never
+    (SlitPlane(((0.0, 1.0),)), HalfPlaneDom(-1.0), False),
+    (SlitPlane(((0.0, 1.0),)), StripDom(-1.0, 1.0), False),
+    # slit plane in slit plane: the larger slit covers the smaller one
+    (SlitPlane(((0.0, 1.0),)), SlitPlane(((0.0, 1.0),)), True),
+    (SlitPlane(((0.0, 1.0),)), SlitPlane(((-5.0, 1.0),)), True),
+    (SlitPlane(((-5.0, 1.0),)), SlitPlane(((0.0, 1.0),)), False),
+    (SlitPlane(((0.0, 1.0),)), SlitPlane(((0.0, 2.0),)), False),
+]
+
+
+@pytest.mark.parametrize("d, d_tilde, nested", INCLUSIONS)
+def test_includes_table(d, d_tilde, nested):
+    assert includes(d, d_tilde) is nested
+
+
+def test_includes_agrees_with_membership_on_a_grid():
+    # the grid holds every boundary height and points just off it, so each
+    # non-nested pair has a witness in d outside d_tilde
+    heights = sorted({0.5 * k for k in range(-4, 5)} | {-50.0, 50.0})
+    ys = sorted({y + dy for y in heights for dy in (-0.25, 0.0, 0.25)} | {-100.0, 100.0})
+    grid = [complex(x, y) for x in (-300.0, -100.0, -5.0, 0.0, 5.0, 150.0) for y in ys]
+    for d, d_tilde, nested in INCLUSIONS:
+        escapes = [z for z in grid if contains(d, z) and not contains(d_tilde, z)]
+        assert (not escapes) is nested, (d, d_tilde, escapes[:3])
+
+
+def test_includes_rejects_kinds_without_a_koenigs_map():
+    strip = StripDom(-1.0, 1.0)
+    for other in (RectangleChain(3), SlitPlane(((0.0, 1.0), (5.0, 1.0)))):
+        with pytest.raises(UnsupportedDomainError):
+            includes(other, strip)
+        with pytest.raises(UnsupportedDomainError):
+            includes(strip, other)
 
 
 # ---------------------------------------------------------------------------

@@ -25,12 +25,9 @@ from hypspeeds.harmonic import (
     mc_first_hit,
     projection_bound_check,
     semidisk_bisection_check,
-    theorem4_scan,
 )
 from hypspeeds.seeding import sample_uniforms
 from hypspeeds.semigroup import make_model
-
-LOG2 = math.log(2.0)
 
 
 # ---------------------------------------------------------------------------
@@ -412,37 +409,3 @@ def test_projection_bound_near_zero_time():
     res = projection_bound_check(m, 0.3, 20_000, seed=9)
     assert res.passed
     assert res.lower_bound > 0.15
-
-
-# ---------------------------------------------------------------------------
-# nested-domain scan
-
-
-def test_theorem4_identical_pair_is_flat():
-    m = make_model(StripDom(-1.0, 1.0))
-    rep = theorem4_scan(m, m, [1.0, 5.0, 10.0], seed=3)
-    assert all(r.diff == 0.0 for r in rep.rows)
-    assert all(r.ratio == pytest.approx(1.0, abs=1e-12) for r in rep.rows)
-    assert rep.tail_min_diff >= -LOG2
-
-
-def test_theorem4_nested_strips():
-    m = make_model(StripDom(-1.0, 1.0))
-    mt = make_model(StripDom(-2.0, 2.0))
-    rep = theorem4_scan(m, mt, [float(t) for t in range(10, 200, 10)], seed=3)
-    assert rep.tail_min_diff >= -LOG2 - 0.05
-    assert rep.tail_min_ratio >= 0.25 - 0.05
-
-
-def test_theorem4_strip_in_half_plane_diverges():
-    m = make_model(StripDom(-1.0, 1.0))
-    mt = make_model(HalfPlaneDom(-1.0, "above"))
-    rep = theorem4_scan(m, mt, [10.0, 50.0, 100.0], seed=3)
-    assert rep.rows[-1].diff > rep.rows[0].diff > 0.0
-
-
-def test_theorem4_inclusion_violation_detected():
-    m_big = make_model(StripDom(-2.0, 2.0))
-    m_small = make_model(StripDom(-1.0, 1.0))
-    with pytest.raises(DomainError):
-        theorem4_scan(m_big, m_small, [1.0, 2.0], seed=3)

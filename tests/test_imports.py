@@ -32,7 +32,7 @@ def run_fresh(code: str) -> str:
 LOADED = "print(json.dumps(sorted({m.split('.')[0] for m in sys.modules} & {'numpy', 'scipy'})))"
 
 
-@pytest.mark.parametrize("stem", ["speeds_slit", "thm1_strip", "thm2_dip", "thm3_table"])
+@pytest.mark.parametrize("stem", ["speeds_slit", "thm1_strip", "thm2_dip", "thm3_table", "thm4_strips"])
 def test_analytic_cli_run_loads_neither_numpy_nor_scipy(stem, tmp_path):
     experiment = stem.split("_")[0]
     config = ROOT / "configs" / f"{stem}.json"

@@ -15,13 +15,17 @@ from hypspeeds.semigroup import (
     _slit_gap,
     dip_search,
     generalized_speed,
+    log_one_minus_pi_sq,
     make_model,
     monotonicity_scan,
     orbit,
     slit_inequality_on_K,
     speed_difference_identity,
     speeds,
+    theorem4_scan,
 )
+
+LOG2 = math.log(2.0)
 
 MODELS = {
     "half_plane": HalfPlaneDom(-1.0, "above"),
@@ -168,6 +172,58 @@ def test_slit_foot_far_out_matches_mpmath(t):
     assert 1.0 - s.pi_t == pytest.approx(gap, rel=1e-11, abs=0.0)
 
 
+def _mp_to_h(d, w):
+    """The H image of the real point w, in mpmath, for the three map kinds."""
+    if isinstance(d, SlitPlane):
+        ((a, b),) = d.slits
+        return mp.sqrt((w - a) / b + 1j)
+    if isinstance(d, HalfPlaneDom):
+        return (w - 1j * d.boundary_height) / (1j if d.side == "above" else -1j)
+    # -i exp(pi (w - i y_low)/width), through the midline so a symmetric strip's axis stays real
+    width, mid = d.y_high - d.y_low, (d.y_low + d.y_high) / 2
+    return mp.exp(mp.pi * (w - 1j * mid) / width)
+
+
+def _mp_h_distance(p, q):
+    # density 1/(2 Re W), matching 1/(1 - |z|^2) on the disk
+    return mp.acosh(1 + abs(p - q) ** 2 / (2 * p.real * q.real)) / 2
+
+
+FAR_MODELS = {
+    "slit": SlitPlane(((0.0, 1.0),)),
+    "half_plane_above": HalfPlaneDom(-1.0, "above"),
+    "half_plane_below": HalfPlaneDom(2.0, "below"),
+    "asymmetric_strip": StripDom(-1.0, 2.0),
+    "symmetric_strip": StripDom(-1.0, 1.0),
+}
+
+
+@pytest.mark.parametrize("name", FAR_MODELS)
+def test_speeds_match_mpmath_half_plane_route(name):
+    # in H the diameter (-1, 1) is the ray Im W = Im W0 and the foot of W_t on
+    # it is i Im W0 + |W_t - i Im W0|; pi_t is that foot pulled back by the
+    # Moebius map M^{-1}(W) = (W - W0)/(W + conj W0)
+    d = FAR_MODELS[name]
+    m = make_model(d)
+    for t in (0.1, 1.0, 10.0, 30.0, 1e2, 1e3, 1e4, 1e5, 1e6, 1e7, 1e8):
+        with mp.workdps(50):
+            w0, w_t = _mp_to_h(d, mp.mpf(0)), _mp_to_h(d, mp.mpf(t))
+            r = abs(w_t - 1j * w0.imag)
+            foot = mp.mpc(r, w0.imag)
+            ref = {
+                "v": _mp_h_distance(w0, w_t),
+                "v_o": _mp_h_distance(w0, foot),
+                "v_T": _mp_h_distance(w_t, foot),
+                "pi_t": ((foot - w0) / (foot + mp.conj(w0))).real,
+                "log_gap": mp.log(4 * r * w0.real) - 2 * mp.log(r + w0.real),
+            }
+            ref = {key: float(value) for key, value in ref.items()}
+        s = speeds(m, t)
+        got = {"v": s.v, "v_o": s.v_o, "v_T": s.v_T, "pi_t": s.pi_t, "log_gap": log_one_minus_pi_sq(m, t)}
+        for key, value in got.items():
+            assert value == pytest.approx(ref[key], rel=1e-12, abs=0.0), (t, key)
+
+
 # ---------------------------------------------------------------------------
 # generalized speed
 
@@ -233,6 +289,56 @@ def test_scan_validates_grid_and_quantity():
         monotonicity_scan(m, [0.0, 1.0], "sideways")
     with pytest.raises(ParameterError):
         monotonicity_scan(m, [0.0, 1.0], "generalized")
+
+
+# ---------------------------------------------------------------------------
+# nested-domain scan
+
+
+def test_theorem4_identical_pair_is_flat():
+    m = make_model(StripDom(-1.0, 1.0))
+    rep = theorem4_scan(m, m, [1.0, 5.0, 10.0])
+    assert all(r.diff == 0.0 for r in rep.rows)
+    assert all(r.ratio == pytest.approx(1.0, abs=1e-12) for r in rep.rows)
+    assert rep.tail_min_diff >= -LOG2
+
+
+def test_theorem4_nested_strips():
+    m = make_model(StripDom(-1.0, 1.0))
+    mt = make_model(StripDom(-2.0, 2.0))
+    rep = theorem4_scan(m, mt, [float(t) for t in range(10, 200, 10)])
+    assert rep.tail_min_diff >= -LOG2 - 0.05
+    assert rep.tail_min_ratio >= 0.25 - 0.05
+
+
+def test_theorem4_strip_in_half_plane_diverges():
+    m = make_model(StripDom(-1.0, 1.0))
+    mt = make_model(HalfPlaneDom(-1.0, "above"))
+    rep = theorem4_scan(m, mt, [10.0, 50.0, 100.0])
+    assert rep.rows[-1].diff > rep.rows[0].diff > 0.0
+
+
+def test_theorem4_inclusion_violation_detected():
+    m_big = make_model(StripDom(-2.0, 2.0))
+    m_small = make_model(StripDom(-1.0, 1.0))
+    with pytest.raises(DomainError):
+        theorem4_scan(m_big, m_small, [1.0, 2.0])
+
+
+@pytest.mark.parametrize(
+    "d, d_tilde",
+    [
+        (HalfPlaneDom(-1.0), StripDom(-1.0, 50.0)),
+        (StripDom(-1.0, 1.0), SlitPlane(((100.0, 0.5),))),
+        (SlitPlane(((0.0, 1.0),)), SlitPlane(((0.0, 2.0),))),
+    ],
+    ids=["half_plane_in_wide_strip", "strip_across_far_slit", "slit_in_deeper_slit"],
+)
+def test_theorem4_rejects_pairs_that_agree_near_the_origin(d, d_tilde):
+    # each first domain leaves the second only far from the disk image of
+    # |z| < 0.95, so sampling there cannot see it
+    with pytest.raises(DomainError):
+        theorem4_scan(make_model(d), make_model(d_tilde), [1.0, 2.0])
 
 
 # ---------------------------------------------------------------------------
