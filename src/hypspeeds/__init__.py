@@ -51,7 +51,6 @@ from .conformal import (
 )
 from .quasihyperbolic import RhoBounds, quasihyperbolic_axis, rho_bounds, theorem3_table
 from .semigroup import (
-    SemigroupModel,
     SpeedSample,
     dip_search,
     generalized_speed,

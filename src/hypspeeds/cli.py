@@ -88,6 +88,35 @@ class ExperimentConfig:
     raw: dict = field(default_factory=dict)
 
 
+def _finite(value, name: str) -> float:
+    """A config number as a float.  NaN and infinities are refused: compared
+    against them, a threshold or slack switches its check off."""
+    x = float(value)
+    if not math.isfinite(x):
+        raise ConfigError(f"{name} must be a finite number, got {value!r}")
+    return x
+
+
+def _integer(value, name: str) -> int:
+    try:
+        return int(value)
+    except (OverflowError, ValueError):
+        raise ConfigError(f"{name} must be a finite integer, got {value!r}") from None
+
+
+def _section(data: dict, key: str) -> dict:
+    section = data.get(key, {})
+    if not isinstance(section, dict):
+        raise ConfigError(f"{key!r} must be a JSON object, got {section!r}")
+    return section
+
+
+def _point(pair) -> complex:
+    if not (isinstance(pair, list) and len(pair) == 2):
+        raise ConfigError(f"base_points entries must be [re, im] pairs, got {pair!r}")
+    return complex(_finite(pair[0], "base_points"), _finite(pair[1], "base_points"))
+
+
 def parse_domain(spec: dict) -> DomainDescriptor:
     try:
         kind = spec["kind"]
@@ -96,11 +125,12 @@ def parse_domain(spec: dict) -> DomainDescriptor:
     fields = {k: v for k, v in spec.items() if k != "kind"}
     try:
         if kind == "half_plane":
-            return HalfPlaneDom(boundary_height=float(fields["boundary_height"]), side=fields.get("side", "above"))
+            height = _finite(fields["boundary_height"], "boundary_height")
+            return HalfPlaneDom(boundary_height=height, side=fields.get("side", "above"))
         if kind == "strip":
-            return StripDom(y_low=float(fields["y_low"]), y_high=float(fields["y_high"]))
+            return StripDom(y_low=_finite(fields["y_low"], "y_low"), y_high=_finite(fields["y_high"], "y_high"))
         if kind == "rectangle_chain":
-            return RectangleChain(n_max=int(fields["n_max"]))
+            return RectangleChain(n_max=_integer(fields["n_max"], "n_max"))
         if kind == "slit_plane":
             return SlitPlane(tuple((float(a), float(b)) for a, b in fields["slits"]))
     except KeyError as exc:
@@ -126,42 +156,42 @@ def parse_config(data: dict) -> ExperimentConfig:
         except (TypeError, KeyError) as exc:
             raise ConfigError(f"malformed t_grid {g!r}: {exc}") from None
     if "seed" in data:
-        cfg.seed = int(data["seed"])
+        cfg.seed = _integer(data["seed"], "seed")
     if "n_samples" in data:
-        cfg.n_samples = int(data["n_samples"])
+        cfg.n_samples = _integer(data["n_samples"], "n_samples")
         if cfg.n_samples <= 0:
             raise ConfigError("n_samples must be positive")
-    tol = data.get("tolerances", {})
-    cfg.violation_slack = float(tol.get("violation_slack", cfg.violation_slack))
-    cfg.mc_sigma = float(tol.get("mc_sigma", cfg.mc_sigma))
+    tol = _section(data, "tolerances")
+    cfg.violation_slack = _finite(tol.get("violation_slack", cfg.violation_slack), "tolerances.violation_slack")
+    cfg.mc_sigma = _finite(tol.get("mc_sigma", cfg.mc_sigma), "tolerances.mc_sigma")
     if "mc_chunk" in data:
-        cfg.mc_chunk = int(data["mc_chunk"])
+        cfg.mc_chunk = _integer(data["mc_chunk"], "mc_chunk")
         if cfg.mc_chunk <= 0:
             raise ConfigError("mc_chunk must be positive")
     if "base_points" in data:
-        cfg.base_points = [complex(p[0], p[1]) for p in data["base_points"]]
-    table = data.get("table", {})
-    cfg.table_n_lo = int(table.get("n_lo", cfg.table_n_lo))
-    cfg.table_n_hi = int(table.get("n_hi", cfg.table_n_hi))
-    cfg.table_alpha = float(table.get("alpha", cfg.table_alpha))
-    dip = data.get("dip", {})
-    cfg.dip_R = float(dip.get("R", cfg.dip_R))
+        cfg.base_points = [_point(p) for p in data["base_points"]]
+    table = _section(data, "table")
+    cfg.table_n_lo = _integer(table.get("n_lo", cfg.table_n_lo), "table.n_lo")
+    cfg.table_n_hi = _integer(table.get("n_hi", cfg.table_n_hi), "table.n_hi")
+    cfg.table_alpha = _finite(table.get("alpha", cfg.table_alpha), "table.alpha")
+    dip = _section(data, "dip")
+    cfg.dip_R = _finite(dip.get("R", cfg.dip_R), "dip.R")
     cfg.dip_a0_log10 = (
-        float(dip.get("a0_log10_start", cfg.dip_a0_log10[0])),
-        float(dip.get("a0_log10_stop", cfg.dip_a0_log10[1])),
-        int(dip.get("a0_count", cfg.dip_a0_log10[2])),
+        _finite(dip.get("a0_log10_start", cfg.dip_a0_log10[0]), "dip.a0_log10_start"),
+        _finite(dip.get("a0_log10_stop", cfg.dip_a0_log10[1]), "dip.a0_log10_stop"),
+        _integer(dip.get("a0_count", cfg.dip_a0_log10[2]), "dip.a0_count"),
     )
     if cfg.dip_a0_log10[2] < 2:
         raise ConfigError(f"dip.a0_count must be at least 2, got {cfg.dip_a0_log10[2]}")
-    cfg.k_radii = [float(r) for r in dip.get("k_radii", cfg.k_radii)]
-    cfg.k_samples = int(dip.get("k_samples", cfg.k_samples))
-    hm = data.get("hm", {})
-    cfg.projection_ts = [float(t) for t in hm.get("projection_ts", cfg.projection_ts)]
-    cfg.semidisk_t0 = float(hm.get("semidisk_t0", cfg.semidisk_t0))
-    thresholds = data.get("thresholds", {})
-    cfg.min_dip = float(thresholds.get("min_dip", cfg.min_dip))
-    cfg.diff_slack = float(thresholds.get("diff_slack", cfg.diff_slack))
-    cfg.ratio_slack = float(thresholds.get("ratio_slack", cfg.ratio_slack))
+    cfg.k_radii = [_finite(r, "dip.k_radii") for r in dip.get("k_radii", cfg.k_radii)]
+    cfg.k_samples = _integer(dip.get("k_samples", cfg.k_samples), "dip.k_samples")
+    hm = _section(data, "hm")
+    cfg.projection_ts = [_finite(t, "hm.projection_ts") for t in hm.get("projection_ts", cfg.projection_ts)]
+    cfg.semidisk_t0 = _finite(hm.get("semidisk_t0", cfg.semidisk_t0), "hm.semidisk_t0")
+    thresholds = _section(data, "thresholds")
+    cfg.min_dip = _finite(thresholds.get("min_dip", cfg.min_dip), "thresholds.min_dip")
+    cfg.diff_slack = _finite(thresholds.get("diff_slack", cfg.diff_slack), "thresholds.diff_slack")
+    cfg.ratio_slack = _finite(thresholds.get("ratio_slack", cfg.ratio_slack), "thresholds.ratio_slack")
     if experiment in ("dist", "hm") and cfg.seed is None:
         raise ConfigError(f"experiment {experiment!r} samples randomly and needs a seed")
     return cfg

@@ -26,7 +26,7 @@ from typing import Callable
 
 from .domains import DomainDescriptor, HalfPlaneDom, SlitPlane, StripDom, contains, dist_to_boundary
 from .errors import ConstructionError, DomainError, UnsupportedDomainError
-from .hyperbolic import BOUNDARY_TOL
+from .hyperbolic import require_disk_point
 
 #: A point W of H as (log|W|, W/|W|).
 HPoint = tuple[float, complex]
@@ -125,17 +125,13 @@ def build_koenigs(d: DomainDescriptor) -> KoenigsMap:
 
 def map_forward(k: KoenigsMap, z: complex) -> complex:
     """Evaluate h(z) for z strictly inside the disk."""
-    z = complex(z)
-    if abs(z) >= 1.0 - BOUNDARY_TOL:
-        raise DomainError(f"z={z} too close to the unit circle")
+    z = require_disk_point(z)
     big_w = 1j * k.w0.imag + k.w0.real * (1.0 + z) / (1.0 - z)
     return k.from_h(*_polar(big_w))
 
 
 def _checked_to_h(k: KoenigsMap, w: complex) -> HPoint:
-    w = complex(w)
-    if not contains(k.domain, w):
-        raise DomainError(f"w={w} is not in the Koenigs domain")
+    # dist_to_boundary raises DomainError outside the domain
     if dist_to_boundary(k.domain, w) < 1e-12:
         raise DomainError(f"w={w} within 1e-12 of the domain boundary")
     return k.to_h(w)

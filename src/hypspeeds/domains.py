@@ -9,6 +9,7 @@ z + t in the domain for t >= 0).
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -151,9 +152,7 @@ def _chain_contains(d: RectangleChain, x: float, y: float) -> bool:
         raise DomainError(
             f"membership query at Re z = {x} beyond the truncation Re z < t_{d.n_max} = {stage_abscissa(d.n_max)}"
         )
-    if x < stage_abscissa(0):
-        return abs(y) < 1.0
-    if x == stage_abscissa(0):
+    if x <= stage_abscissa(0):
         return abs(y) < 1.0
     for n in range(1, d.n_max + 1):
         if x == stage_abscissa(n - 1):
@@ -185,14 +184,13 @@ def _chain_boundary_distance(d: RectangleChain, x: float, y: float) -> float:
 
 
 def contains(d: DomainDescriptor, z: complex) -> bool:
-    """True iff z is interior to the described open set."""
+    """True iff z is a finite point interior to the described open set."""
     z = complex(z)
-    if isinstance(d, HalfPlaneDom):
-        if d.side == "above":
-            return z.imag > d.boundary_height
-        return z.imag < d.boundary_height
-    if isinstance(d, StripDom):
-        return d.y_low < z.imag < d.y_high
+    if not cmath.isfinite(z):
+        return False
+    if isinstance(d, (HalfPlaneDom, StripDom)):
+        lo, hi = _band(d)
+        return lo < z.imag < hi
     if isinstance(d, SlitPlane):
         for a, b in d.slits:
             if z.imag == -b and z.real <= a:
@@ -242,10 +240,9 @@ def dist_to_boundary(d: DomainDescriptor, z: complex) -> float:
     z = complex(z)
     if not contains(d, z):
         raise DomainError(f"z={z} is not inside the domain {d}")
-    if isinstance(d, HalfPlaneDom):
-        return abs(z.imag - d.boundary_height)
-    if isinstance(d, StripDom):
-        return min(z.imag - d.y_low, d.y_high - z.imag)
+    if isinstance(d, (HalfPlaneDom, StripDom)):
+        lo, hi = _band(d)
+        return min(z.imag - lo, hi - z.imag)
     if isinstance(d, SlitPlane):
         best = math.inf
         for a, b in d.slits:

@@ -37,11 +37,11 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .conformal import map_inverse
+from .conformal import KoenigsMap, map_inverse
 from .errors import DomainError, NumericError, ParameterError
 from .hyperbolic import perpendicular_geodesic, require_disk_point
 from .seeding import sample_streams, sample_uniforms, stream_uniforms
-from .semigroup import SemigroupModel, speeds
+from .semigroup import speeds
 
 TWO_PI = 2.0 * math.pi
 
@@ -420,7 +420,7 @@ def semidisk_bisection_check(
 
 
 def discretize_orbit_tail(
-    m: SemigroupModel,
+    m: KoenigsMap,
     t: float,
     spacing: float = 5e-4,
     stop_radius: float = 5e-4,
@@ -434,14 +434,13 @@ def discretize_orbit_tail(
     """
     if t <= 0.0:
         raise DomainError("the orbit tail obstacle needs t > 0")
-    k = m.koenigs
-    z = map_inverse(k, complex(t))
+    z = map_inverse(m, complex(t))
     verts = [z]
     tau = float(t)
     dtau = 0.01 * max(1.0, t)
     while abs(z - 1.0) > stop_radius and len(verts) < max_vertices:
         while True:
-            z_next = map_inverse(k, complex(tau + dtau))
+            z_next = map_inverse(m, complex(tau + dtau))
             gap = abs(z_next - z)
             if gap <= spacing or dtau <= 1e-12 * max(1.0, tau):
                 break
@@ -464,7 +463,7 @@ class ProjectionBoundResult:
 
 
 def projection_bound_check(
-    m: SemigroupModel, t: float, n: int, seed: int = 0, eps: float = 1e-4, chunk: int = 8192
+    m: KoenigsMap, t: float, n: int, seed: int = 0, eps: float = 1e-4, chunk: int = 8192
 ) -> ProjectionBoundResult:
     """Check the projection lower bound for the orbit-tail hitting probability.
 

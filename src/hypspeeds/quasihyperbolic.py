@@ -23,6 +23,7 @@ from .domains import (
     RectangleChain,
     SlitPlane,
     StripDom,
+    _band,
     stage_abscissa,
     stage_exponent,
     stage_height,
@@ -131,13 +132,11 @@ def _chain_pieces(d: RectangleChain, x1: float, x2: float) -> list[_Piece]:
 
 
 def _axis_pieces(d: DomainDescriptor, x1: float, x2: float) -> list[_Piece]:
-    if isinstance(d, StripDom):
-        return [_Piece(x1, x2, min(-d.y_low, d.y_high), None)]
-    if isinstance(d, HalfPlaneDom):
-        axis_inside = d.boundary_height < 0.0 if d.side == "above" else d.boundary_height > 0.0
-        if not axis_inside:
+    if isinstance(d, (HalfPlaneDom, StripDom)):
+        lo, hi = _band(d)
+        if not lo < 0.0 < hi:
             raise DomainError("the real axis is not inside this half-plane")
-        return [_Piece(x1, x2, abs(d.boundary_height), None)]
+        return [_Piece(x1, x2, min(-lo, hi), None)]
     if isinstance(d, SlitPlane):
         return _slit_pieces(d, x1, x2)
     if isinstance(d, RectangleChain):

@@ -1,8 +1,8 @@
 """Orbits, the three speeds, monotonicity scans, the nested-domain scan, and
 the slit-plane dip search.
 
-A semigroup model wraps a normalized Koenigs map h: the time-t map is
-h^{-1}(h(z) + t).  Speeds of the origin orbit:
+A semigroup is given by its normalized Koenigs map h, a ``KoenigsMap``: the
+time-t map is h^{-1}(h(z) + t).  Speeds of the origin orbit:
 
     total       v(t)   = rho(0, phi_t(0))
     orthogonal  v_o(t) = rho(0, pi_t),  pi_t the foot of phi_t(0) on (-1, 1)
@@ -21,27 +21,10 @@ import math
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .conformal import (
-    HPoint,
-    KoenigsMap,
-    _h_distance,
-    _h_foot,
-    build_koenigs,
-    map_forward,
-    map_inverse,
-    slit_sqrt_forward,
-)
-from .domains import DomainDescriptor, StripDom, includes
+from .conformal import KoenigsMap, _h_distance, _h_foot, build_koenigs, map_forward, map_inverse
+from .domains import DomainDescriptor, SlitPlane, StripDom, includes
 from .errors import DomainError, ParameterError
-from .hyperbolic import (
-    Diameter,
-    OrthoCircle,
-    RIGHT_HALF_PLANE,
-    disk_distance,
-    project_to_geodesic,
-    region_distance,
-    require_disk_point,
-)
+from .hyperbolic import Diameter, OrthoCircle, disk_distance, project_to_geodesic, require_disk_point
 
 _PREV_ONE = math.nextafter(1.0, 0.0)
 
@@ -55,43 +38,34 @@ class SpeedSample:
     pi_t: float
 
 
-@dataclass(frozen=True)
-class SemigroupModel:
-    koenigs: KoenigsMap
-    denjoy_wolff: complex = 1.0 + 0j
+def make_model(d: DomainDescriptor) -> KoenigsMap:
+    """The semigroup with Koenigs domain d and Denjoy-Wolff point 1, given by
+    its normalized Koenigs map."""
+    return build_koenigs(d)
 
 
-def make_model(d: DomainDescriptor) -> SemigroupModel:
-    """Semigroup model with Koenigs domain d (Denjoy-Wolff point 1)."""
-    return SemigroupModel(koenigs=build_koenigs(d))
-
-
-def _symmetric_strip(m: SemigroupModel) -> Optional[StripDom]:
-    d = m.koenigs.domain
+def _symmetric_strip(m: KoenigsMap) -> Optional[StripDom]:
+    d = m.domain
     if isinstance(d, StripDom) and d.y_low == -d.y_high:
         return d
     return None
 
 
-def orbit(m: SemigroupModel, z: complex, t: float) -> complex:
+def _require_time(t: float) -> None:
+    if not 0.0 <= t < math.inf:
+        raise DomainError(f"time must be finite and nonnegative, got {t}")
+
+
+def orbit(m: KoenigsMap, z: complex, t: float) -> complex:
     """phi_t(z) = h^{-1}(h(z) + t)."""
-    if t < 0.0:
-        raise DomainError(f"orbit time must be nonnegative, got {t}")
+    _require_time(t)
     z = require_disk_point(z)
     if t == 0.0:
         return z
-    return map_inverse(m.koenigs, map_forward(m.koenigs, z) + t)
+    return map_inverse(m, map_forward(m, z) + t)
 
 
-def _origin_orbit_h(m: SemigroupModel, t: float) -> tuple[HPoint, HPoint]:
-    """The H points of 0 and of phi_t(0) = h^{-1}(t)."""
-    if t < 0.0:
-        raise DomainError(f"time must be nonnegative, got {t}")
-    k = m.koenigs
-    return k.to_h(0j), k.to_h(complex(t))
-
-
-def speeds(m: SemigroupModel, t: float) -> SpeedSample:
+def speeds(m: KoenigsMap, t: float) -> SpeedSample:
     """Total, orthogonal, and tangential speed of the origin orbit at time t.
 
     With s/2 the signed H distance from W0 to the foot of W_t on the ray
@@ -101,7 +75,8 @@ def speeds(m: SemigroupModel, t: float) -> SpeedSample:
     """
     if t == 0.0:
         return SpeedSample(0.0, 0.0, 0.0, 0.0, 0.0)
-    p0, p_t = _origin_orbit_h(m, t)
+    _require_time(t)
+    p0, p_t = m.to_h(0j), m.to_h(complex(t))
     s, v_T = _h_foot(p0, p_t)
     return SpeedSample(t, _h_distance(p0, p_t), 0.5 * abs(s), v_T, min(math.tanh(0.5 * s), _PREV_ONE))
 
@@ -114,12 +89,11 @@ def _geodesic_to_one(z: complex):
     return OrthoCircle(complex(1.0, s), abs(s))
 
 
-def generalized_speed(m: SemigroupModel, z: complex, t: float) -> float:
+def generalized_speed(m: KoenigsMap, z: complex, t: float) -> float:
     """Orthogonal speed seeded at z: rho(z, projection of phi_t(z) onto the
     geodesic through z ending at 1."""
     z = require_disk_point(z)
-    if t < 0.0:
-        raise DomainError(f"time must be nonnegative, got {t}")
+    _require_time(t)
     if t == 0.0:
         return 0.0
     strip = _symmetric_strip(m)
@@ -128,7 +102,7 @@ def generalized_speed(m: SemigroupModel, z: complex, t: float) -> float:
         # radius R, the geodesic to the Denjoy-Wolff point is the vertical
         # line Re = R cos(theta), and projecting the orbit point onto it is
         # explicit.  Exact for every t, no disk-coordinate saturation.
-        w = map_forward(m.koenigs, z)
+        w = map_forward(m, z)
         width = strip.y_high - strip.y_low
         theta = math.pi * (w.imag - strip.y_low) / width
         s = math.pi * t / width
@@ -140,15 +114,17 @@ def generalized_speed(m: SemigroupModel, z: complex, t: float) -> float:
     return disk_distance(z, p)
 
 
-def log_one_minus_pi_sq(m: SemigroupModel, t: float) -> float:
-    """log(1 - pi_t^2) = -2 log cosh(v_o), stable even where pi_t rounds to 1."""
-    if t == 0.0:
-        return 0.0
-    v_o = 0.5 * abs(_h_foot(*_origin_orbit_h(m, t))[0])
+def _minus_two_log_cosh(v_o: float) -> float:
+    """-2 log cosh(v_o) = log(1 - pi_t^2), stable even where pi_t rounds to 1."""
     # cosh v = 1 + 2 sinh(v/2)^2 near 0, and e^v (1 + e^(-2v))/2 beyond
     if v_o < 1.0:
         return -2.0 * math.log1p(2.0 * math.sinh(0.5 * v_o) ** 2)
     return 2.0 * (math.log(2.0) - v_o - math.log1p(math.exp(-2.0 * v_o)))
+
+
+def log_one_minus_pi_sq(m: KoenigsMap, t: float) -> float:
+    """log(1 - pi_t^2) = -2 log cosh(v_o), stable even where pi_t rounds to 1."""
+    return _minus_two_log_cosh(speeds(m, t).v_o)
 
 
 # ---------------------------------------------------------------------------
@@ -175,7 +151,7 @@ class ScanReport:
 
 
 def monotonicity_scan(
-    m: SemigroupModel,
+    m: KoenigsMap,
     t_grid,
     quantity: str = "orthogonal",
     base_point: complex | None = None,
@@ -235,14 +211,14 @@ class NestedSpeedReport:
         return min(r.diff for r in self.rows)
 
 
-def theorem4_scan(m: SemigroupModel, m_tilde: SemigroupModel, t_grid, tail_fraction: float = 0.5) -> NestedSpeedReport:
+def theorem4_scan(m: KoenigsMap, m_tilde: KoenigsMap, t_grid, tail_fraction: float = 0.5) -> NestedSpeedReport:
     """Compare orthogonal speeds of nested models: rows of v_o - v_o_tilde and
     the squared-gap ratio (1 - pi_tilde^2)/(1 - pi^2), with tail minima.
 
     Raises DomainError unless the first Koenigs domain lies inside the second,
     which ``includes`` decides exactly before scanning.
     """
-    d, d_tilde = m.koenigs.domain, m_tilde.koenigs.domain
+    d, d_tilde = m.domain, m_tilde.domain
     if not includes(d, d_tilde):
         raise DomainError(f"inclusion check failed: {d} is not contained in {d_tilde}")
     report = NestedSpeedReport()
@@ -250,9 +226,7 @@ def theorem4_scan(m: SemigroupModel, m_tilde: SemigroupModel, t_grid, tail_fract
     for t in grid:
         v = speeds(m, t).v_o
         v_t = speeds(m_tilde, t).v_o
-        log_gap = log_one_minus_pi_sq(m, t)
-        log_gap_t = log_one_minus_pi_sq(m_tilde, t)
-        arg = log_gap_t - log_gap
+        arg = _minus_two_log_cosh(v_t) - _minus_two_log_cosh(v)
         ratio = math.inf if arg > 700.0 else math.exp(arg)
         report.rows.append(NestedSpeedRow(t=t, v_o=v, v_o_tilde=v_t, diff=v - v_t, ratio=ratio))
     tail = report.rows[int(len(report.rows) * tail_fraction):] or report.rows
@@ -264,16 +238,14 @@ def theorem4_scan(m: SemigroupModel, m_tilde: SemigroupModel, t_grid, tail_fract
 # ---------------------------------------------------------------------------
 # Slit-plane comparisons (evidence that the total speed can dip)
 
-_SLIT_LEFT_IMAGE = slit_sqrt_forward(-1.0)  # 2^(1/4) exp(3 pi i/8)
-_SLIT_RIGHT_IMAGE = slit_sqrt_forward(1.0)  # 2^(1/4) exp(pi i/8)
+_CANONICAL_SLIT = build_koenigs(SlitPlane(((0.0, 1.0),)))
+_SLIT_LEFT, _SLIT_RIGHT = _CANONICAL_SLIT.to_h(-1 + 0j), _CANONICAL_SLIT.to_h(1 + 0j)
 
 
 def _slit_gap(z: complex) -> float:
-    """rho(z, -1) - rho(z, 1) in the canonical slit plane, via the half-plane."""
-    w = slit_sqrt_forward(z)
-    return region_distance(RIGHT_HALF_PLANE, w, _SLIT_LEFT_IMAGE) - region_distance(
-        RIGHT_HALF_PLANE, w, _SLIT_RIGHT_IMAGE
-    )
+    """rho(z, -1) - rho(z, 1) in the canonical slit plane, read in H."""
+    p = _CANONICAL_SLIT.to_h(z)
+    return _h_distance(p, _SLIT_LEFT) - _h_distance(p, _SLIT_RIGHT)
 
 
 @dataclass(frozen=True)
@@ -290,8 +262,8 @@ def slit_inequality_on_K(R: float, n_samples: int = 1000) -> KGapResult:
     A positive minimum certifies that every point of the arc is hyperbolically
     farther from -1 than from 1 in the canonical slit plane.
     """
-    if R <= 1.0:
-        raise ParameterError(f"need R > 1, got {R}")
+    if not 1.0 < R < math.inf:
+        raise ParameterError(f"need finite R > 1, got {R}")
     if n_samples < 2:
         raise ParameterError(f"need at least 2 samples on the arc, got {n_samples}")
     theta_lo = math.asin(1.0 / R)

@@ -1,6 +1,8 @@
 """Experiment runner: configs, CSV/JSON emission, exit codes, reproducibility."""
 
+import hashlib
 import json
+import math
 from pathlib import Path
 
 import pytest
@@ -8,6 +10,8 @@ import pytest
 from hypspeeds.cli import EXPERIMENTS, TGrid, emit_csv, main, parse_config, parse_domain, run
 from hypspeeds.domains import SlitPlane, StripDom
 from hypspeeds.errors import ConfigError
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 
 def write_config(tmp_path: Path, data: dict) -> Path:
@@ -151,6 +155,25 @@ def test_main_exit_codes(tmp_path):
         cfg_path = write_config(tmp_path, {"dip": dip})
         assert main(["thm2", "--config", str(cfg_path), "--out", str(tmp_path)]) == 2, dip
 
+    # non-finite numbers would switch a check off; malformed sections and
+    # points would crash -> 2
+    strip = {"kind": "strip", "y_low": -1, "y_high": 1}
+    grid = {"start": 0.0, "stop": 1.0, "step": 0.5}
+    for experiment, bad in (
+        ("thm1", {"domain": strip, "t_grid": grid, "tolerances": {"violation_slack": math.nan}}),
+        ("thm1", {"domain": strip, "t_grid": grid, "tolerances": {"violation_slack": math.inf}}),
+        ("thm2", {"thresholds": {"min_dip": -math.inf}}),
+        ("thm4", {"domain": strip, "domain_tilde": strip, "t_grid": grid, "seed": 1, "thresholds": {"diff_slack": math.inf}}),
+        ("hm", {"domain": strip, "seed": 1, "n_samples": 100, "tolerances": {"mc_sigma": math.inf}}),
+        ("thm1", {"domain": strip, "t_grid": grid, "n_samples": math.inf}),
+        ("thm2", {"dip": []}),
+        ("thm3", {"table": [2, 6]}),
+        ("thm1", {"domain": strip, "t_grid": grid, "base_points": [[0.3]]}),
+        ("thm1", {"domain": strip, "t_grid": grid, "base_points": [[0.3, 0, 5]]}),
+    ):
+        cfg_path = write_config(tmp_path, bad)
+        assert main([experiment, "--config", str(cfg_path), "--out", str(tmp_path)]) == 2, bad
+
     # passing run -> 0
     cfg_path = write_config(
         tmp_path,
@@ -266,3 +289,27 @@ def test_mc_chunk_must_be_positive():
 
 def test_experiments_registry_complete():
     assert set(EXPERIMENTS) == {"dist", "speeds", "thm1", "thm2", "thm3", "thm4", "hm"}
+
+
+# sha256 of each shipped config's CSV; an intended change to a printed digit
+# must update its digest here and say why
+PINNED_CSVS = {
+    "dist": "b5f41491422745926220434ced32654f24a727b9d2b413f76f423ffe77a89438",
+    "speeds_slit": "28220e9d325c812a8b15c1a81a22cbd17b07ec557fef6e9293ad96679d1b84f6",
+    "thm1_slit": "ab24d2406678fc8fb6caa2d40729206ec200cdd3474944a4bb79f73d0c5e0f72",
+    "thm1_strip": "482f1e818a778d5579ab57efea93973551cdcc2cb7666695d28d87cfe15caab4",
+    "thm2_dip": "94ef33cc8b3c4f093d58db5229535f99a360684c6c39094f0b0b4830a6570af2",
+    "thm3_table": "1dd926f2dc629350cd87752b077e3b26ef1f8dd81ab3248fe12f8d620a01fd75",
+    "thm4_strips": "839b140e34cee0309038ff35e09bbd50fce9baf96f7a341d7448818e5d886c67",
+    "hm_strip": "efc57604bddb6b04a172ac59be4d83fc6b7b2354d419435138dc0b2d86381c4c",
+}
+
+
+@pytest.mark.parametrize("stem", PINNED_CSVS)
+def test_shipped_config_csv_is_pinned(stem, tmp_path):
+    experiment = stem.split("_")[0]
+    data = json.loads((CONFIGS / f"{stem}.json").read_text(encoding="utf-8"))
+    data["experiment"] = experiment
+    assert run(parse_config(data), tmp_path).passed
+    digest = hashlib.sha256((tmp_path / f"{experiment}.csv").read_bytes()).hexdigest()
+    assert digest == PINNED_CSVS[stem]

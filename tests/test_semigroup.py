@@ -7,8 +7,8 @@ import mpmath as mp
 import numpy as np
 import pytest
 
-from hypspeeds.conformal import map_forward, slit_sqrt_forward
-from hypspeeds.domains import HalfPlaneDom, SlitPlane, StripDom
+from hypspeeds.conformal import map_forward, map_inverse, slit_sqrt_forward
+from hypspeeds.domains import HalfPlaneDom, SlitPlane, StripDom, contains
 from hypspeeds.errors import DomainError, ParameterError
 from hypspeeds.hyperbolic import RIGHT_HALF_PLANE, disk_distance, region_density, region_distance
 from hypspeeds.semigroup import (
@@ -58,8 +58,8 @@ def test_orbit_linearizes(name):
     rng = np.random.default_rng(5)
     for z in random_disk_points(rng, 100):
         t = float(rng.uniform(0.0, 5.0))
-        w0 = map_forward(m.koenigs, z)
-        w1 = map_forward(m.koenigs, orbit(m, z, t))
+        w0 = map_forward(m, z)
+        w1 = map_forward(m, orbit(m, z, t))
         assert abs(w1 - w0 - t) <= 1e-9 * max(1.0, abs(w0) + t)
 
 
@@ -90,6 +90,27 @@ def test_orbit_rejects_negative_time():
     m = make_model(StripDom(-1.0, 1.0))
     with pytest.raises(DomainError):
         orbit(m, 0j, -1.0)
+
+
+@pytest.mark.parametrize("name", MODELS)
+def test_non_finite_points_and_times_raise(name):
+    d = MODELS[name]
+    m = make_model(d)
+    for w in (complex(math.nan, 0.0), complex(0.0, math.nan), complex(0.0, math.inf), complex(-math.inf, 0.0)):
+        assert not contains(d, w)
+        with pytest.raises(DomainError):
+            map_inverse(m, w)
+    with pytest.raises(DomainError):
+        map_forward(m, complex(math.nan, 0.0))
+    for t in (math.nan, math.inf):
+        for call in (
+            lambda: orbit(m, 0.3, t),
+            lambda: speeds(m, t),
+            lambda: generalized_speed(m, 0.3, t),
+            lambda: log_one_minus_pi_sq(m, t),
+        ):
+            with pytest.raises(DomainError):
+                call()
 
 
 # ---------------------------------------------------------------------------
@@ -131,12 +152,11 @@ def test_orthogonal_speed_formula(name):
 def test_strip_speed_matches_disk_route():
     # the stable strip path must agree with the definitional disk-side route
     m = make_model(StripDom(-1.0, 1.0))
-    from hypspeeds.conformal import map_inverse
     from hypspeeds.hyperbolic import foot_on_diameter
 
     for t in (0.5, 2.0, 6.0):
         s = speeds(m, t)
-        z_t = map_inverse(m.koenigs, complex(t))
+        z_t = map_inverse(m, complex(t))
         assert s.v == pytest.approx(disk_distance(0j, z_t), abs=1e-9)
         assert s.pi_t == pytest.approx(foot_on_diameter(z_t), abs=1e-9)
 
@@ -303,6 +323,21 @@ def test_theorem4_identical_pair_is_flat():
     assert rep.tail_min_diff >= -LOG2
 
 
+@pytest.mark.parametrize(
+    "d, d_tilde",
+    [(StripDom(-1.0, 1.0), StripDom(-2.0, 2.0)), (HalfPlaneDom(-1.0), SlitPlane(((0.0, 1.0),)))],
+    ids=["thm4_strips", "half_plane_in_slit"],
+)
+def test_theorem4_rows_read_one_foot_per_point(d, d_tilde):
+    m, mt = make_model(d), make_model(d_tilde)
+    grid = [0.0, 1e-3, 0.5, 10.0, 1e3, 1e6, 1e8]
+    for row in theorem4_scan(m, mt, grid).rows:
+        assert row.v_o == speeds(m, row.t).v_o
+        assert row.v_o_tilde == speeds(mt, row.t).v_o
+        arg = log_one_minus_pi_sq(mt, row.t) - log_one_minus_pi_sq(m, row.t)
+        assert row.ratio == (math.inf if arg > 700.0 else math.exp(arg))
+
+
 def test_theorem4_nested_strips():
     m = make_model(StripDom(-1.0, 1.0))
     mt = make_model(StripDom(-2.0, 2.0))
@@ -370,8 +405,10 @@ def test_k_gap_top_of_arc_closed_form():
 
 
 def test_k_gap_requires_radius_above_one():
-    with pytest.raises(ParameterError):
-        slit_inequality_on_K(0.5)
+    # a NaN radius would make every gap NaN and leave the minimum at +inf
+    for R in (0.5, 1.0, math.nan, math.inf):
+        with pytest.raises(ParameterError):
+            slit_inequality_on_K(R)
 
 
 def test_dip_search_basics():
