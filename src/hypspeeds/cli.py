@@ -14,7 +14,8 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field, fields
+from functools import partial
 from pathlib import Path
 
 from . import __version__
@@ -39,9 +40,11 @@ from .hyperbolic import (
 from .quasihyperbolic import quasihyperbolic_axis, stage_ratio, theorem3_table
 from .semigroup import dip_search, make_model, monotonicity_scan, slit_inequality_on_K, speeds, theorem4_scan
 
-EXPERIMENTS = ("dist", "speeds", "thm1", "thm2", "thm3", "thm4", "hm")
-
 LOG2 = math.log(2.0)
+
+#: A time grid, built whole, must span fewer steps than this; the largest
+#: shipped grid spans 1000.
+MAX_GRID_ROWS = 10**6
 
 
 @dataclass
@@ -55,146 +58,158 @@ class TGrid:
             raise ConfigError("t_grid entries must be finite")
         if self.step <= 0.0 or self.stop <= self.start:
             raise ConfigError(f"t_grid must be increasing with positive step, got {self}")
+        if (self.stop - self.start) / self.step >= MAX_GRID_ROWS:
+            raise ConfigError(f"t_grid must span fewer than {MAX_GRID_ROWS} steps, got {self}")
 
     def values(self) -> list[float]:
         count = int(math.floor((self.stop - self.start) / self.step + 1e-9)) + 1
         return [self.start + k * self.step for k in range(count)]
 
 
-@dataclass
-class ExperimentConfig:
-    experiment: str
-    domain: DomainDescriptor | None = None
-    domain_tilde: DomainDescriptor | None = None
-    t_grid: TGrid | None = None
-    seed: int | None = None
-    n_samples: int = 100_000
-    violation_slack: float = 1e-12
-    mc_sigma: float = 3.0
-    mc_chunk: int = 8192
-    base_points: list[complex] = field(default_factory=lambda: [0.3 + 0j, -0.4j, 0.2 + 0.5j])
-    table_n_lo: int = 2
-    table_n_hi: int = 6
-    table_alpha: float = 7.0 / 12.0
-    dip_R: float = 100.0
-    dip_a0_log10: tuple[float, float, int] = (3.0, 5.0, 41)
-    k_radii: list[float] = field(default_factory=lambda: [10.0, 100.0, 1000.0])
-    k_samples: int = 1000
-    projection_ts: list[float] = field(default_factory=lambda: [1.0, 5.0, 20.0])
-    semidisk_t0: float = 0.5
-    min_dip: float = 0.01
-    diff_slack: float = 0.05
-    ratio_slack: float = 0.05
-    raw: dict = field(default_factory=dict)
+# Config readers: each takes a JSON value and its key's path, and returns the
+# parsed value or raises ConfigError.
 
 
 def _finite(value, name: str) -> float:
     """A config number as a float.  NaN and infinities are refused: compared
     against them, a threshold or slack switches its check off."""
-    x = float(value)
+    try:
+        x = float(value) if isinstance(value, (int, float)) else math.nan
+    except OverflowError:  # an integer beyond the largest float
+        x = math.inf
     if not math.isfinite(x):
         raise ConfigError(f"{name} must be a finite number, got {value!r}")
     return x
 
 
-def _integer(value, name: str) -> int:
+def _integer(value, name: str, least: float = -math.inf) -> int:
+    """A config integer.  A fraction is refused rather than truncated."""
     try:
-        return int(value)
-    except (OverflowError, ValueError):
-        raise ConfigError(f"{name} must be a finite integer, got {value!r}") from None
+        n = int(value)
+    except (OverflowError, TypeError, ValueError):
+        n = None
+    if n is None or n != value:
+        raise ConfigError(f"{name} must be a finite integer, got {value!r}")
+    if n < least:
+        raise ConfigError(f"{name} must be at least {least}, got {n}")
+    return n
 
 
-def _section(data: dict, key: str) -> dict:
-    section = data.get(key, {})
-    if not isinstance(section, dict):
-        raise ConfigError(f"{key!r} must be a JSON object, got {section!r}")
-    return section
+def _points(value, name: str) -> list[complex]:
+    if not (isinstance(value, list) and all(isinstance(p, list) and len(p) == 2 for p in value)):
+        raise ConfigError(f"{name} must be a list of [x, y] pairs, got {value!r}")
+    return [complex(_finite(x, name), _finite(y, name)) for x, y in value]
 
 
-def _point(pair) -> complex:
-    if not (isinstance(pair, list) and len(pair) == 2):
-        raise ConfigError(f"base_points entries must be [re, im] pairs, got {pair!r}")
-    return complex(_finite(pair[0], "base_points"), _finite(pair[1], "base_points"))
+def _numbers(value, name: str) -> list[float]:
+    if not isinstance(value, list):
+        raise ConfigError(f"{name} must be a list of numbers, got {value!r}")
+    return [_finite(x, name) for x in value]
+
+
+def _build(cls, readers: dict, spec, name: str):
+    """cls from the JSON object spec, each field read by its reader.  Only
+    the fields with a default in cls may be left out."""
+    if not isinstance(spec, dict):
+        raise ConfigError(f"{name} must be a JSON object, got {spec!r}")
+    unknown = sorted(spec.keys() - readers.keys())
+    missing = [f.name for f in fields(cls) if f.default is MISSING and f.name not in spec]
+    if unknown or missing:
+        raise ConfigError(f"{name} {spec!r}: unknown fields {unknown}, missing fields {missing}")
+    return cls(**{key: readers[key](value, f"{name}.{key}") for key, value in spec.items()})
+
+
+_DOMAIN_KINDS = {
+    "half_plane": (HalfPlaneDom, {"boundary_height": _finite, "side": lambda side, name: side}),
+    "strip": (StripDom, {"y_low": _finite, "y_high": _finite}),
+    "rectangle_chain": (RectangleChain, {"n_max": _integer}),
+    "slit_plane": (SlitPlane, {"slits": lambda slits, name: tuple((z.real, z.imag) for z in _points(slits, name))}),
+}
 
 
 def parse_domain(spec: dict) -> DomainDescriptor:
-    try:
-        kind = spec["kind"]
-    except (TypeError, KeyError):
-        raise ConfigError(f"domain spec needs a 'kind' field, got {spec!r}") from None
-    fields = {k: v for k, v in spec.items() if k != "kind"}
-    try:
-        if kind == "half_plane":
-            height = _finite(fields["boundary_height"], "boundary_height")
-            return HalfPlaneDom(boundary_height=height, side=fields.get("side", "above"))
-        if kind == "strip":
-            return StripDom(y_low=_finite(fields["y_low"], "y_low"), y_high=_finite(fields["y_high"], "y_high"))
-        if kind == "rectangle_chain":
-            return RectangleChain(n_max=_integer(fields["n_max"], "n_max"))
-        if kind == "slit_plane":
-            return SlitPlane(tuple((float(a), float(b)) for a, b in fields["slits"]))
-    except KeyError as exc:
-        raise ConfigError(f"domain spec for {kind!r} is missing field {exc}") from None
-    raise ConfigError(f"unknown domain kind {kind!r}")
+    kind = spec.get("kind") if isinstance(spec, dict) else None
+    if not (isinstance(kind, str) and kind in _DOMAIN_KINDS):
+        raise ConfigError(f"domain spec needs a 'kind' field, one of {list(_DOMAIN_KINDS)}, got {spec!r}")
+    cls, readers = _DOMAIN_KINDS[kind]
+    return _build(cls, readers, {k: v for k, v in spec.items() if k != "kind"}, kind)
+
+
+def _grid(spec, name: str) -> TGrid:
+    return _build(TGrid, dict.fromkeys(("start", "stop", "step"), _finite), spec, name)
+
+
+def _key(path: str, read, default):
+    """A config key: its path in the JSON config, its reader and its default."""
+    if isinstance(default, list):
+        return field(default_factory=default.copy, metadata={"path": path, "read": read})
+    return field(default=default, metadata={"path": path, "read": read})
+
+
+@dataclass
+class ExperimentConfig:
+    """One run's settings.  Each config key is declared once, as the field
+    holding its path in the JSON config, its reader and its default."""
+
+    experiment: str
+    domain: DomainDescriptor | None = _key("domain", lambda spec, name: parse_domain(spec), None)
+    domain_tilde: DomainDescriptor | None = _key("domain_tilde", lambda spec, name: parse_domain(spec), None)
+    t_grid: TGrid | None = _key("t_grid", _grid, None)
+    seed: int | None = _key("seed", _integer, None)
+    n_samples: int = _key("n_samples", partial(_integer, least=1), 100_000)
+    mc_chunk: int = _key("mc_chunk", partial(_integer, least=1), 8192)
+    base_points: list[complex] = _key("base_points", _points, [0.3 + 0j, -0.4j, 0.2 + 0.5j])
+    violation_slack: float = _key("tolerances.violation_slack", _finite, 1e-12)
+    mc_sigma: float = _key("tolerances.mc_sigma", _finite, 3.0)
+    table_n_lo: int = _key("table.n_lo", _integer, 2)
+    table_n_hi: int = _key("table.n_hi", _integer, 6)
+    table_alpha: float = _key("table.alpha", _finite, 7.0 / 12.0)
+    dip_R: float = _key("dip.R", _finite, 100.0)
+    dip_a0_log10_start: float = _key("dip.a0_log10_start", _finite, 3.0)
+    dip_a0_log10_stop: float = _key("dip.a0_log10_stop", _finite, 5.0)
+    dip_a0_count: int = _key("dip.a0_count", partial(_integer, least=2), 41)
+    k_radii: list[float] = _key("dip.k_radii", _numbers, [10.0, 100.0, 1000.0])
+    k_samples: int = _key("dip.k_samples", _integer, 1000)
+    projection_ts: list[float] = _key("hm.projection_ts", _numbers, [1.0, 5.0, 20.0])
+    semidisk_t0: float = _key("hm.semidisk_t0", _finite, 0.5)
+    min_dip: float = _key("thresholds.min_dip", _finite, 0.01)
+    diff_slack: float = _key("thresholds.diff_slack", _finite, 0.05)
+    ratio_slack: float = _key("thresholds.ratio_slack", _finite, 0.05)
+    raw: dict = field(default_factory=dict)
+
+
+#: Each config key's field, by the key's path in the JSON config.
+CONFIG_KEYS = {f.metadata["path"]: f for f in fields(ExperimentConfig) if "path" in f.metadata}
+_SECTIONS = {path.split(".")[0] for path in CONFIG_KEYS if "." in path}
 
 
 def parse_config(data: dict) -> ExperimentConfig:
+    """The run a JSON config describes.  A key not declared in
+    ``ExperimentConfig``, or a key the experiment needs left out, is a
+    ConfigError."""
     if not isinstance(data, dict):
         raise ConfigError("config must be a JSON object")
     experiment = data.get("experiment")
     if experiment not in EXPERIMENTS:
         raise ConfigError(f"experiment must be one of {EXPERIMENTS}, got {experiment!r}")
-    cfg = ExperimentConfig(experiment=experiment, raw=data)
-    if "domain" in data:
-        cfg.domain = parse_domain(data["domain"])
-    if "domain_tilde" in data:
-        cfg.domain_tilde = parse_domain(data["domain_tilde"])
-    if "t_grid" in data:
-        g = data["t_grid"]
-        try:
-            cfg.t_grid = TGrid(float(g["start"]), float(g["stop"]), float(g["step"]))
-        except (TypeError, KeyError) as exc:
-            raise ConfigError(f"malformed t_grid {g!r}: {exc}") from None
-    if "seed" in data:
-        cfg.seed = _integer(data["seed"], "seed")
-    if "n_samples" in data:
-        cfg.n_samples = _integer(data["n_samples"], "n_samples")
-        if cfg.n_samples <= 0:
-            raise ConfigError("n_samples must be positive")
-    tol = _section(data, "tolerances")
-    cfg.violation_slack = _finite(tol.get("violation_slack", cfg.violation_slack), "tolerances.violation_slack")
-    cfg.mc_sigma = _finite(tol.get("mc_sigma", cfg.mc_sigma), "tolerances.mc_sigma")
-    if "mc_chunk" in data:
-        cfg.mc_chunk = _integer(data["mc_chunk"], "mc_chunk")
-        if cfg.mc_chunk <= 0:
-            raise ConfigError("mc_chunk must be positive")
-    if "base_points" in data:
-        cfg.base_points = [_point(p) for p in data["base_points"]]
-    table = _section(data, "table")
-    cfg.table_n_lo = _integer(table.get("n_lo", cfg.table_n_lo), "table.n_lo")
-    cfg.table_n_hi = _integer(table.get("n_hi", cfg.table_n_hi), "table.n_hi")
-    cfg.table_alpha = _finite(table.get("alpha", cfg.table_alpha), "table.alpha")
-    dip = _section(data, "dip")
-    cfg.dip_R = _finite(dip.get("R", cfg.dip_R), "dip.R")
-    cfg.dip_a0_log10 = (
-        _finite(dip.get("a0_log10_start", cfg.dip_a0_log10[0]), "dip.a0_log10_start"),
-        _finite(dip.get("a0_log10_stop", cfg.dip_a0_log10[1]), "dip.a0_log10_stop"),
-        _integer(dip.get("a0_count", cfg.dip_a0_log10[2]), "dip.a0_count"),
-    )
-    if cfg.dip_a0_log10[2] < 2:
-        raise ConfigError(f"dip.a0_count must be at least 2, got {cfg.dip_a0_log10[2]}")
-    cfg.k_radii = [_finite(r, "dip.k_radii") for r in dip.get("k_radii", cfg.k_radii)]
-    cfg.k_samples = _integer(dip.get("k_samples", cfg.k_samples), "dip.k_samples")
-    hm = _section(data, "hm")
-    cfg.projection_ts = [_finite(t, "hm.projection_ts") for t in hm.get("projection_ts", cfg.projection_ts)]
-    cfg.semidisk_t0 = _finite(hm.get("semidisk_t0", cfg.semidisk_t0), "hm.semidisk_t0")
-    thresholds = _section(data, "thresholds")
-    cfg.min_dip = _finite(thresholds.get("min_dip", cfg.min_dip), "thresholds.min_dip")
-    cfg.diff_slack = _finite(thresholds.get("diff_slack", cfg.diff_slack), "thresholds.diff_slack")
-    cfg.ratio_slack = _finite(thresholds.get("ratio_slack", cfg.ratio_slack), "thresholds.ratio_slack")
-    if experiment in ("dist", "hm") and cfg.seed is None:
-        raise ConfigError(f"experiment {experiment!r} samples randomly and needs a seed")
-    return cfg
+    values = {}
+    for key, value in data.items():
+        if key == "experiment":
+            continue
+        if key in _SECTIONS:
+            if not isinstance(value, dict):
+                raise ConfigError(f"{key!r} must be a JSON object, got {value!r}")
+            entries = [(f"{key}.{k}", v) for k, v in value.items()]
+        else:
+            entries = [(key, value)]
+        for path, v in entries:
+            if path not in CONFIG_KEYS:
+                raise ConfigError(f"unknown config key {path!r}")
+            values[CONFIG_KEYS[path].name] = CONFIG_KEYS[path].metadata["read"](v, path)
+    missing = [key for key in _RUNNERS[experiment][1] if key not in data]
+    if missing:
+        raise ConfigError(f"experiment {experiment!r} needs config keys {missing}")
+    return ExperimentConfig(experiment, raw=data, **values)
 
 
 @dataclass
@@ -232,16 +247,8 @@ def emit_csv(rows, schema, path: Path) -> None:
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
-def _require_domain(cfg: ExperimentConfig) -> DomainDescriptor:
-    if cfg.domain is None:
-        raise ConfigError(f"experiment {cfg.experiment!r} needs a 'domain' entry")
-    return cfg.domain
-
-
-def _require_grid(cfg: ExperimentConfig) -> list[float]:
-    if cfg.t_grid is None:
-        raise ConfigError(f"experiment {cfg.experiment!r} needs a 't_grid' entry")
-    return cfg.t_grid.values()
+def _emit_speeds(samples, path: Path) -> None:
+    emit_csv([(s.t, s.v, s.v_o, s.v_T, s.pi_t) for s in samples], ["t", "v", "v_o", "v_T", "pi_t"], path)
 
 
 # ---------------------------------------------------------------------------
@@ -287,22 +294,17 @@ def _run_dist(cfg: ExperimentConfig, out_dir: Path) -> RunReport:
 
 
 def _run_speeds(cfg: ExperimentConfig, out_dir: Path) -> RunReport:
-    model = make_model(_require_domain(cfg))
-    grid = _require_grid(cfg)
-    rows = []
-    ok = True
+    model = make_model(cfg.domain)
+    samples = [speeds(model, t) for t in cfg.t_grid.values()]
+    _emit_speeds(samples, out_dir / "speeds.csv")
     tol = 1e-12
-    for t in grid:
-        s = speeds(model, t)
-        rows.append((s.t, s.v, s.v_o, s.v_T, s.pi_t))
-        ok = ok and s.v_o <= s.v + tol and s.v_T <= s.v + tol and s.v <= s.v_o + s.v_T + tol
-    emit_csv(rows, ["t", "v", "v_o", "v_T", "pi_t"], out_dir / "speeds.csv")
-    return RunReport("speeds", ok, {"n_rows": len(rows), "invariants_ok": ok}, _provenance(cfg))
+    ok = all(s.v_o <= s.v + tol and s.v_T <= s.v + tol and s.v <= s.v_o + s.v_T + tol for s in samples)
+    return RunReport("speeds", ok, {"n_rows": len(samples), "invariants_ok": ok}, _provenance(cfg))
 
 
 def _run_thm1(cfg: ExperimentConfig, out_dir: Path) -> RunReport:
-    model = make_model(_require_domain(cfg))
-    grid = _require_grid(cfg)
+    model = make_model(cfg.domain)
+    grid = cfg.t_grid.values()
     slack = cfg.violation_slack
     scans = {
         "orthogonal": monotonicity_scan(model, grid, "orthogonal", slack=slack),
@@ -311,15 +313,14 @@ def _run_thm1(cfg: ExperimentConfig, out_dir: Path) -> RunReport:
     for z in cfg.base_points:
         label = f"generalized@{z.real:g}{z.imag:+g}j"
         scans[label] = monotonicity_scan(model, grid, "generalized", base_point=z, slack=slack)
-    rows = [(s.t, s.v, s.v_o, s.v_T, s.pi_t) for s in (speeds(model, t) for t in grid)]
-    emit_csv(rows, ["t", "v", "v_o", "v_T", "pi_t"], out_dir / "thm1.csv")
+    _emit_speeds([speeds(model, t) for t in grid], out_dir / "thm1.csv")
     violations = {name: len(rep.violations) for name, rep in scans.items()}
     passed = all(v == 0 for v in violations.values())
     return RunReport("thm1", passed, {"violations": violations}, _provenance(cfg))
 
 
 def _run_thm2(cfg: ExperimentConfig, out_dir: Path) -> RunReport:
-    lo, hi, count = cfg.dip_a0_log10
+    lo, hi, count = cfg.dip_a0_log10_start, cfg.dip_a0_log10_stop, cfg.dip_a0_count
     a0_grid = [10.0 ** (lo + (hi - lo) * k / (count - 1)) for k in range(count)]
     dip = dip_search(cfg.dip_R, a0_grid)
     etas = [slit_inequality_on_K(R, cfg.k_samples) for R in cfg.k_radii]
@@ -368,11 +369,7 @@ def _run_thm3(cfg: ExperimentConfig, out_dir: Path) -> RunReport:
 
 
 def _run_thm4(cfg: ExperimentConfig, out_dir: Path) -> RunReport:
-    if cfg.domain_tilde is None:
-        raise ConfigError("thm4 needs 'domain' and 'domain_tilde' entries")
-    model = make_model(_require_domain(cfg))
-    model_tilde = make_model(cfg.domain_tilde)
-    report = theorem4_scan(model, model_tilde, _require_grid(cfg))
+    report = theorem4_scan(make_model(cfg.domain), make_model(cfg.domain_tilde), cfg.t_grid.values())
     emit_csv(
         [(r.t, r.v_o, r.v_o_tilde, r.diff, r.ratio) for r in report.rows],
         ["t", "v_o", "v_o_tilde", "diff", "ratio"],
@@ -412,14 +409,14 @@ def _run_hm(cfg: ExperimentConfig, out_dir: Path) -> RunReport:
     worst = 0.0
     for k in range(1, 10):
         pi_t = k / 10.0
-        _, closed = geodesic_cut_measure(pi_t)
-        geo = disk_arc_measure(0j, geodesic_cut_measure(pi_t)[0])
+        cut, closed = geodesic_cut_measure(pi_t)
+        geo = disk_arc_measure(0j, cut)
         worst = max(worst, abs(geo - closed))
     ok = worst <= 1e-10
     rows.append(("geodesic_cut_agreement", math.nan, worst, 0.0, 0.0, 9, seed, ok))
     checks_ok.append(ok)
 
-    model = make_model(_require_domain(cfg))
+    model = make_model(cfg.domain)
     truncated = 0
     for t in cfg.projection_ts:
         res = projection_bound_check(model, t, n, seed=seed, chunk=cfg.mc_chunk)
@@ -446,15 +443,17 @@ def _run_hm(cfg: ExperimentConfig, out_dir: Path) -> RunReport:
     return RunReport("hm", all(checks_ok), summary, _provenance(cfg))
 
 
+#: Each experiment's runner and the config keys it cannot run without.
 _RUNNERS = {
-    "dist": _run_dist,
-    "speeds": _run_speeds,
-    "thm1": _run_thm1,
-    "thm2": _run_thm2,
-    "thm3": _run_thm3,
-    "thm4": _run_thm4,
-    "hm": _run_hm,
+    "dist": (_run_dist, ("seed",)),
+    "speeds": (_run_speeds, ("domain", "t_grid")),
+    "thm1": (_run_thm1, ("domain", "t_grid")),
+    "thm2": (_run_thm2, ()),
+    "thm3": (_run_thm3, ()),
+    "thm4": (_run_thm4, ("domain", "domain_tilde", "t_grid")),
+    "hm": (_run_hm, ("domain", "seed")),
 }
+EXPERIMENTS = tuple(_RUNNERS)
 
 
 def _provenance(cfg: ExperimentConfig) -> dict:
@@ -465,7 +464,7 @@ def run(cfg: ExperimentConfig, out_dir: Path) -> RunReport:
     """Dispatch an experiment; writes its CSV and JSON report into out_dir."""
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    report = _RUNNERS[cfg.experiment](cfg, out_dir)
+    report = _RUNNERS[cfg.experiment][0](cfg, out_dir)
     (out_dir / f"{cfg.experiment}_report.json").write_text(report.to_json() + "\n", encoding="utf-8")
     return report
 

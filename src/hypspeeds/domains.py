@@ -59,8 +59,8 @@ class StripDom:
     y_high: float
 
     def __post_init__(self):
-        if not (self.y_low < 0.0 < self.y_high):
-            raise ConstructionError(f"need y_low < 0 < y_high, got ({self.y_low}, {self.y_high})")
+        if not (-math.inf < self.y_low < 0.0 < self.y_high < math.inf):
+            raise ConstructionError(f"need finite y_low < 0 < y_high, got ({self.y_low}, {self.y_high})")
 
 
 @dataclass(frozen=True)

@@ -44,6 +44,8 @@ from .seeding import sample_streams, sample_uniforms, stream_uniforms
 from .semigroup import speeds
 
 TWO_PI = 2.0 * math.pi
+#: Default width of the absorbing layer around an obstacle and the unit circle.
+ABSORB_EPS = 1e-4
 
 
 @dataclass(frozen=True)
@@ -155,17 +157,19 @@ def mc_disk_arc(z: complex, arc: ArcOnCircle, n: int, seed: int = 0) -> HMEstima
 #: vertex-chord pairs one call holds: on a long straight run the window narrows.
 _WINDOW = 32
 _WINDOW_PAIRS = 1 << 14
+#: Largest distance from a dropped vertex to the chord that replaces it.
+_SIMPLIFY_TOL = 1e-6
 
 
-def _simplify_polyline(verts: np.ndarray, tol: float = 1e-6) -> np.ndarray:
-    """Drop vertices that deviate less than `tol` from the local chord.
+def _simplify_polyline(verts: np.ndarray) -> np.ndarray:
+    """Drop vertices that deviate less than `_SIMPLIFY_TOL` from the local chord.
 
     Orbit-tail polylines are resolved far below the walk absorption layer, so
-    collapsing straight runs changes distances by at most `tol` while cutting
-    the per-step cost dramatically.
+    collapsing straight runs changes distances by at most `_SIMPLIFY_TOL`
+    while cutting the per-step cost dramatically.
 
-    From the current anchor, the chord to each later vertex j must pass
-    within `tol` of every vertex strictly between; the first j whose chord
+    From the current anchor, the chord to each later vertex j must pass within
+    `_SIMPLIFY_TOL` of every vertex strictly between; the first j whose chord
     does not makes j - 1 the next anchor.  The chords to a window of
     consecutive j are tested in one call, with the arithmetic of testing
     them one at a time.
@@ -186,7 +190,7 @@ def _simplify_polyline(verts: np.ndarray, tol: float = 1e-6) -> np.ndarray:
         dev = np.abs(rel - t * chord)
         # the chord to ends[k] spans the vertices before it only
         dev[np.arange(rel.size) >= (ends - anchor - 1)[:, None]] = 0.0
-        bad = np.flatnonzero(dev.max(axis=1) > tol)
+        bad = np.flatnonzero(dev.max(axis=1) > _SIMPLIFY_TOL)
         if bad.size:
             anchor = int(ends[bad[0]]) - 1
             keep.append(anchor)
@@ -349,7 +353,7 @@ def mc_first_hit(
     obstacle,
     z0: complex,
     n: int,
-    eps: float = 1e-4,
+    eps: float = ABSORB_EPS,
     seed: int = 0,
     chunk: int = 8192,
     max_steps: int = 10_000,
@@ -389,7 +393,7 @@ def semidisk_bisection_check(
     t0: float,
     n: int,
     seed: int = 0,
-    eps: float = 1e-4,
+    eps: float = ABSORB_EPS,
     chunk: int = 8192,
     max_steps: int = 10_000,
 ) -> tuple[HMEstimate, HMEstimate]:
@@ -419,18 +423,20 @@ def semidisk_bisection_check(
 # Obstacles from orbits and the two boundary checks
 
 
-def discretize_orbit_tail(
-    m: KoenigsMap,
-    t: float,
-    spacing: float = 5e-4,
-    stop_radius: float = 5e-4,
-    max_vertices: int = 20_000,
-) -> np.ndarray:
-    """Polyline through h^{-1}([t, infinity)), resolved to `spacing` in the disk.
+#: Largest disk distance between adjacent vertices of an orbit tail, the
+#: distance from 1 at which the tail closes straight to 1, and the most
+#: vertices it takes before that.
+_TAIL_SPACING = 5e-4
+_TAIL_STOP_RADIUS = 5e-4
+_TAIL_MAX_VERTICES = 20_000
 
-    The parameter step adapts so adjacent vertices stay within `spacing`; the
-    final vertex is the Denjoy-Wolff point 1 itself, closing the obstacle to
-    the boundary.
+
+def discretize_orbit_tail(m: KoenigsMap, t: float) -> np.ndarray:
+    """Polyline through h^{-1}([t, infinity)), resolved to `_TAIL_SPACING`.
+
+    The parameter step adapts so adjacent vertices stay within `_TAIL_SPACING`
+    in the disk; the final vertex is the Denjoy-Wolff point 1 itself, closing
+    the obstacle to the boundary.
     """
     if t <= 0.0:
         raise DomainError("the orbit tail obstacle needs t > 0")
@@ -438,17 +444,17 @@ def discretize_orbit_tail(
     verts = [z]
     tau = float(t)
     dtau = 0.01 * max(1.0, t)
-    while abs(z - 1.0) > stop_radius and len(verts) < max_vertices:
+    while abs(z - 1.0) > _TAIL_STOP_RADIUS and len(verts) < _TAIL_MAX_VERTICES:
         while True:
             z_next = map_inverse(m, complex(tau + dtau))
             gap = abs(z_next - z)
-            if gap <= spacing or dtau <= 1e-12 * max(1.0, tau):
+            if gap <= _TAIL_SPACING or dtau <= 1e-12 * max(1.0, tau):
                 break
             dtau *= 0.5
         tau += dtau
         z = z_next
         verts.append(z)
-        if gap < 0.3 * spacing:
+        if gap < 0.3 * _TAIL_SPACING:
             dtau *= 1.8
     verts.append(1.0 + 0j)
     return np.asarray(verts, dtype=complex)
@@ -462,16 +468,14 @@ class ProjectionBoundResult:
     passed: bool
 
 
-def projection_bound_check(
-    m: KoenigsMap, t: float, n: int, seed: int = 0, eps: float = 1e-4, chunk: int = 8192
-) -> ProjectionBoundResult:
+def projection_bound_check(m: KoenigsMap, t: float, n: int, seed: int = 0, chunk: int = 8192) -> ProjectionBoundResult:
     """Check the projection lower bound for the orbit-tail hitting probability.
 
     The first-hit probability of the obstacle h^{-1}([t, inf)) from 0 must be
     at least (1/(2 pi)) arctan((1 - pi_t^2)/(2 pi_t)), up to 3 sigma.
     """
     obstacle = discretize_orbit_tail(m, t)
-    est = mc_first_hit(obstacle, 0j, n, eps=eps, seed=seed, chunk=chunk)
+    est = mc_first_hit(obstacle, 0j, n, seed=seed, chunk=chunk)
     pi_t = speeds(m, t).pi_t
     rhs = math.atan((1.0 - pi_t) * (1.0 + pi_t) / (2.0 * pi_t)) / (2.0 * math.pi)
     return ProjectionBoundResult(t=t, estimate=est, lower_bound=rhs, passed=est.value >= rhs - 3.0 * est.std_error)

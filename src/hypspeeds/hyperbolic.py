@@ -92,10 +92,6 @@ class MoebiusMap:
             self.c * other.b + self.d * other.d,
         )
 
-    def derivative(self, z: complex) -> complex:
-        den = self.c * z + self.d
-        return (self.a * self.d - self.b * self.c) / (den * den)
-
 
 #: Cayley map of the disk onto the right half-plane, 0 -> 1.
 CAYLEY = MoebiusMap(1.0, 1.0, -1.0, 1.0)

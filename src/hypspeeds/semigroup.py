@@ -206,14 +206,11 @@ class NestedSpeedReport:
     tail_min_diff: float = math.inf
     tail_min_ratio: float = math.inf
 
-    @property
-    def min_diff(self) -> float:
-        return min(r.diff for r in self.rows)
 
-
-def theorem4_scan(m: KoenigsMap, m_tilde: KoenigsMap, t_grid, tail_fraction: float = 0.5) -> NestedSpeedReport:
+def theorem4_scan(m: KoenigsMap, m_tilde: KoenigsMap, t_grid) -> NestedSpeedReport:
     """Compare orthogonal speeds of nested models: rows of v_o - v_o_tilde and
-    the squared-gap ratio (1 - pi_tilde^2)/(1 - pi^2), with tail minima.
+    the squared-gap ratio (1 - pi_tilde^2)/(1 - pi^2), with their minima over
+    the tail, the second half of the rows.
 
     Raises DomainError unless the first Koenigs domain lies inside the second,
     which ``includes`` decides exactly before scanning.
@@ -229,7 +226,7 @@ def theorem4_scan(m: KoenigsMap, m_tilde: KoenigsMap, t_grid, tail_fraction: flo
         arg = _minus_two_log_cosh(v_t) - _minus_two_log_cosh(v)
         ratio = math.inf if arg > 700.0 else math.exp(arg)
         report.rows.append(NestedSpeedRow(t=t, v_o=v, v_o_tilde=v_t, diff=v - v_t, ratio=ratio))
-    tail = report.rows[int(len(report.rows) * tail_fraction):] or report.rows
+    tail = report.rows[len(report.rows) // 2 :]
     report.tail_min_diff = min(r.diff for r in tail)
     report.tail_min_ratio = min(r.ratio for r in tail)
     return report
@@ -292,11 +289,13 @@ def dip_search(R: float, a0_grid) -> DipResult:
     along {Re z <= a0, Im z = -1}; a positive value exhibits a later orbit
     point that is hyperbolically closer to the start, i.e. a total-speed dip.
     """
+    if not 1.0 < R < math.inf:
+        raise ParameterError(f"need finite R > 1, got {R}")
     grid = [float(a) for a in a0_grid]
     if not grid:
         raise ParameterError("empty a0 grid")
-    if min(grid) <= R:
-        raise ParameterError("all grid points must exceed R")
+    if not all(R < a < math.inf for a in grid):
+        raise ParameterError("all grid points must be finite and exceed R")
     curve = tuple((a0, _slit_gap(complex(-a0))) for a0 in grid)
     a_best, d_best = max(curve, key=lambda row: row[1])
     return DipResult(a0=a_best, dip=d_best, curve=curve)

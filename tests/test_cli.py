@@ -7,11 +7,23 @@ from pathlib import Path
 
 import pytest
 
-from hypspeeds.cli import EXPERIMENTS, TGrid, emit_csv, main, parse_config, parse_domain, run
+from hypspeeds.cli import (
+    CONFIG_KEYS,
+    EXPERIMENTS,
+    MAX_GRID_ROWS,
+    TGrid,
+    _RUNNERS,
+    emit_csv,
+    main,
+    parse_config,
+    parse_domain,
+    run,
+)
 from hypspeeds.domains import SlitPlane, StripDom
 from hypspeeds.errors import ConfigError
 
-CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+ROOT = Path(__file__).resolve().parent.parent
+CONFIGS = ROOT / "configs"
 
 
 def write_config(tmp_path: Path, data: dict) -> Path:
@@ -37,11 +49,93 @@ def test_tgrid_validation():
         TGrid(1.0, 0.0, 0.1)
 
 
+def test_tgrid_row_cap():
+    # the grid would be built whole; these are refused before any row exists
+    for stop, step in ((1e300, 1.0), (float(MAX_GRID_ROWS), 1.0), (1.0, 1e-300)):
+        with pytest.raises(ConfigError):
+            TGrid(0.0, stop, step)
+    assert TGrid(0.0, MAX_GRID_ROWS - 1.0, 1.0).stop == MAX_GRID_ROWS - 1.0
+
+
 def test_parse_config_requires_seed_for_sampling():
     with pytest.raises(ConfigError):
         parse_config({"experiment": "hm", "domain": {"kind": "strip", "y_low": -1, "y_high": 1}})
     with pytest.raises(ConfigError):
         parse_config({"experiment": "unknown"})
+
+
+# a config for each experiment holding every key it requires
+FULL_CONFIGS = {
+    "dist": {"seed": 1},
+    "speeds": {"domain": {"kind": "strip", "y_low": -1, "y_high": 1}, "t_grid": {"start": 0, "stop": 1, "step": 0.5}},
+    "thm1": {"domain": {"kind": "strip", "y_low": -1, "y_high": 1}, "t_grid": {"start": 0, "stop": 1, "step": 0.5}},
+    "thm2": {},
+    "thm3": {},
+    "thm4": {
+        "domain": {"kind": "strip", "y_low": -1, "y_high": 1},
+        "domain_tilde": {"kind": "strip", "y_low": -2, "y_high": 2},
+        "t_grid": {"start": 10, "stop": 20, "step": 10},
+    },
+    "hm": {"domain": {"kind": "strip", "y_low": -1, "y_high": 1}, "seed": 1},
+}
+
+
+@pytest.mark.parametrize("experiment", EXPERIMENTS)
+def test_parse_config_requires_each_needed_key(experiment):
+    data = dict(FULL_CONFIGS[experiment], experiment=experiment)
+    assert parse_config(data).experiment == experiment
+    for key in _RUNNERS[experiment][1]:
+        with pytest.raises(ConfigError, match=key):
+            parse_config({k: v for k, v in data.items() if k != key})
+
+
+def _misspelled(path: str) -> dict:
+    """A one-key config with the last part of `path` misspelled."""
+    *section, name = path.split(".")
+    bad = name.replace("_", "-") if "_" in name else name.swapcase()
+    return {section[0]: {bad: 1}} if section else {bad: 1}
+
+
+@pytest.mark.parametrize("path", sorted(CONFIG_KEYS))
+def test_misspelled_key_exits_two(path, tmp_path):
+    # thm3 needs no key, so a dropped misspelling would pass
+    data = _misspelled(path)
+    with pytest.raises(ConfigError, match="unknown config key"):
+        parse_config(dict(data, experiment="thm3"))
+    assert main(["thm3", "--config", str(write_config(tmp_path, data)), "--out", str(tmp_path)]) == 2
+
+
+def test_misspelled_threshold_or_section_exits_two(tmp_path, capsys):
+    dip = {"R": 100.0, "a0_log10_start": 3.0, "a0_log10_stop": 4.0, "a0_count": 5, "k_radii": [10.0], "k_samples": 50}
+    for thresholds, code in (({"min_dip": 10.0}, 1), ({"min-dip": 10.0}, 2)):
+        cfg_path = write_config(tmp_path, {"dip": dip, "thresholds": thresholds})
+        assert main(["thm2", "--config", str(cfg_path), "--out", str(tmp_path)]) == code
+    assert "PASS" not in capsys.readouterr().out
+    strip = {"kind": "strip", "y_low": -1, "y_high": 1}
+    grid = {"start": 0.0, "stop": 1.0, "step": 0.5}
+    cfg_path = write_config(tmp_path, {"domain": strip, "t_grid": grid, "tolerance": {"violation_slack": -1}})
+    assert main(["thm1", "--config", str(cfg_path), "--out", str(tmp_path)]) == 2
+
+
+def test_readme_config_table_matches_schema():
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    section = text.split("## Config keys", 1)[1].split("\n## ", 1)[0]
+    rows = {}
+    for line in section.splitlines():
+        if line.startswith("| `"):
+            cells = [c.strip() for c in line.strip().strip("|").split("|")]
+            rows[cells[0].strip("`")] = cells
+    assert set(rows) == set(CONFIG_KEYS)
+    for path, (_, _, default, _, required_by) in rows.items():
+        needs = [exp for exp, (_, keys) in _RUNNERS.items() if path in keys]
+        assert [e.strip() for e in required_by.split(",") if e.strip()] == needs, path
+        declared = CONFIG_KEYS[path].default
+        assert (default == "—") == (declared is None), path
+        try:
+            number = float(default)
+        except ValueError:  # no default, a list or a fraction
+            continue
+        assert number == declared, path
 
 
 def test_emit_csv_format(tmp_path):
@@ -170,7 +264,29 @@ def test_main_exit_codes(tmp_path):
         ("thm3", {"table": [2, 6]}),
         ("thm1", {"domain": strip, "t_grid": grid, "base_points": [[0.3]]}),
         ("thm1", {"domain": strip, "t_grid": grid, "base_points": [[0.3, 0, 5]]}),
+        # malformed list keys and domain specs, unknown fields, oversized grids
+        ("thm1", {"domain": strip, "t_grid": grid, "base_points": 5}),
+        ("speeds", {"domain": {"kind": "slit_plane", "slits": [[0, 1, 2]]}, "t_grid": grid}),
+        ("speeds", {"domain": {"kind": "slit_plane", "slits": 5}, "t_grid": grid}),
+        ("speeds", {"domain": dict(strip, side="above"), "t_grid": grid}),
+        ("speeds", {"domain": {"kind": "strip", "y_low": -1}, "t_grid": grid}),
+        ("speeds", {"domain": {"kind": "rectangle_chain", "n_max": "six"}, "t_grid": grid}),
+        ("speeds", {"domain": strip, "t_grid": dict(grid, end=2.0)}),
+        ("speeds", {"domain": strip, "t_grid": {"start": 0, "stop": 1e300, "step": 1}}),
+        ("thm2", {"dip": {"k_radii": 5}}),
+        ("hm", {"domain": strip, "seed": 1, "hm": {"projection_ts": "1"}}),
+        ("dist", {"seed": None}),
+        # a fraction where an integer belongs was truncated: 2.5 abscissae ran 2
+        ("thm2", {"dip": {"a0_count": 2.5}}),
+        ("thm3", {"table": {"n_lo": 2.9}}),
+        # a string where a number belongs
+        ("dist", {"seed": "31"}),
+        ("thm2", {"thresholds": {"min_dip": "0.01"}}),
+        # an integer beyond the largest float ended in an OverflowError traceback
+        ("thm2", {"thresholds": {"min_dip": 10**400}}),
     ):
+        with pytest.raises(ConfigError):
+            parse_config(dict(bad, experiment=experiment))
         cfg_path = write_config(tmp_path, bad)
         assert main([experiment, "--config", str(cfg_path), "--out", str(tmp_path)]) == 2, bad
 

@@ -39,6 +39,13 @@ def test_strip_must_contain_axis():
         StripDom(-1.0, -0.5)
 
 
+@pytest.mark.parametrize("y_low, y_high", [(-1.0, math.inf), (-math.inf, 1.0), (-math.inf, math.inf)])
+def test_strip_edges_must_be_finite(y_low, y_high):
+    # an infinite edge made every speed of the strip's semigroup NaN
+    with pytest.raises(ConstructionError):
+        StripDom(y_low, y_high)
+
+
 def test_half_plane_side_validation():
     with pytest.raises(ConstructionError):
         HalfPlaneDom(0.0, "left")

@@ -425,6 +425,16 @@ def test_dip_search_validates_grid():
         dip_search(100.0, [])
     with pytest.raises(ParameterError):
         dip_search(100.0, [50.0, 2000.0])
+    for a0 in (math.nan, math.inf):
+        with pytest.raises(ParameterError):
+            dip_search(100.0, [2000.0, a0])
+
+
+def test_dip_search_requires_radius_above_one():
+    # a NaN radius passed the grid check and gave a dip of 0.434
+    for R in (0.5, 1.0, math.nan, math.inf):
+        with pytest.raises(ParameterError):
+            dip_search(R, [1e3, 1e4])
 
 
 def test_reflection_identity_for_mirrored_slit():
