@@ -82,7 +82,7 @@ def _finite(value, name: str) -> float:
     return x
 
 
-def _integer(value, name: str, least: float = -math.inf) -> int:
+def _integer(value, name: str, least: float = -math.inf, most: float = math.inf) -> int:
     """A config integer.  A fraction is refused rather than truncated."""
     try:
         n = int(value)
@@ -92,18 +92,24 @@ def _integer(value, name: str, least: float = -math.inf) -> int:
         raise ConfigError(f"{name} must be a finite integer, got {value!r}")
     if n < least:
         raise ConfigError(f"{name} must be at least {least}, got {n}")
+    if n > most:
+        raise ConfigError(f"{name} must be at most {most}, got {n}")
     return n
 
 
-def _points(value, name: str) -> list[complex]:
+def _points(value, name: str, least: int = 0) -> list[complex]:
     if not (isinstance(value, list) and all(isinstance(p, list) and len(p) == 2 for p in value)):
         raise ConfigError(f"{name} must be a list of [x, y] pairs, got {value!r}")
+    if len(value) < least:
+        raise ConfigError(f"{name} must hold at least {least} pairs, got {value!r}")
     return [complex(_finite(x, name), _finite(y, name)) for x, y in value]
 
 
-def _numbers(value, name: str) -> list[float]:
+def _numbers(value, name: str, least: int = 0) -> list[float]:
     if not isinstance(value, list):
         raise ConfigError(f"{name} must be a list of numbers, got {value!r}")
+    if len(value) < least:
+        raise ConfigError(f"{name} must hold at least {least} numbers, got {value!r}")
     return [_finite(x, name) for x in value]
 
 
@@ -155,10 +161,10 @@ class ExperimentConfig:
     domain: DomainDescriptor | None = _key("domain", lambda spec, name: parse_domain(spec), None)
     domain_tilde: DomainDescriptor | None = _key("domain_tilde", lambda spec, name: parse_domain(spec), None)
     t_grid: TGrid | None = _key("t_grid", _grid, None)
-    seed: int | None = _key("seed", _integer, None)
+    seed: int | None = _key("seed", partial(_integer, least=0, most=2**64 - 1), None)
     n_samples: int = _key("n_samples", partial(_integer, least=1), 100_000)
     mc_chunk: int = _key("mc_chunk", partial(_integer, least=1), 8192)
-    base_points: list[complex] = _key("base_points", _points, [0.3 + 0j, -0.4j, 0.2 + 0.5j])
+    base_points: list[complex] = _key("base_points", partial(_points, least=1), [0.3 + 0j, -0.4j, 0.2 + 0.5j])
     violation_slack: float = _key("tolerances.violation_slack", _finite, 1e-12)
     mc_sigma: float = _key("tolerances.mc_sigma", _finite, 3.0)
     table_n_lo: int = _key("table.n_lo", _integer, 2)
@@ -168,9 +174,9 @@ class ExperimentConfig:
     dip_a0_log10_start: float = _key("dip.a0_log10_start", _finite, 3.0)
     dip_a0_log10_stop: float = _key("dip.a0_log10_stop", _finite, 5.0)
     dip_a0_count: int = _key("dip.a0_count", partial(_integer, least=2), 41)
-    k_radii: list[float] = _key("dip.k_radii", _numbers, [10.0, 100.0, 1000.0])
+    k_radii: list[float] = _key("dip.k_radii", partial(_numbers, least=1), [10.0, 100.0, 1000.0])
     k_samples: int = _key("dip.k_samples", _integer, 1000)
-    projection_ts: list[float] = _key("hm.projection_ts", _numbers, [1.0, 5.0, 20.0])
+    projection_ts: list[float] = _key("hm.projection_ts", partial(_numbers, least=1), [1.0, 5.0, 20.0])
     semidisk_t0: float = _key("hm.semidisk_t0", _finite, 0.5)
     min_dip: float = _key("thresholds.min_dip", _finite, 0.01)
     diff_slack: float = _key("thresholds.diff_slack", _finite, 0.05)

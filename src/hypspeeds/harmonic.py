@@ -26,6 +26,12 @@ computed ``|p - c| - r`` is at most the computed distance to each of its
 segments, and a skipped block or point never holds a value the exact
 minimum would have taken.  Every estimate is the one the brute-force
 minimum over all segments gives.
+
+``chunk`` is the most walks in flight: a walk that ends hands its lane to
+the next sample, which draws from its own stream at its own step.  The
+exact distances group the points by block and broadcast each group against
+that block's segments, so however long the obstacle and however many the
+walks, no temporary holds more than ``_PAIR_BLOCK`` point-segment pairs.
 """
 
 from __future__ import annotations
@@ -240,8 +246,9 @@ def _polyline_segments(verts: np.ndarray) -> _Segments:
     return _Segments(starts, steps, np.conj(steps), np.abs(steps) ** 2, centers, reach * (1.0 + 1e-9) + 1e-14)
 
 
-#: Most point-segment pairs held in one temporary of ``_dist_to_segments``.
-_PAIR_BLOCK = 1 << 18
+#: Most point-segment pairs in one temporary of ``_dist_to_segments``, and
+#: most point-block pairs in one pass of its block bounds.
+_PAIR_BLOCK = 1 << 15
 
 
 def _exact(p: np.ndarray, starts, steps, conj_steps, norm2) -> np.ndarray:
@@ -254,10 +261,38 @@ def _exact(p: np.ndarray, starts, steps, conj_steps, norm2) -> np.ndarray:
     return np.abs(rel)
 
 
+def _block_min(q: np.ndarray, segments: _Segments, b: int) -> np.ndarray:
+    """Distance from each point of q to the nearest segment of block b."""
+    # starts, steps, conj_steps and norm2 of block b
+    block = [a[b] for a in segments[:4]]
+    rows = max(1, _PAIR_BLOCK // block[0].size)
+    out = np.empty(q.size)
+    for lo in range(0, q.size, rows):
+        _exact(q[lo : lo + rows, None], *block).min(axis=1, out=out[lo : lo + rows])
+    return out
+
+
+def _least_bounds(p: np.ndarray, segments: _Segments, cap: np.ndarray):
+    """Each point's least block bound and the block that has it, and the
+    bound rows of the points whose least bound is at most ``cap``."""
+    centers, radii = segments.centers, segments.radii
+    least = np.empty(p.size)
+    first = np.empty(p.size, dtype=np.intp)
+    kept = []
+    rows = max(1, _PAIR_BLOCK // centers.size)
+    for lo in range(0, p.size, rows):
+        lower = np.abs(p[lo : lo + rows, None] - centers)
+        lower -= radii
+        lower.argmin(axis=1, out=first[lo : lo + rows])
+        best = np.take_along_axis(lower, first[lo : lo + rows, None], axis=1)[:, 0]
+        least[lo : lo + rows] = best
+        kept.append(lower[best <= cap[lo : lo + rows]])
+    return least, first, np.concatenate(kept)
+
+
 def _dist_to_segments(p: np.ndarray, segments: _Segments, cap=np.inf) -> np.ndarray:
     """Distance from each point to the nearest segment where it is at most
-    ``cap``; elsewhere a value above ``cap``.  Works in row blocks so the
-    walk's memory does not grow with the number of segments.
+    ``cap``; elsewhere a value above ``cap``.
 
     With several blocks, ``|p - c| - r`` over a block's bounding circle is at
     most the computed distance to each of its segments (the rounding
@@ -268,45 +303,46 @@ def _dist_to_segments(p: np.ndarray, segments: _Segments, cap=np.inf) -> np.ndar
     bound is at most that: they hold the nearest segment, so the result is
     the minimum over all segments, bit for bit.  One-block obstacles skip
     the bounds, which cost as much as the exact distance there.
+
+    The points are grouped by block, never the segments copied per point:
+    each block broadcasts the points that need it against its own segments,
+    one block at a time.  So no temporary holds more than ``_PAIR_BLOCK``
+    point-segment or point-block pairs, apart from one row of bounds and
+    one of flags per point that needs an exact distance.
     """
-    starts, steps, conj_steps, norm2, centers, radii = segments
-    # each temporary holds at most rows x size pairs: blocks <= size
-    rows = max(1, _PAIR_BLOCK // starts.shape[1])
-    out = np.empty(p.size)
-    cap = np.broadcast_to(cap, p.shape)
-    for lo in range(0, p.size, rows):
-        q = p[lo : lo + rows]
-        best = out[lo : lo + rows]
-        if centers.size == 1:
-            _exact(q[:, None], starts[0], steps[0], conj_steps[0], norm2[0]).min(axis=1, out=best)
-            continue
-        lower = np.abs(q[:, None] - centers)
-        lower -= radii
-        lower.min(axis=1, out=best)
-        todo = np.flatnonzero(best <= cap[lo : lo + rows])
-        if not todo.size:
-            continue
-        lower = lower[todo]
-        first = lower.argmin(axis=1)
-        q = q[todo, None]
-        d = _exact(q, starts[first], steps[first], conj_steps[first], norm2[first]).min(axis=1)
-        near = lower <= d[:, None]
-        near[np.arange(todo.size), first] = False
-        for b in np.flatnonzero(near.any(axis=0)):
-            idx = np.flatnonzero(near[:, b])
-            d[idx] = np.minimum(d[idx], _exact(q[idx], starts[b], steps[b], conj_steps[b], norm2[b]).min(axis=1))
-        best[todo] = d
+    if segments.centers.size == 1:
+        return _block_min(p, segments, 0)
+    out, first, lower = _least_bounds(p, segments, np.broadcast_to(cap, p.shape))
+    todo = np.flatnonzero(out <= cap)
+    if not todo.size:
+        return out
+    q, first = p[todo], first[todo]
+    d = np.empty(todo.size)
+    for b in np.flatnonzero(np.bincount(first)):
+        idx = np.flatnonzero(first == b)
+        d[idx] = _block_min(q[idx], segments, b)
+    near = lower <= d[:, None]
+    near[np.arange(todo.size), first] = False
+    for b in np.flatnonzero(near.any(axis=0)):
+        idx = np.flatnonzero(near[:, b])
+        d[idx] = np.minimum(d[idx], _block_min(q[idx], segments, b))
+    out[todo] = d
     return out
 
 
 def _walk(absorb, z0: complex, n: int, seed: int, chunk: int, max_steps: int, classes: int) -> tuple[list[int], int]:
-    """Walk-on-spheres from z0 for the samples 0 .. n-1.
+    """Walk-on-spheres from z0 for the samples 0 .. n-1, at most ``chunk``
+    walks in flight.
 
     ``absorb(p)`` returns, for each position, the radius of the next jump
     and a class: 0 keeps walking, 1 .. ``classes`` absorbs there.  Returns
     the walks absorbed in each class and the walks still running after
-    ``max_steps``.  Sample i draws from stream (seed, i), so ``chunk``
-    cannot change the result.
+    ``max_steps``.  A walk that ends hands its lane to the next sample, and
+    each walk counts its own steps: sample i draws from stream (seed, i) at
+    its own step, so neither ``chunk`` nor the order of the lanes can
+    change the result.  The loop's arrays hold one entry per walk in
+    flight, and the obstacle distances of ``_obstacle_absorb`` no more than
+    ``_PAIR_BLOCK`` point-segment pairs per temporary.
     """
     if chunk <= 0:
         raise ParameterError("chunk must be positive")
@@ -314,21 +350,30 @@ def _walk(absorb, z0: complex, n: int, seed: int, chunk: int, max_steps: int, cl
         raise ParameterError("max_steps must be at least 1")
     counts = np.zeros(classes + 1, dtype=np.int64)
     truncated = 0
-    for lo in range(0, n, chunk):
-        m = min(chunk, n - lo)
-        # positions and stream keys of the live walks only, compacted each step
-        keys = sample_streams(seed, np.arange(lo, lo + m, dtype=np.uint64))
-        pos = np.full(m, z0, dtype=complex)
-        step_no = 0
-        while pos.size and step_no < max_steps:
-            radius, cls = absorb(pos)
-            counts += np.bincount(cls, minlength=classes + 1)
-            live = cls == 0
-            pos, keys = pos[live], keys[live]
-            if pos.size:
-                pos += radius[live] * np.exp(2j * math.pi * stream_uniforms(keys, step_no))
-            step_no += 1
-        truncated += pos.size
+    # position, stream key and step counter of each walk in flight
+    pos = np.empty(0, dtype=complex)
+    keys = np.empty(0, dtype=np.uint64)
+    steps = np.empty(0, dtype=np.uint64)
+    started = 0
+    while True:
+        fill = min(chunk - pos.size, n - started)
+        if fill:
+            pos = np.concatenate([pos, np.full(fill, z0, dtype=complex)])
+            keys = np.concatenate([keys, sample_streams(seed, np.arange(started, started + fill, dtype=np.uint64))])
+            steps = np.concatenate([steps, np.zeros(fill, dtype=np.uint64)])
+            started += fill
+        if not pos.size:
+            break
+        radius, cls = absorb(pos)
+        counts += np.bincount(cls, minlength=classes + 1)
+        live = cls == 0
+        # a live walk on its last step is cut off before it jumps
+        last = live & (steps == max_steps - 1)
+        truncated += int(np.count_nonzero(last))
+        live &= ~last
+        pos, keys, steps = pos[live], keys[live], steps[live]
+        pos += radius[live] * np.exp(2j * math.pi * stream_uniforms(keys, steps))
+        steps += np.uint64(1)
     return [int(c) for c in counts[1:]], truncated
 
 
@@ -362,9 +407,10 @@ def mc_first_hit(
     z0 hits the obstacle polyline before the unit circle.
 
     Deterministic given (seed, n): per-sample streams are derived from the
-    seed and the sample index, so the chunk size cannot change the result.
-    Walks cut off at ``max_steps`` count as misses and are reported in
-    ``truncated``.
+    seed and the sample index, so ``chunk``, the most walks in flight,
+    cannot change the result; no temporary holds more than ``_PAIR_BLOCK``
+    point-segment pairs at any ``chunk``.  Walks cut off at ``max_steps``
+    count as misses and are reported in ``truncated``.
     """
     verts = np.asarray([complex(v) for v in obstacle], dtype=complex)
     if n <= 0:

@@ -34,10 +34,12 @@ def sample_streams(seed: int, sample_indices) -> np.ndarray:
         return _mix(s + _GAMMA * (idx + np.uint64(1)))
 
 
-def stream_uniforms(keys: np.ndarray, step: int) -> np.ndarray:
-    """Uniform [0, 1) draw of each stream key at the given step counter."""
+def stream_uniforms(keys: np.ndarray, step) -> np.ndarray:
+    """Uniform [0, 1) draw of each stream key at the given step counter:
+    one integer for every key, or an array with one counter per key."""
+    step = np.uint64(int(step) & _MASK) if np.ndim(step) == 0 else np.asarray(step, dtype=np.uint64)
     with np.errstate(over="ignore"):
-        x = _mix(keys + _GAMMA * np.uint64((step + 1) & _MASK))
+        x = _mix(keys + _GAMMA * (step + np.uint64(1)))
     return (x >> np.uint64(11)).astype(np.float64) * 2.0**-53
 
 

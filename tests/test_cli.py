@@ -284,6 +284,13 @@ def test_main_exit_codes(tmp_path):
         ("thm2", {"thresholds": {"min_dip": "0.01"}}),
         # an integer beyond the largest float ended in an OverflowError traceback
         ("thm2", {"thresholds": {"min_dip": 10**400}}),
+        # an empty list left its check vacuous and printed PASS
+        ("thm2", {"dip": {"k_radii": []}}),
+        ("hm", {"domain": strip, "seed": 1, "hm": {"projection_ts": []}}),
+        ("thm1", {"domain": strip, "t_grid": grid, "base_points": []}),
+        # the streams read 64 bits of the seed: 2^64 + 1 ran as 1, -1 as 2^64 - 1
+        ("dist", {"seed": 2**64 + 1}),
+        ("dist", {"seed": -1}),
     ):
         with pytest.raises(ConfigError):
             parse_config(dict(bad, experiment=experiment))
@@ -322,6 +329,11 @@ def test_dist_run(tmp_path):
     assert report.passed
     assert report.summary["max_abs_err_halfplane"] <= 1e-10
     assert report.summary["max_abs_err_quadrature"] <= 1e-8
+    # --seed goes through the config schema: the largest 64-bit seed runs,
+    # and one beyond either end of the range exits 2
+    cfg_path = write_config(tmp_path, {"seed": 1})
+    for seed, code in ((2**64 - 1, 0), (2**64, 2), (2**64 + 1, 2), (-1, 2)):
+        assert main(["dist", "--config", str(cfg_path), "--out", str(tmp_path), "--seed", str(seed)]) == code
 
 
 def test_rerun_is_byte_identical(tmp_path):

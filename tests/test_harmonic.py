@@ -1,6 +1,7 @@
 """Harmonic measure: closed forms, geodesic cuts, and first-hit Monte Carlo."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -184,11 +185,24 @@ def test_walk_estimates_are_pinned():
         assert est.truncated == 0
 
 
+def _assert_chunk_invariant(run, n, lone_n):
+    # 257 lanes refilled as walks end, 4096 and n + 1 lanes holding every
+    # walk at once; with max_steps the cut-off walks end in staggered lanes
+    whole = run(n, n + 1)
+    assert run(n, 257) == run(n, 4096) == whole
+    # one lane, every walk run alone: on the first lone_n samples, which
+    # keep the suite fast
+    assert run(lone_n, 1) == run(lone_n, 257)
+
+
 def test_mc_first_hit_chunk_invariance():
     obstacle = [0.5 + 0j, 1.0 + 0j]
-    a = mc_first_hit(obstacle, 0j, 4_000, seed=21, chunk=4096)
-    b = mc_first_hit(obstacle, 0j, 4_000, seed=21, chunk=257)
-    assert a == b
+    for max_steps in (10_000, 3):
+
+        def run(n, chunk):
+            return mc_first_hit(obstacle, 0j, n, seed=21, chunk=chunk, max_steps=max_steps)
+
+        _assert_chunk_invariant(run, 4_000, 400)
 
 
 def _brute_dist(p, verts):
@@ -269,6 +283,21 @@ def test_obstacle_absorb_matches_brute_force_bitwise(model, t, eps):
     assert set(absorb(junction)[1]) == {1}
 
 
+def test_walk_working_set_does_not_grow_with_the_obstacle():
+    # 700 segments in 26 blocks: copying every walk's nearest block of
+    # segments took this to a traced peak of about 25 MB
+    tail = discretize_orbit_tail(make_model(HalfPlaneDom(-1.0)), 0.5)
+    tracemalloc.start()
+    try:
+        est = mc_first_hit(tail, 0j, 8192, seed=5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8e6
+    assert est.value == 0.474853515625
+    assert est.std_error == 0.0055172808058563715
+
+
 def _simplify_reference(verts, tol=1e-6):
     # one candidate chord per step
     if verts.size <= 2:
@@ -327,9 +356,12 @@ def test_non_positive_chunk_rejected():
 
 def test_mc_first_hit_chunk_invariance_on_curved_tail():
     tail = discretize_orbit_tail(make_model(SlitPlane(((0.0, 1.0),))), 5.0)
-    a = mc_first_hit(tail, 0j, 3_000, seed=21, chunk=4096)
-    b = mc_first_hit(tail, 0j, 3_000, seed=21, chunk=257)
-    assert a == b
+    for max_steps in (10_000, 3):
+
+        def run(n, chunk):
+            return mc_first_hit(tail, 0j, n, seed=21, chunk=chunk, max_steps=max_steps)
+
+        _assert_chunk_invariant(run, 3_000, 300)
 
 
 def test_walks_cut_off_at_max_steps_are_counted():
@@ -343,6 +375,15 @@ def test_walks_cut_off_at_max_steps_are_counted():
     left, right = semidisk_bisection_check(0.5, 2_000, seed=5, max_steps=3)
     assert left.truncated == right.truncated > 0
     assert (left.value + right.value) * 2_000 + left.truncated <= 2_000
+    # pinned: a walk is checked for absorption 3 times, then cut off
+    assert (cut.value, cut.truncated) == (2 / 2_000, 1983)
+    assert (left.value, right.value, left.truncated) == (14 / 2_000, 17 / 2_000, 1901)
+    for max_steps in (10_000, 3):
+
+        def run(n, chunk):
+            return semidisk_bisection_check(0.5, n, seed=5, chunk=chunk, max_steps=max_steps)
+
+        _assert_chunk_invariant(run, 2_000, 400)
 
 
 def test_mc_first_hit_obstacle_monotonicity():

@@ -57,3 +57,18 @@ def test_hoisted_stream_keys_match_sample_uniforms_bitwise():
             u = stream_uniforms(keys, step)
             assert u.tobytes() == sample_uniforms(seed, idx, step).tobytes()
             assert [_splitmix_reference(seed, int(i), step) for i in idx[:20]] == list(u[:20])
+
+
+def test_per_walk_steps_match_scalar_steps_bitwise():
+    # a walk in flight draws at its own step: one counter per key
+    seed = 9
+    idx = np.arange(0, 700, 7, dtype=np.uint64)
+    keys = sample_streams(seed, idx)
+    # at 2^64 - 1 the counter step + 1 wraps to 0
+    counters = (0, 1, 2**32, 2**64 - 1)
+    steps = np.asarray(counters, dtype=np.uint64)[np.arange(idx.size) % len(counters)]
+    u = stream_uniforms(keys, steps)
+    for k, step in enumerate(counters):
+        scalar = stream_uniforms(keys[k :: len(counters)], step)
+        assert u[k :: len(counters)].tobytes() == scalar.tobytes()
+        assert _splitmix_reference(seed, int(idx[k]), step) == u[k]
