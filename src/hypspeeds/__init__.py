@@ -12,7 +12,6 @@ from .domains import (
     contains,
     dist_to_boundary,
     includes,
-    rectangle_chain,
     slit_plane,
 )
 from .errors import (
@@ -42,7 +41,6 @@ from .hyperbolic import (
 )
 from .conformal import (
     KoenigsMap,
-    axis_distance,
     build_koenigs,
     domain_distance,
     map_forward,

@@ -72,9 +72,10 @@ class TGrid:
 
 def _finite(value, name: str) -> float:
     """A config number as a float.  NaN and infinities are refused: compared
-    against them, a threshold or slack switches its check off."""
+    against them, a threshold or slack switches its check off.  So are
+    booleans, which Python would read as 1 and 0."""
     try:
-        x = float(value) if isinstance(value, (int, float)) else math.nan
+        x = float(value) if isinstance(value, (int, float)) and not isinstance(value, bool) else math.nan
     except OverflowError:  # an integer beyond the largest float
         x = math.inf
     if not math.isfinite(x):
@@ -83,12 +84,13 @@ def _finite(value, name: str) -> float:
 
 
 def _integer(value, name: str, least: float = -math.inf, most: float = math.inf) -> int:
-    """A config integer.  A fraction is refused rather than truncated."""
+    """A config integer.  A fraction is refused rather than truncated, and a
+    boolean rather than read as 1 or 0."""
     try:
         n = int(value)
     except (OverflowError, TypeError, ValueError):
         n = None
-    if n is None or n != value:
+    if n is None or n != value or isinstance(value, bool):
         raise ConfigError(f"{name} must be a finite integer, got {value!r}")
     if n < least:
         raise ConfigError(f"{name} must be at least {least}, got {n}")

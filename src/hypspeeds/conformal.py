@@ -182,11 +182,6 @@ def domain_distance(k: KoenigsMap, w1: complex, w2: complex) -> float:
     return _h_distance(_checked_to_h(k, w1), _checked_to_h(k, w2))
 
 
-def axis_distance(k: KoenigsMap, x1: float, x2: float) -> float:
-    """rho_Omega(x1, x2) for real axis points, stable for large separations."""
-    return domain_distance(k, complex(x1), complex(x2))
-
-
 def pullback_density(k: KoenigsMap, w: complex) -> float:
     """Hyperbolic density of the domain at w: 1/(2 Re W |dw/dW|)."""
     log_r, u = _checked_to_h(k, w)

@@ -106,11 +106,6 @@ class SlitPlane:
 DomainDescriptor = Union[HalfPlaneDom, StripDom, RectangleChain, SlitPlane]
 
 
-def rectangle_chain(n_max: int) -> RectangleChain:
-    """Staircase domain truncated after stage n_max (1 <= n_max <= 6)."""
-    return RectangleChain(n_max)
-
-
 def slit_plane(slits) -> SlitPlane:
     """Slit-plane descriptor from a sequence of (a_k, b_k) pairs."""
     return SlitPlane(tuple(tuple(s) for s in slits))

@@ -89,6 +89,8 @@ class HMEstimate:
 
 
 def _binomial_estimate(hits: int, n: int, seed: int, truncated: int = 0) -> HMEstimate:
+    if n <= 0:
+        raise ParameterError("need n > 0 samples")
     value = hits / n
     return HMEstimate(
         value=value, std_error=math.sqrt(value * (1.0 - value) / n), n_samples=n, seed=seed, truncated=truncated
@@ -147,8 +149,6 @@ def mc_disk_arc(z: complex, arc: ArcOnCircle, n: int, seed: int = 0) -> HMEstima
     boundary point under the disk automorphism sending 0 to z.
     """
     z = require_disk_point(z)
-    if n <= 0:
-        raise ParameterError("need n > 0 samples")
     hits = 0
     for lo in range(0, n, _ARC_CHUNK):
         u = sample_uniforms(seed, np.arange(lo, min(n, lo + _ARC_CHUNK), dtype=np.uint64), 0)
@@ -357,7 +357,7 @@ def _walk(absorb, z0: complex, n: int, seed: int, chunk: int, max_steps: int, cl
     started = 0
     while True:
         fill = min(chunk - pos.size, n - started)
-        if fill:
+        if fill > 0:
             pos = np.concatenate([pos, np.full(fill, z0, dtype=complex)])
             keys = np.concatenate([keys, sample_streams(seed, np.arange(started, started + fill, dtype=np.uint64))])
             steps = np.concatenate([steps, np.zeros(fill, dtype=np.uint64)])
@@ -413,12 +413,10 @@ def mc_first_hit(
     count as misses and are reported in ``truncated``.
     """
     verts = np.asarray([complex(v) for v in obstacle], dtype=complex)
-    if n <= 0:
-        raise ParameterError("need n > 0 samples")
     if eps <= 0.0:
         raise ParameterError("eps must be positive")
     if verts.size == 0:
-        return HMEstimate(0.0, 0.0, n, seed)
+        return _binomial_estimate(0, n, seed)
     if verts.size == 1:
         raise ParameterError("obstacle must be empty or a polyline with >= 2 vertices")
     if np.any(np.abs(verts) > 1.0 + 1e-12):

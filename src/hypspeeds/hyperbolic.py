@@ -23,20 +23,13 @@ from .errors import ConstructionError, DomainError, NumericError
 
 BOUNDARY_TOL = 1e-12
 
-#: Sentinel for the point at infinity on the Riemann sphere.
-AT_INFINITY = complex(math.inf, math.inf)
-
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
-
-
-def is_at_infinity(z: complex) -> bool:
-    return not (math.isfinite(z.real) and math.isfinite(z.imag))
 
 
 def require_disk_point(z: complex, name: str = "z") -> complex:
     """Validate that z lies strictly inside the unit disk (with tolerance)."""
     z = complex(z)
-    if is_at_infinity(z):
+    if not cmath.isfinite(z):
         raise DomainError(f"{name} must be a finite point, got {z}")
     if abs(z) >= 1.0 - BOUNDARY_TOL:
         raise DomainError(f"{name}={z} is not strictly inside the unit disk")
@@ -77,20 +70,8 @@ class MoebiusMap:
         if scale == 0.0 or abs(self.a * self.d - self.b * self.c) <= 1e-14 * scale * scale:
             raise ConstructionError("degenerate Moebius map: ad - bc ~ 0")
 
-    def __call__(self, z: complex) -> complex:
-        return apply_mobius(self, z)
-
     def inverse(self) -> "MoebiusMap":
         return MoebiusMap(self.d, -self.b, -self.c, self.a)
-
-    def compose(self, other: "MoebiusMap") -> "MoebiusMap":
-        """self after other, i.e. (self.compose(other))(z) = self(other(z))."""
-        return MoebiusMap(
-            self.a * other.a + self.b * other.c,
-            self.a * other.b + self.b * other.d,
-            self.c * other.a + self.d * other.c,
-            self.c * other.b + self.d * other.d,
-        )
 
 
 #: Cayley map of the disk onto the right half-plane, 0 -> 1.
@@ -98,21 +79,13 @@ CAYLEY = MoebiusMap(1.0, 1.0, -1.0, 1.0)
 
 
 def apply_mobius(m: MoebiusMap, z: complex) -> complex:
-    """Evaluate m at z; the pole maps to the AT_INFINITY sentinel."""
-    if is_at_infinity(z):
-        if m.c == 0:
-            return AT_INFINITY
-        return m.a / m.c
+    """Evaluate m at a finite point z; DomainError at the pole of m."""
+    if not cmath.isfinite(z):
+        raise DomainError(f"z={z} must be a finite point")
     den = m.c * z + m.d
     if den == 0:
-        return AT_INFINITY
+        raise DomainError(f"z={z} is the pole of {m}")
     return (m.a * z + m.b) / den
-
-
-def disk_automorphism(zero_image: complex, rotation: complex = 1.0 + 0j) -> MoebiusMap:
-    """The automorphism z -> (rotation*z + zero_image)/(1 + conj(zero_image)*rotation*z)."""
-    zero_image = require_disk_point(zero_image, "zero_image")
-    return MoebiusMap(rotation, zero_image, zero_image.conjugate() * rotation, 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -304,13 +277,6 @@ RIGHT_HALF_PLANE = HalfPlane(0j, 1.0 + 0j)
 UPPER_HALF_PLANE = HalfPlane(0j, 1j)
 
 
-def region_interior_gap(region: RoundRegion, z: complex) -> float:
-    """Signed distance from z to the boundary; positive inside."""
-    if isinstance(region, HalfPlane):
-        return ((z - region.boundary_point) * region.inward_normal.conjugate()).real
-    return region.radius - abs(z - region.center)
-
-
 def region_density(region: RoundRegion, z: complex) -> float:
     """Hyperbolic density of a disk or half-plane at z.
 
@@ -318,13 +284,18 @@ def region_density(region: RoundRegion, z: complex) -> float:
     unit-disk density, R/(R^2 - |z - c|^2).
     """
     z = complex(z)
-    gap = region_interior_gap(region, z)
-    scale = region.radius if isinstance(region, Disk) else 1.0
+    if isinstance(region, HalfPlane):
+        # signed distance to the boundary line, positive inside
+        gap = ((z - region.boundary_point) * region.inward_normal.conjugate()).real
+        scale = 1.0
+    else:
+        rho = abs(z - region.center)
+        gap = region.radius - rho
+        scale = region.radius
     if gap <= BOUNDARY_TOL * max(scale, abs(z)):
         raise DomainError(f"z={z} is not interior to {region}")
     if isinstance(region, HalfPlane):
         return 1.0 / (2.0 * gap)
-    rho = abs(z - region.center)
     return region.radius / (region.radius**2 - rho * rho)
 
 

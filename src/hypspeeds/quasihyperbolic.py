@@ -43,22 +43,12 @@ class RhoBounds:
             raise ConstructionError("RhoBounds must satisfy 0 <= lower = upper/4")
 
 
-@dataclass(frozen=True)
-class _Piece:
-    """One smooth stretch of 1/dist(x, boundary) on [lo, hi]."""
-
-    lo: float
-    hi: float
-    const: float | None  # dist == const, or
-    corner: tuple[float, float] | None  # dist == hypot(x - x0, h)
-
-    def integral(self) -> float:
-        if self.hi <= self.lo:
-            return 0.0
-        if self.const is not None:
-            return (self.hi - self.lo) / self.const
-        x0, h = self.corner
-        return math.asinh((self.hi - x0) / h) - math.asinh((self.lo - x0) / h)
+def _stretch(lo: float, hi: float, h: float, x0: float | None = None) -> float:
+    """int_lo^hi dx / dist over one smooth stretch, lo < hi, where dist == h,
+    or dist == hypot(x - x0, h) past a corner at x0."""
+    if x0 is None:
+        return (hi - lo) / h
+    return math.asinh((hi - x0) / h) - math.asinh((lo - x0) / h)
 
 
 def axis_is_qh_geodesic(d: DomainDescriptor) -> bool:
@@ -69,7 +59,7 @@ def axis_is_qh_geodesic(d: DomainDescriptor) -> bool:
     return isinstance(d, RectangleChain)
 
 
-def _slit_pieces(d: SlitPlane, x1: float, x2: float) -> list[_Piece]:
+def _slit_pieces(d: SlitPlane, x1: float, x2: float) -> list[float]:
     cuts = {x1, x2}
     slits = d.slits
     for a, b in slits:
@@ -97,10 +87,7 @@ def _slit_pieces(d: SlitPlane, x1: float, x2: float) -> list[_Piece]:
         mid = 0.5 * (lo + hi)
         best_k = min(range(len(slits)), key=lambda k: _one_slit_dist(slits[k], mid))
         a, b = slits[best_k]
-        if mid <= a:
-            pieces.append(_Piece(lo, hi, b, None))
-        else:
-            pieces.append(_Piece(lo, hi, None, (a, b)))
+        pieces.append(_stretch(lo, hi, b, None if mid <= a else a))
     return pieces
 
 
@@ -109,34 +96,34 @@ def _one_slit_dist(slit, x: float) -> float:
     return b if x <= a else math.hypot(x - a, b)
 
 
-def _chain_pieces(d: RectangleChain, x1: float, x2: float) -> list[_Piece]:
+def _chain_pieces(d: RectangleChain, x1: float, x2: float) -> list[float]:
     if x2 > stage_abscissa(d.n_max):
         raise DomainError(
             f"axis segment reaches beyond the truncation Re z <= t_{d.n_max} = {stage_abscissa(d.n_max)}"
         )
-    pieces: list[_Piece] = []
+    pieces: list[float] = []
 
-    def clip(lo: float, hi: float, const=None, corner=None):
+    def clip(lo: float, hi: float, h: float, x0: float | None = None):
         lo, hi = max(lo, x1), min(hi, x2)
         if hi > lo:
-            pieces.append(_Piece(lo, hi, const, corner))
+            pieces.append(_stretch(lo, hi, h, x0))
 
-    clip(min(x1, stage_abscissa(0)), stage_abscissa(0), const=1.0)
+    clip(min(x1, stage_abscissa(0)), stage_abscissa(0), 1.0)
     for n in range(1, d.n_max + 1):
         t_prev, t_n = stage_abscissa(n - 1), stage_abscissa(n)
         h_prev, h_n = stage_height(n - 1), stage_height(n)
         crossover = t_prev + math.sqrt(h_n * h_n - h_prev * h_prev)
-        clip(t_prev, crossover, corner=(t_prev, h_prev))
-        clip(crossover, t_n, const=h_n)
+        clip(t_prev, crossover, h_prev, t_prev)
+        clip(crossover, t_n, h_n)
     return pieces
 
 
-def _axis_pieces(d: DomainDescriptor, x1: float, x2: float) -> list[_Piece]:
+def _axis_pieces(d: DomainDescriptor, x1: float, x2: float) -> list[float]:
     if isinstance(d, (HalfPlaneDom, StripDom)):
         lo, hi = _band(d)
         if not lo < 0.0 < hi:
             raise DomainError("the real axis is not inside this half-plane")
-        return [_Piece(x1, x2, min(-lo, hi), None)]
+        return [_stretch(x1, x2, min(-lo, hi))]
     if isinstance(d, SlitPlane):
         return _slit_pieces(d, x1, x2)
     if isinstance(d, RectangleChain):
@@ -153,7 +140,7 @@ def quasihyperbolic_axis(d: DomainDescriptor, x1: float, x2: float) -> float:
     if x1 == x2:
         return 0.0
     lo, hi = (x1, x2) if x1 < x2 else (x2, x1)
-    return sum(p.integral() for p in _axis_pieces(d, lo, hi))
+    return sum(_axis_pieces(d, lo, hi))
 
 
 def rho_bounds(d: DomainDescriptor, x1: float, x2: float) -> RhoBounds:

@@ -46,8 +46,3 @@ def stream_uniforms(keys: np.ndarray, step) -> np.ndarray:
 def sample_uniforms(seed: int, sample_indices, step: int) -> np.ndarray:
     """Uniform [0, 1) draw for each sample index at the given step counter."""
     return stream_uniforms(sample_streams(seed, sample_indices), step)
-
-
-def uniform_at(seed: int, index: int, step: int) -> float:
-    """Scalar convenience wrapper around sample_uniforms."""
-    return float(sample_uniforms(seed, np.asarray([index], dtype=np.uint64), step)[0])

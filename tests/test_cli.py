@@ -291,6 +291,10 @@ def test_main_exit_codes(tmp_path):
         # the streams read 64 bits of the seed: 2^64 + 1 ran as 1, -1 as 2^64 - 1
         ("dist", {"seed": 2**64 + 1}),
         ("dist", {"seed": -1}),
+        # a boolean read as 1 or 0: a violation_slack of true ran with slack 1.0 and printed PASS
+        ("thm1", {"domain": strip, "t_grid": grid, "tolerances": {"violation_slack": True}}),
+        ("dist", {"seed": True}),
+        ("thm2", {"thresholds": {"min_dip": False}}),
     ):
         with pytest.raises(ConfigError):
             parse_config(dict(bad, experiment=experiment))

@@ -7,7 +7,6 @@ import numpy as np
 import pytest
 
 from hypspeeds.conformal import (
-    axis_distance,
     build_koenigs,
     domain_distance,
     map_forward,
@@ -196,19 +195,10 @@ def test_half_plane_distance_matches_arc_quadrature():
         assert domain_distance(k, complex(x1), complex(x2)) == pytest.approx(ref, abs=1e-8)
 
 
-def test_axis_distance_matches_domain_distance():
-    for dom in (StripDom(-1.0, 1.0), StripDom(-0.5, 2.0), HalfPlaneDom(-1.0, "above"), SlitPlane(((0.0, 1.0),))):
-        k = build_koenigs(dom)
-        for x1, x2 in ((0.0, 1.0), (0.5, 4.0)):
-            assert axis_distance(k, x1, x2) == pytest.approx(
-                domain_distance(k, complex(x1), complex(x2)), abs=1e-9
-            )
-
-
 def test_axis_distance_strip_large_t_linear_growth():
     k = build_koenigs(StripDom(-1.0, 1.0))
-    v1 = axis_distance(k, 0.0, 400.0)
-    v2 = axis_distance(k, 0.0, 800.0)
+    v1 = domain_distance(k, 0j, complex(400.0))
+    v2 = domain_distance(k, 0j, complex(800.0))
     assert v2 - 2.0 * v1 == pytest.approx(0.0, abs=1e-9)
 
 
@@ -230,7 +220,7 @@ def test_quasihyperbolic_sandwich_symmetric_strip():
     for _ in range(50):
         x1 = rng.uniform(-3.0, 3.0)
         x2 = x1 + rng.uniform(0.1, 5.0)
-        rho = axis_distance(k, x1, x2)
+        rho = domain_distance(k, complex(x1), complex(x2))
         bounds = rho_bounds(d, x1, x2)
         assert bounds.lower - 1e-12 <= rho <= bounds.upper + 1e-12
 
@@ -239,7 +229,7 @@ def test_quasihyperbolic_upper_bound_half_plane_and_slit():
     for dom in (HalfPlaneDom(-1.0, "above"), SlitPlane(((0.0, 1.0),))):
         k = build_koenigs(dom)
         for x1, x2 in ((0.0, 2.0), (1.0, 30.0)):
-            rho = axis_distance(k, x1, x2)
+            rho = domain_distance(k, complex(x1), complex(x2))
             assert rho <= rho_bounds(dom, x1, x2).upper + 1e-12
 
 

@@ -13,7 +13,6 @@ from hypspeeds.domains import (
     contains,
     dist_to_boundary,
     includes,
-    rectangle_chain,
     slit_plane,
     stage_abscissa,
     stage_height,
@@ -53,10 +52,10 @@ def test_half_plane_side_validation():
 
 def test_rectangle_chain_range():
     with pytest.raises(ConstructionError):
-        rectangle_chain(0)
+        RectangleChain(0)
     with pytest.raises(ConstructionError):
-        rectangle_chain(7)
-    assert rectangle_chain(3).n_max == 3
+        RectangleChain(7)
+    assert RectangleChain(3).n_max == 3
 
 
 def test_slit_plane_validation():

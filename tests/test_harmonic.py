@@ -163,6 +163,20 @@ def test_walk_rejects_non_positive_max_steps():
             semidisk_bisection_check(0.5, 100, seed=1, max_steps=max_steps)
 
 
+def test_non_positive_sample_count_rejected():
+    # n = 0 divided by zero in semidisk_bisection_check, and a negative n
+    # reached np.full in the walk
+    for n in (0, -3):
+        for estimate in (
+            lambda: mc_first_hit([0.5 + 0j, 1.0 + 0j], 0j, n, seed=1),
+            lambda: mc_first_hit([], 0j, n, seed=1),
+            lambda: semidisk_bisection_check(0.5, n, seed=1),
+            lambda: mc_disk_arc(0j, ArcOnCircle(0.0, 1.0), n, seed=1),
+        ):
+            with pytest.raises(ParameterError, match="need n > 0 samples"):
+                estimate()
+
+
 def _slit_tail(t):
     return discretize_orbit_tail(make_model(SlitPlane(((0.0, 1.0),))), t)
 

@@ -11,7 +11,6 @@ from hypspeeds.conformal import build_koenigs, pullback_density
 from hypspeeds.domains import SlitPlane
 from hypspeeds.errors import ConstructionError, DomainError, NumericError
 from hypspeeds.hyperbolic import (
-    AT_INFINITY,
     CAYLEY,
     Diameter,
     Disk,
@@ -22,12 +21,10 @@ from hypspeeds.hyperbolic import (
     UPPER_HALF_PLANE,
     apply_mobius,
     density_of,
-    disk_automorphism,
     disk_distance,
     foot_on_diameter,
     geodesic_through,
     integrate_density_along,
-    is_at_infinity,
     perpendicular_geodesic,
     project_to_geodesic,
     region_density,
@@ -109,7 +106,8 @@ def test_moebius_invariance_sampled():
     anchors = random_disk_points(rng, 1000, rmax=0.8)
     angs = 2.0 * math.pi * rng.random(1000)
     for z, w, a, t in zip(zs, ws, anchors, angs):
-        m = disk_automorphism(a, cmath.exp(1j * t))
+        a, rot = complex(a), cmath.exp(1j * t)
+        m = MoebiusMap(rot, a, a.conjugate() * rot, 1.0)  # the automorphism sending 0 to a
         d0 = disk_distance(z, w)
         d1 = disk_distance(apply_mobius(m, z), apply_mobius(m, w))
         assert abs(d0 - d1) <= 1e-12
@@ -122,6 +120,8 @@ def test_boundary_points_rejected():
         disk_distance(0j, complex(1.0 - 1e-13, 0.0))
     with pytest.raises(DomainError):
         disk_distance(1.5 + 0j, 0j)
+    with pytest.raises(DomainError):
+        disk_distance(complex(math.nan, 0.0), 0j)
 
 
 # ---------------------------------------------------------------------------
@@ -132,8 +132,10 @@ def test_apply_mobius_identity_and_cayley():
     ident = MoebiusMap(1, 0, 0, 1)
     assert apply_mobius(ident, 0.3 + 0.4j) == 0.3 + 0.4j
     assert apply_mobius(CAYLEY, 0j) == 1.0 + 0j
-    assert is_at_infinity(apply_mobius(CAYLEY, 1.0 + 0j))
-    assert apply_mobius(CAYLEY, AT_INFINITY) == -1.0 + 0j
+    # the pole and non-finite points have no finite image
+    for z in (1.0 + 0j, complex(math.inf, 0.0), complex(math.inf, math.inf), complex(math.nan, 0.0)):
+        with pytest.raises(DomainError):
+            apply_mobius(CAYLEY, z)
 
 
 def test_isometry_of_specific_automorphism():
@@ -150,10 +152,10 @@ def test_degenerate_moebius_rejected():
         MoebiusMap(1.0, 2.0, 2.0, 4.0)
 
 
-def test_moebius_compose_and_inverse():
+def test_moebius_inverse_round_trip():
     m = MoebiusMap(2.0, 1j, 0.5, 1.0)
     z = 0.1 - 0.2j
-    assert apply_mobius(m.compose(m.inverse()), z) == pytest.approx(z, abs=1e-14)
+    assert apply_mobius(m.inverse(), apply_mobius(m, z)) == pytest.approx(z, abs=1e-14)
 
 
 # ---------------------------------------------------------------------------

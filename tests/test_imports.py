@@ -1,6 +1,8 @@
-"""Cold start: the analytic experiments run without numpy or scipy, and the
-Monte Carlo names still import from the package root."""
+"""Imports: the analytic experiments start without numpy or scipy, the
+Monte Carlo names still import from the package root, and no module keeps
+an import it never uses."""
 
+import ast
 import json
 import os
 import subprocess
@@ -71,3 +73,34 @@ def test_unknown_package_attribute_raises():
         hypspeeds.no_such_name
     with pytest.raises(ImportError):
         from hypspeeds import no_such_name  # noqa: F401
+
+
+def test_every_lazy_name_resolves_to_the_harmonic_object():
+    from hypspeeds import harmonic
+
+    for name in sorted(hypspeeds._HARMONIC_NAMES):
+        assert getattr(hypspeeds, name) is getattr(harmonic, name), name
+
+
+def _unused_imports(source: str) -> list[str]:
+    """Names a module imports but never reads (``from __future__`` aside)."""
+    tree = ast.parse(source)
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                imported[alias.asname or alias.name] = node.lineno
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return [f"{name} (line {line})" for name, line in sorted(imported.items()) if name not in used]
+
+
+def test_unused_import_is_detected():
+    assert _unused_imports("import math\nfrom os import path, sep\nprint(path)\n") == ["math (line 1)", "sep (line 2)"]
+
+
+@pytest.mark.parametrize("path", sorted(p.name for p in (SRC / "hypspeeds").glob("*.py") if p.name != "__init__.py"))
+def test_module_uses_every_import(path):
+    assert _unused_imports((SRC / "hypspeeds" / path).read_text(encoding="utf-8")) == []

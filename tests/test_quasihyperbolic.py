@@ -155,7 +155,7 @@ def test_growth_table_range_validation():
 
 def test_bounds_bracket_strip_distance():
     # rho is exactly computable for the strip; check Q/4 <= rho <= Q
-    from hypspeeds.conformal import axis_distance, build_koenigs
+    from hypspeeds.conformal import build_koenigs, domain_distance
 
     d = StripDom(-1.5, 1.5)
     k = build_koenigs(d)
@@ -163,7 +163,7 @@ def test_bounds_bracket_strip_distance():
     for _ in range(50):
         x1 = rng.uniform(-4.0, 4.0)
         x2 = x1 + rng.uniform(0.2, 6.0)
-        rho = axis_distance(k, x1, x2)
+        rho = domain_distance(k, complex(x1), complex(x2))
         b = rho_bounds(d, x1, x2)
         assert b.lower - 1e-12 <= rho <= b.upper + 1e-12
 
@@ -171,7 +171,7 @@ def test_bounds_bracket_strip_distance():
 def test_bounds_bracket_half_plane_moderate_separation():
     # the segment integral approximates the infimum only locally for the
     # half-plane; the bracket is checked at moderate separations
-    from hypspeeds.conformal import axis_distance, build_koenigs
+    from hypspeeds.conformal import build_koenigs, domain_distance
 
     d = HalfPlaneDom(-1.0, "above")
     k = build_koenigs(d)
@@ -179,6 +179,6 @@ def test_bounds_bracket_half_plane_moderate_separation():
     for _ in range(50):
         x1 = rng.uniform(-3.0, 3.0)
         x2 = x1 + rng.uniform(0.2, 6.0)
-        rho = axis_distance(k, x1, x2)
+        rho = domain_distance(k, complex(x1), complex(x2))
         b = rho_bounds(d, x1, x2)
         assert b.lower - 1e-12 <= rho <= b.upper + 1e-12

@@ -2,7 +2,7 @@
 
 import numpy as np
 
-from hypspeeds.seeding import sample_streams, sample_uniforms, stream_uniforms, uniform_at
+from hypspeeds.seeding import sample_streams, sample_uniforms, stream_uniforms
 
 
 def test_uniforms_in_unit_interval():
@@ -25,11 +25,6 @@ def test_partition_invariance():
     whole = sample_uniforms(9, idx, 3)
     parts = np.concatenate([sample_uniforms(9, idx[:333], 3), sample_uniforms(9, idx[333:], 3)])
     assert np.array_equal(whole, parts)
-
-
-def test_scalar_matches_vector():
-    vec = sample_uniforms(42, np.arange(5, dtype=np.uint64), 2)
-    assert [uniform_at(42, i, 2) for i in range(5)] == list(vec)
 
 
 def _splitmix_reference(seed, index, step):
