@@ -38,7 +38,15 @@ from .hyperbolic import (
     region_distance,
 )
 from .quasihyperbolic import quasihyperbolic_axis, stage_ratio, theorem3_table
-from .semigroup import dip_search, make_model, monotonicity_scan, slit_inequality_on_K, speeds, theorem4_scan
+from .semigroup import (
+    dip_search,
+    make_model,
+    monotonicity_scan,
+    scan_values,
+    slit_inequality_on_K,
+    speeds,
+    theorem4_scan,
+)
 
 LOG2 = math.log(2.0)
 
@@ -264,15 +272,13 @@ def _emit_speeds(samples, path: Path) -> None:
 
 
 def _run_dist(cfg: ExperimentConfig, out_dir: Path) -> RunReport:
-    import numpy as np
-
     from .seeding import sample_uniforms
 
     seed = cfg.seed
     rows = []
     worst_pair = 0.0
     cayley_inv = CAYLEY.inverse()
-    u = sample_uniforms(seed, np.arange(400, dtype=np.uint64), 0)
+    u = [sample_uniforms(seed, i, 0) for i in range(400)]
     for i in range(100):
         w1 = complex(0.05 + 6.0 * u[4 * i], -6.0 + 12.0 * u[4 * i + 1])
         w2 = complex(0.05 + 6.0 * u[4 * i + 2], -6.0 + 12.0 * u[4 * i + 3])
@@ -282,7 +288,7 @@ def _run_dist(cfg: ExperimentConfig, out_dir: Path) -> RunReport:
         worst_pair = max(worst_pair, err)
         rows.append(("halfplane_vs_pullback", w1.real, w1.imag, w2.real, w2.imag, val, ref, err))
     worst_quad = 0.0
-    v = sample_uniforms(seed, np.arange(60, dtype=np.uint64), 1)
+    v = [sample_uniforms(seed, i, 1) for i in range(60)]
     lam = density_of(UNIT_DISK)
     for i in range(20):
         ang = 2.0 * math.pi * v[3 * i]
@@ -314,14 +320,15 @@ def _run_thm1(cfg: ExperimentConfig, out_dir: Path) -> RunReport:
     model = make_model(cfg.domain)
     grid = cfg.t_grid.values()
     slack = cfg.violation_slack
+    samples = [speeds(model, t) for t in grid]
     scans = {
-        "orthogonal": monotonicity_scan(model, grid, "orthogonal", slack=slack),
-        "foot": monotonicity_scan(model, grid, "foot", slack=slack),
+        "orthogonal": scan_values("orthogonal", grid, [s.v_o for s in samples], slack),
+        "foot": scan_values("foot", grid, [s.pi_t for s in samples], slack),
     }
     for z in cfg.base_points:
         label = f"generalized@{z.real:g}{z.imag:+g}j"
         scans[label] = monotonicity_scan(model, grid, "generalized", base_point=z, slack=slack)
-    _emit_speeds([speeds(model, t) for t in grid], out_dir / "thm1.csv")
+    _emit_speeds(samples, out_dir / "thm1.csv")
     violations = {name: len(rep.violations) for name, rep in scans.items()}
     passed = all(v == 0 for v in violations.values())
     return RunReport("thm1", passed, {"violations": violations}, _provenance(cfg))
@@ -333,13 +340,15 @@ def _run_thm2(cfg: ExperimentConfig, out_dir: Path) -> RunReport:
     dip = dip_search(cfg.dip_R, a0_grid)
     etas = [slit_inequality_on_K(R, cfg.k_samples) for R in cfg.k_radii]
     emit_csv(dip.curve, ["a0", "delta"], out_dir / "thm2.csv")
-    passed = dip.dip >= cfg.min_dip and all(e.min_gap > 0.0 for e in etas)
     summary = {
         "best_a0": dip.a0,
         "dip": dip.dip,
         "min_dip_required": cfg.min_dip,
         "eta_by_R": {str(e.R): e.min_gap for e in etas},
+        "dip_margin": dip.dip - cfg.min_dip,
+        "eta_margin": min(e.min_gap for e in etas),
     }
+    passed = summary["dip_margin"] >= 0.0 and summary["eta_margin"] > 0.0
     return RunReport("thm2", passed, summary, _provenance(cfg))
 
 
@@ -383,14 +392,15 @@ def _run_thm4(cfg: ExperimentConfig, out_dir: Path) -> RunReport:
         ["t", "v_o", "v_o_tilde", "diff", "ratio"],
         out_dir / "thm4.csv",
     )
-    diff_ok = report.tail_min_diff >= -LOG2 - cfg.diff_slack
-    ratio_ok = report.tail_min_ratio >= 0.25 - cfg.ratio_slack
     summary = {
         "tail_min_diff": report.tail_min_diff,
         "tail_min_ratio": report.tail_min_ratio,
         "bound": -LOG2,
+        "diff_margin": report.tail_min_diff + LOG2 + cfg.diff_slack,
+        "ratio_margin": report.tail_min_ratio - 0.25 + cfg.ratio_slack,
     }
-    return RunReport("thm4", diff_ok and ratio_ok, summary, _provenance(cfg))
+    passed = summary["diff_margin"] >= 0.0 and summary["ratio_margin"] >= 0.0
+    return RunReport("thm4", passed, summary, _provenance(cfg))
 
 
 def _run_hm(cfg: ExperimentConfig, out_dir: Path) -> RunReport:

@@ -179,8 +179,14 @@ def monotonicity_scan(
         if picker is None:
             raise ParameterError(f"unknown scan quantity {quantity!r}")
         values = [picker(speeds(m, t)) for t in grid]
-    report = ScanReport(quantity=quantity, t_grid=grid, values=values)
-    for (t0, v0), (t1, v1) in zip(zip(grid[:-1], values[:-1]), zip(grid[1:], values[1:])):
+    return scan_values(quantity, grid, values, slack)
+
+
+def scan_values(quantity: str, t_grid: list[float], values: list[float], slack: float) -> ScanReport:
+    """The scan of values already taken on an increasing t_grid: flag adjacent
+    pairs where the value drops by more than `slack`."""
+    report = ScanReport(quantity=quantity, t_grid=t_grid, values=values)
+    for (t0, v0), (t1, v1) in zip(zip(t_grid[:-1], values[:-1]), zip(t_grid[1:], values[1:])):
         delta = v1 - v0
         if delta <= -slack:
             report.violations.append(ScanViolation(t0, t1, delta))

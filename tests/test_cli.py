@@ -172,6 +172,26 @@ def test_thm1_run_passes(tmp_path):
     assert payload["provenance"]["version"]
 
 
+def test_thm1_takes_speeds_once_per_grid_point(tmp_path, monkeypatch):
+    # both origin-orbit scans and thm1.csv read one list of samples
+    import hypspeeds.cli
+    import hypspeeds.semigroup
+
+    calls = []
+    speeds = hypspeeds.semigroup.speeds
+
+    def counted(m, t):
+        calls.append(t)
+        return speeds(m, t)
+
+    monkeypatch.setattr(hypspeeds.cli, "speeds", counted)
+    monkeypatch.setattr(hypspeeds.semigroup, "speeds", counted)
+    data = json.loads((CONFIGS / "thm1_strip.json").read_text(encoding="utf-8"))
+    cfg = parse_config(dict(data, experiment="thm1"))
+    assert run(cfg, tmp_path).passed
+    assert calls == cfg.t_grid.values()
+
+
 def test_thm3_run_table(tmp_path):
     cfg = parse_config({"experiment": "thm3"})
     report = run(cfg, tmp_path)
@@ -325,6 +345,38 @@ def test_thm4_run(tmp_path):
     assert report.passed
     header = (tmp_path / "thm4.csv").read_text().splitlines()[0]
     assert header == "t,v_o,v_o_tilde,diff,ratio"
+
+
+# each shipped thm2 and thm4 config, and changes of it that fail one condition
+MARGIN_RUNS = [
+    ("thm2_dip", {}),
+    ("thm2_dip", {"thresholds": {"min_dip": 10.0}}),
+    ("thm2_dip", {"dip": {"k_radii": [2.0, 100.0]}}),
+    ("thm4_strips", {}),
+    ("thm4_strips", {"thresholds": {"diff_slack": -300.0}}),
+    ("thm4_strips", {"thresholds": {"ratio_slack": -1e174}}),
+]
+
+
+@pytest.mark.parametrize("stem, change", MARGIN_RUNS)
+def test_verdict_is_pass_exactly_when_every_margin_holds(stem, change, tmp_path):
+    experiment = stem.split("_")[0]
+    data = json.loads((CONFIGS / f"{stem}.json").read_text(encoding="utf-8"))
+    for section, values in change.items():
+        data[section] = dict(data[section], **values)
+    report = run(parse_config(dict(data, experiment=experiment)), tmp_path)
+    summary = report.summary
+    if experiment == "thm2":
+        assert summary["dip_margin"] == summary["dip"] - summary["min_dip_required"]
+        assert summary["eta_margin"] == min(summary["eta_by_R"].values())
+        holds = summary["dip_margin"] >= 0.0 and summary["eta_margin"] > 0.0
+    else:
+        slack = data["thresholds"]
+        assert summary["diff_margin"] == summary["tail_min_diff"] - summary["bound"] + slack["diff_slack"]
+        assert summary["ratio_margin"] == summary["tail_min_ratio"] - 0.25 + slack["ratio_slack"]
+        holds = summary["diff_margin"] >= 0.0 and summary["ratio_margin"] >= 0.0
+    assert report.passed is holds is (change == {})
+    assert json.loads((tmp_path / f"{experiment}_report.json").read_text())["summary"] == summary
 
 
 def test_dist_run(tmp_path):

@@ -1,6 +1,6 @@
-"""Imports: the analytic experiments start without numpy or scipy, the
-Monte Carlo names still import from the package root, and no module keeps
-an import it never uses."""
+"""Imports: every experiment but ``hm`` runs without numpy or scipy, the
+Monte Carlo names still import from the package root, only the walk kernel
+imports numpy, and no module keeps an import it never uses."""
 
 import ast
 import json
@@ -34,23 +34,38 @@ def run_fresh(code: str) -> str:
 LOADED = "print(json.dumps(sorted({m.split('.')[0] for m in sys.modules} & {'numpy', 'scipy'})))"
 
 
-@pytest.mark.parametrize("stem", ["speeds_slit", "thm1_strip", "thm2_dip", "thm3_table", "thm4_strips"])
-def test_analytic_cli_run_loads_neither_numpy_nor_scipy(stem, tmp_path):
+#: The shipped configs whose runs load neither numpy nor scipy: all but hm's.
+NUMPY_FREE_RUNS = ["dist", "speeds_slit", "thm1_slit", "thm1_strip", "thm2_dip", "thm3_table", "thm4_strips"]
+
+
+def run_config_fresh(stem: str, out: Path) -> tuple[list, list]:
+    """The heavy modules loaded after ``import hypspeeds.cli`` and after a
+    shipped config's run, in a fresh interpreter; the run must pass."""
     experiment = stem.split("_")[0]
     config = ROOT / "configs" / f"{stem}.json"
     code = (
         "import json, sys\n"
         "import hypspeeds.cli\n"
         f"{LOADED}\n"
-        f"code = hypspeeds.cli.main([{experiment!r}, '--config', {str(config)!r}, '--out', {str(tmp_path)!r}])\n"
+        f"code = hypspeeds.cli.main([{experiment!r}, '--config', {str(config)!r}, '--out', {str(out)!r}])\n"
         f"{LOADED}\n"
         "print(code)\n"
     )
     lines = run_fresh(code).splitlines()
     assert lines[1] == f"{experiment}: PASS"
-    assert json.loads(lines[0]) == []
-    assert json.loads(lines[2]) == []
     assert lines[3] == "0"
+    return json.loads(lines[0]), json.loads(lines[2])
+
+
+@pytest.mark.parametrize("stem", NUMPY_FREE_RUNS)
+def test_analytic_cli_run_loads_neither_numpy_nor_scipy(stem, tmp_path):
+    assert run_config_fresh(stem, tmp_path) == ([], [])
+
+
+def test_hm_is_the_one_run_that_loads_numpy(tmp_path):
+    shipped = {p.stem for p in (ROOT / "configs").glob("*.json")}
+    assert shipped - set(NUMPY_FREE_RUNS) == {"hm_strip"}
+    assert run_config_fresh("hm_strip", tmp_path) == ([], ["numpy"])
 
 
 def test_monte_carlo_names_load_harmonic_on_first_use():
@@ -104,3 +119,34 @@ def test_unused_import_is_detected():
 @pytest.mark.parametrize("path", sorted(p.name for p in (SRC / "hypspeeds").glob("*.py") if p.name != "__init__.py"))
 def test_module_uses_every_import(path):
     assert _unused_imports((SRC / "hypspeeds" / path).read_text(encoding="utf-8")) == []
+
+
+def _numpy_importers(sources: dict[str, str]) -> list[str]:
+    """The modules, by name, whose source imports numpy or a numpy submodule."""
+    found = []
+    for name, source in sorted(sources.items()):
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                modules = [node.module]
+            else:
+                continue
+            if any(m.split(".")[0] == "numpy" for m in modules):
+                found.append(name)
+                break
+    return found
+
+
+def test_numpy_import_is_detected():
+    sources = {
+        "a.py": "def f():\n    import numpy as np\n",
+        "b.py": "from numpy.linalg import norm\n",
+        "c.py": "import numpyish\nfrom . import numpy\n",
+    }
+    assert _numpy_importers(sources) == ["a.py", "b.py"]
+
+
+def test_only_the_walk_kernel_imports_numpy():
+    sources = {p.name: p.read_text(encoding="utf-8") for p in (SRC / "hypspeeds").glob("*.py")}
+    assert _numpy_importers(sources) == ["harmonic.py"]

@@ -1,6 +1,8 @@
-"""Counter-based uniform streams: range, key sensitivity, partition invariance."""
+"""Counter-based uniform streams: range, key sensitivity, partition invariance,
+and one chain that gives the same bits on Python ints and on uint64 arrays."""
 
 import numpy as np
+import pytest
 
 from hypspeeds.seeding import sample_streams, sample_uniforms, stream_uniforms
 
@@ -67,3 +69,43 @@ def test_per_walk_steps_match_scalar_steps_bitwise():
         scalar = stream_uniforms(keys[k :: len(counters)], step)
         assert u[k :: len(counters)].tobytes() == scalar.tobytes()
         assert _splitmix_reference(seed, int(idx[k]), step) == u[k]
+
+
+SEEDS = (0, 9, 2**63 + 5, 2**64 - 1)
+# at 2^64 - 1 the counter step + 1 wraps to 0
+COUNTERS = (0, 1, 2**32, 2**64 - 1)
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_int_path_matches_array_path_and_reference_bitwise(seed):
+    idx = np.asarray([0, 1, 2, 1000, 2**32, 2**63, 2**64 - 1], dtype=np.uint64)
+    keys = sample_streams(seed, idx)
+    for step in COUNTERS:
+        u = sample_uniforms(seed, idx, step)
+        for k, i in enumerate(idx.tolist()):
+            x = sample_uniforms(seed, i, step)
+            assert type(x) is float
+            assert x == u[k] == _splitmix_reference(seed, i, step)
+            assert sample_streams(seed, i) == int(keys[k])
+            assert stream_uniforms(int(keys[k]), step) == x
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_int_path_matches_per_key_step_arrays_bitwise(seed):
+    idx = np.arange(0, 70, 7, dtype=np.uint64)
+    steps = np.asarray(COUNTERS, dtype=np.uint64)[np.arange(idx.size) % len(COUNTERS)]
+    u = stream_uniforms(sample_streams(seed, idx), steps)
+    for i, step, x in zip(idx.tolist(), steps.tolist(), u.tolist()):
+        assert sample_uniforms(seed, i, step) == x == _splitmix_reference(seed, i, step)
+
+
+def test_array_arguments_are_not_modified():
+    idx = np.arange(50, dtype=np.uint64)
+    steps = np.arange(50, dtype=np.uint64) * np.uint64(3)
+    keys = sample_streams(5, idx)
+    before = (idx.copy(), steps.copy(), keys.copy())
+    sample_uniforms(5, idx, steps)
+    stream_uniforms(keys, steps)
+    stream_uniforms(keys, 7)
+    for array, copy in zip((idx, steps, keys), before):
+        assert array.tobytes() == copy.tobytes()

@@ -19,6 +19,7 @@ from hypspeeds.semigroup import (
     make_model,
     monotonicity_scan,
     orbit,
+    scan_values,
     slit_inequality_on_K,
     speed_difference_identity,
     speeds,
@@ -299,6 +300,16 @@ def test_total_speed_dips_on_far_slit_model():
     report = monotonicity_scan(m, grid, "total")
     assert not report.is_monotone
     assert min(v.delta for v in report.violations) < -0.01
+
+
+def test_scan_of_taken_values_matches_monotonicity_scan():
+    # on the far slit model the total speed dips, so the reports hold violations
+    a0 = 2000.0
+    m = make_model(SlitPlane(((a0, 1.0),)))
+    grid = [a0 - 3.0 + 0.5 * k for k in range(13)]
+    samples = [speeds(m, t) for t in grid]
+    for quantity, values in (("total", [s.v for s in samples]), ("orthogonal", [s.v_o for s in samples])):
+        assert scan_values(quantity, grid, values, 1e-12) == monotonicity_scan(m, grid, quantity)
 
 
 def test_scan_validates_grid_and_quantity():
