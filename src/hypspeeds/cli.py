@@ -50,8 +50,8 @@ from .semigroup import (
 
 LOG2 = math.log(2.0)
 
-#: A time grid, built whole, must span fewer steps than this; the largest
-#: shipped grid spans 1000.
+#: A grid is built whole: a time grid must span fewer steps than this, and
+#: ``dip.a0_count`` may not exceed it.  The largest shipped grid spans 1000.
 MAX_GRID_ROWS = 10**6
 
 
@@ -115,6 +115,21 @@ def _points(value, name: str, least: int = 0) -> list[complex]:
     return [complex(_finite(x, name), _finite(y, name)) for x, y in value]
 
 
+def _base_label(z: complex) -> str:
+    """The name of thm1's scan seeded at z."""
+    return f"generalized@{z.real:g}{z.imag:+g}j"
+
+
+def _base_points(value, name: str) -> list[complex]:
+    """thm1's base points.  Two that print to one label would share one
+    scan entry, and a violation at the first would be overwritten."""
+    points = _points(value, name, least=1)
+    labels = [_base_label(z) for z in points]
+    if len(set(labels)) < len(labels):
+        raise ConfigError(f"{name} must print to distinct labels, got {labels}")
+    return points
+
+
 def _numbers(value, name: str, least: int = 0) -> list[float]:
     if not isinstance(value, list):
         raise ConfigError(f"{name} must be a list of numbers, got {value!r}")
@@ -174,7 +189,7 @@ class ExperimentConfig:
     seed: int | None = _key("seed", partial(_integer, least=0, most=2**64 - 1), None)
     n_samples: int = _key("n_samples", partial(_integer, least=1), 100_000)
     mc_chunk: int = _key("mc_chunk", partial(_integer, least=1), 8192)
-    base_points: list[complex] = _key("base_points", partial(_points, least=1), [0.3 + 0j, -0.4j, 0.2 + 0.5j])
+    base_points: list[complex] = _key("base_points", _base_points, [0.3 + 0j, -0.4j, 0.2 + 0.5j])
     violation_slack: float = _key("tolerances.violation_slack", _finite, 1e-12)
     mc_sigma: float = _key("tolerances.mc_sigma", _finite, 3.0)
     table_n_lo: int = _key("table.n_lo", _integer, 2)
@@ -183,7 +198,7 @@ class ExperimentConfig:
     dip_R: float = _key("dip.R", _finite, 100.0)
     dip_a0_log10_start: float = _key("dip.a0_log10_start", _finite, 3.0)
     dip_a0_log10_stop: float = _key("dip.a0_log10_stop", _finite, 5.0)
-    dip_a0_count: int = _key("dip.a0_count", partial(_integer, least=2), 41)
+    dip_a0_count: int = _key("dip.a0_count", partial(_integer, least=2, most=MAX_GRID_ROWS), 41)
     k_radii: list[float] = _key("dip.k_radii", partial(_numbers, least=1), [10.0, 100.0, 1000.0])
     k_samples: int = _key("dip.k_samples", _integer, 1000)
     projection_ts: list[float] = _key("hm.projection_ts", partial(_numbers, least=1), [1.0, 5.0, 20.0])
@@ -326,8 +341,7 @@ def _run_thm1(cfg: ExperimentConfig, out_dir: Path) -> RunReport:
         "foot": scan_values("foot", grid, [s.pi_t for s in samples], slack),
     }
     for z in cfg.base_points:
-        label = f"generalized@{z.real:g}{z.imag:+g}j"
-        scans[label] = monotonicity_scan(model, grid, "generalized", base_point=z, slack=slack)
+        scans[_base_label(z)] = monotonicity_scan(model, grid, "generalized", base_point=z, slack=slack)
     _emit_speeds(samples, out_dir / "thm1.csv")
     violations = {name: len(rep.violations) for name, rep in scans.items()}
     passed = all(v == 0 for v in violations.values())

@@ -157,17 +157,16 @@ def _chain_contains(d: RectangleChain, x: float, y: float) -> bool:
     raise AssertionError("unreachable")
 
 
-def _ray_distance(x: float, y: float, y_line: float) -> float:
-    """Distance from (x, y) to the leftward ray {Im = y_line, Re <= t_0}."""
-    x_end = stage_abscissa(0)
-    if x <= x_end:
-        return abs(y - y_line)
-    return math.hypot(x - x_end, y - y_line)
+def _ray_distance(x: float, y: float, a: float, c: float) -> float:
+    """Distance from (x, y) to the leftward ray {Re <= a, Im = c}."""
+    if x <= a:
+        return abs(y - c)
+    return math.hypot(x - a, y - c)
 
 
 def _chain_boundary_distance(d: RectangleChain, x: float, y: float) -> float:
-    ay = abs(y)
-    best = min(_ray_distance(x, ay, 1.0), _ray_distance(x, ay, -1.0))
+    ay, t0 = abs(y), stage_abscissa(0)
+    best = min(_ray_distance(x, ay, t0, 1.0), _ray_distance(x, ay, t0, -1.0))
     for x1, y1, x2, y2 in _chain_segments(d.n_max):
         best = min(best, _segment_distance(x, ay, x1, y1, x2, y2))
         best = min(best, _segment_distance(x, ay, x1, -y1, x2, -y2))
@@ -239,13 +238,7 @@ def dist_to_boundary(d: DomainDescriptor, z: complex) -> float:
         lo, hi = _band(d)
         return min(z.imag - lo, hi - z.imag)
     if isinstance(d, SlitPlane):
-        best = math.inf
-        for a, b in d.slits:
-            if z.real <= a:
-                best = min(best, abs(z.imag + b))
-            else:
-                best = min(best, math.hypot(z.real - a, z.imag + b))
-        return best
+        return min(_ray_distance(z.real, z.imag, a, -b) for a, b in d.slits)
     if isinstance(d, RectangleChain):
         return _chain_boundary_distance(d, z.real, z.imag)
     raise ConstructionError(f"unknown descriptor {d!r}")

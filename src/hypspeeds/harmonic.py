@@ -413,16 +413,20 @@ def mc_first_hit(
     count as misses and are reported in ``truncated``.
     """
     verts = np.asarray([complex(v) for v in obstacle], dtype=complex)
+    z0 = complex(z0)
+    if not cmath.isfinite(z0):
+        raise DomainError(f"start point must be finite, got {z0}")
     if eps <= 0.0:
         raise ParameterError("eps must be positive")
     if verts.size == 0:
         return _binomial_estimate(0, n, seed)
     if verts.size == 1:
         raise ParameterError("obstacle must be empty or a polyline with >= 2 vertices")
+    if not np.isfinite(verts).all():
+        raise ParameterError("obstacle vertices must be finite")
     if np.any(np.abs(verts) > 1.0 + 1e-12):
         raise ParameterError("obstacle vertices must lie in the closed unit disk")
     segments = _polyline_segments(_simplify_polyline(verts))
-    z0 = complex(z0)
     start_gap = float(_dist_to_segments(np.asarray([z0]), segments)[0])
     if start_gap <= 10.0 * eps:
         raise ParameterError(f"start point within {start_gap:.2e} of the obstacle; eps={eps} too coarse")

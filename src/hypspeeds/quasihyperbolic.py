@@ -1,12 +1,16 @@
 """Quasihyperbolic distance along the real axis and two-sided metric bounds.
 
-The axis integral int dx / dist(x, boundary) has a piecewise closed form for
-every supported descriptor: the integrand is 1/c on flat stretches and
-1/hypot(x - x0, h) near corners, whose antiderivative is asinh((x - x0)/h).
-For conjugation-symmetric domains the real axis is a geodesic and the
-segment integral equals the quasihyperbolic distance; otherwise it is an
-upper bound for it.  Either way rho <= Q <= segment integral, which is what
-the bound consumers rely on.
+Along the real axis, the boundary distance of every supported domain is the
+least distance to a few leftward rays {Re z <= a, Im z = -b} or their mirror
+images (_axis_rays): one ray without a corner (a = inf) for a half-plane or
+strip, the slits of a slit plane, and the stage rays (t_n, h_n) of the
+staircase.  A ray is b away left of its corner and hypot(x - a, b) past it,
+so the axis integral int dx / dist(x, boundary) has a closed form piece by
+piece: (hi - lo)/b on flat stretches and a difference of asinh((x - a)/b)
+past a corner.  For conjugation-symmetric domains the real axis is a
+geodesic and the segment integral equals the quasihyperbolic distance;
+otherwise it is an upper bound for it.  Either way rho <= Q <= segment
+integral, which is what the bound consumers rely on.
 
 Staircase-domain stage powers and ratios are computed in log2 space so the
 largest table entries (junction abscissa 2^64) stay exact.
@@ -24,6 +28,7 @@ from .domains import (
     SlitPlane,
     StripDom,
     _band,
+    _ray_distance,
     stage_abscissa,
     stage_exponent,
     stage_height,
@@ -59,76 +64,47 @@ def axis_is_qh_geodesic(d: DomainDescriptor) -> bool:
     return isinstance(d, RectangleChain)
 
 
-def _slit_pieces(d: SlitPlane, x1: float, x2: float) -> list[float]:
-    cuts = {x1, x2}
-    slits = d.slits
-    for a, b in slits:
-        if x1 < a < x2:
-            cuts.add(a)
-    for j in range(len(slits)):
-        aj, bj = slits[j]
-        for k in range(len(slits)):
-            if j == k:
-                continue
-            ak, bk = slits[k]
-            # flat stretch of slit k meeting the corner arc of slit j
-            if bk > bj:
-                x = aj + math.sqrt(bk * bk - bj * bj)
-                if x1 < x < x2:
-                    cuts.add(x)
-            # two corner arcs meeting
-            if aj != ak:
-                x = (aj * aj + bj * bj - ak * ak - bk * bk) / (2.0 * (aj - ak))
-                if x1 < x < x2:
-                    cuts.add(x)
-    xs = sorted(cuts)
-    pieces = []
-    for lo, hi in zip(xs[:-1], xs[1:]):
-        mid = 0.5 * (lo + hi)
-        best_k = min(range(len(slits)), key=lambda k: _one_slit_dist(slits[k], mid))
-        a, b = slits[best_k]
-        pieces.append(_stretch(lo, hi, b, None if mid <= a else a))
-    return pieces
-
-
-def _one_slit_dist(slit, x: float) -> float:
-    a, b = slit
-    return b if x <= a else math.hypot(x - a, b)
-
-
-def _chain_pieces(d: RectangleChain, x1: float, x2: float) -> list[float]:
-    if x2 > stage_abscissa(d.n_max):
-        raise DomainError(
-            f"axis segment reaches beyond the truncation Re z <= t_{d.n_max} = {stage_abscissa(d.n_max)}"
-        )
-    pieces: list[float] = []
-
-    def clip(lo: float, hi: float, h: float, x0: float | None = None):
-        lo, hi = max(lo, x1), min(hi, x2)
-        if hi > lo:
-            pieces.append(_stretch(lo, hi, h, x0))
-
-    clip(min(x1, stage_abscissa(0)), stage_abscissa(0), 1.0)
-    for n in range(1, d.n_max + 1):
-        t_prev, t_n = stage_abscissa(n - 1), stage_abscissa(n)
-        h_prev, h_n = stage_height(n - 1), stage_height(n)
-        crossover = t_prev + math.sqrt(h_n * h_n - h_prev * h_prev)
-        clip(t_prev, crossover, h_prev, t_prev)
-        clip(crossover, t_n, h_n)
-    return pieces
-
-
-def _axis_pieces(d: DomainDescriptor, x1: float, x2: float) -> list[float]:
+def _axis_rays(d: DomainDescriptor) -> list[tuple[float, float]]:
+    """The rays (a, b) whose least distance from each axis point is its
+    boundary distance.  Left of t_{n_max} the staircase's complement is the
+    union of {Re z <= t_n, |Im z| >= h_n}, so its rays are (t_n, h_n)."""
     if isinstance(d, (HalfPlaneDom, StripDom)):
         lo, hi = _band(d)
         if not lo < 0.0 < hi:
             raise DomainError("the real axis is not inside this half-plane")
-        return [_stretch(x1, x2, min(-lo, hi))]
+        return [(math.inf, min(-lo, hi))]
     if isinstance(d, SlitPlane):
-        return _slit_pieces(d, x1, x2)
+        return list(d.slits)
     if isinstance(d, RectangleChain):
-        return _chain_pieces(d, x1, x2)
+        return [(stage_abscissa(n), stage_height(n)) for n in range(d.n_max + 1)]
     raise ConstructionError(f"unknown descriptor {d!r}")
+
+
+def _ray_pieces(rays: list[tuple[float, float]], x1: float, x2: float) -> list[float]:
+    """int_{x1}^{x2} dx / (distance to the nearest ray), one piece per
+    stretch where one ray is nearest, flat (x <= a) or past its corner.
+
+    The nearest ray can change only at a corner a_j or where the corner arc
+    of ray j meets the flat stretch of ray k, at a_j + sqrt(b_k^2 - b_j^2).
+    Two corner arcs never meet: for slits ordered by a_j + b_j < a_k - b_k,
+    past a_k, hypot(x - a_j, b_j) >= x - a_j > (x - a_k) + b_j + b_k >=
+    hypot(x - a_k, b_k).  The staircase meets the same bound for k >= 2, and
+    its stages 0 and 1 give hypot(x - 2, 1)^2 - hypot(x - 4, 2)^2 = 4x - 15 > 0
+    on x > 4.
+    """
+    cuts = {x1, x2, *(a for a, _ in rays)}
+    cuts |= {aj + math.sqrt(bk * bk - bj * bj) for aj, bj in rays for _, bk in rays if bk > bj}
+    xs = sorted(x for x in cuts if x1 <= x <= x2)
+    stretches = []  # [lo, hi, (nearest ray, past its corner)]
+    for lo, hi in zip(xs[:-1], xs[1:]):
+        mid = 0.5 * (lo + hi)
+        ray = min(rays, key=lambda r: _ray_distance(mid, 0.0, r[0], -r[1]))
+        key = (ray, mid > ray[0])
+        if stretches and stretches[-1][2] == key:
+            stretches[-1][1] = hi  # a cut that changes no ray must not split an asinh difference
+        else:
+            stretches.append([lo, hi, key])
+    return [_stretch(lo, hi, b, a if corner else None) for lo, hi, ((a, b), corner) in stretches]
 
 
 def quasihyperbolic_axis(d: DomainDescriptor, x1: float, x2: float) -> float:
@@ -137,10 +113,16 @@ def quasihyperbolic_axis(d: DomainDescriptor, x1: float, x2: float) -> float:
     Equals the quasihyperbolic distance when the axis is a geodesic
     (axis_is_qh_geodesic); otherwise upper-bounds it.
     """
+    if not (math.isfinite(x1) and math.isfinite(x2)):
+        raise DomainError(f"axis endpoints must be finite, got ({x1}, {x2})")
     if x1 == x2:
         return 0.0
     lo, hi = (x1, x2) if x1 < x2 else (x2, x1)
-    return sum(_axis_pieces(d, lo, hi))
+    if isinstance(d, RectangleChain) and hi > stage_abscissa(d.n_max):
+        raise DomainError(
+            f"axis segment reaches beyond the truncation Re z <= t_{d.n_max} = {stage_abscissa(d.n_max)}"
+        )
+    return sum(_ray_pieces(_axis_rays(d), lo, hi))
 
 
 def rho_bounds(d: DomainDescriptor, x1: float, x2: float) -> RhoBounds:

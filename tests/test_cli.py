@@ -192,6 +192,32 @@ def test_thm1_takes_speeds_once_per_grid_point(tmp_path, monkeypatch):
     assert calls == cfg.t_grid.values()
 
 
+def test_thm1_labels_each_base_point(tmp_path):
+    # the shipped configs' base points keep their labels
+    data = json.loads((CONFIGS / "thm1_slit.json").read_text(encoding="utf-8"))
+    cfg = parse_config(dict(data, experiment="thm1", t_grid={"start": 0.0, "stop": 1.0, "step": 0.5}))
+    labels = list(run(cfg, tmp_path).summary["violations"])
+    assert labels == ["orthogonal", "foot", "generalized@0.3+0j", "generalized@0-0.4j", "generalized@0.2+0.5j"]
+
+
+# the shipped thm3 report's stage ratios, to the last bit; thm3.csv prints
+# 12 digits and cannot see a change in the last
+PINNED_STAGE_RATIOS = {
+    "2": 0.7654219832844824,
+    "3": 1.0342349895688558,
+    "4": 0.9964982628117366,
+    "5": 1.0000928759338548,
+    "6": 0.9999999997676532,
+}
+
+
+def test_thm3_report_stage_ratios_are_pinned(tmp_path):
+    data = json.loads((CONFIGS / "thm3_table.json").read_text(encoding="utf-8"))
+    assert run(parse_config(dict(data, experiment="thm3")), tmp_path).passed
+    payload = json.loads((tmp_path / "thm3_report.json").read_text(encoding="utf-8"))
+    assert payload["summary"]["stage_ratios"] == PINNED_STAGE_RATIOS
+
+
 def test_thm3_run_table(tmp_path):
     cfg = parse_config({"experiment": "thm3"})
     report = run(cfg, tmp_path)
@@ -298,6 +324,10 @@ def test_main_exit_codes(tmp_path):
         ("dist", {"seed": None}),
         # a fraction where an integer belongs was truncated: 2.5 abscissae ran 2
         ("thm2", {"dip": {"a0_count": 2.5}}),
+        # the dip abscissae are built whole, like a time grid
+        ("thm2", {"dip": {"a0_count": MAX_GRID_ROWS + 1}}),
+        # two base points printing to one label shared one scan entry
+        ("thm1", {"domain": strip, "t_grid": grid, "base_points": [[0.1234567, 0], [0.1234568, 0], [0.2, 0.5]]}),
         ("thm3", {"table": {"n_lo": 2.9}}),
         # a string where a number belongs
         ("dist", {"seed": "31"}),

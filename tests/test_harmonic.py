@@ -154,6 +154,18 @@ def test_mc_first_hit_parameter_errors():
         mc_first_hit([1.5, 2.0], 0j, 100, seed=1)  # outside the disk
 
 
+def test_mc_first_hit_rejects_non_finite_input():
+    # a NaN start returned 0.0 with every walk truncated; a NaN vertex was
+    # reported as an obstacle of zero length
+    for z0 in (complex(math.nan, 0.0), complex(0.0, math.inf)):
+        for obstacle in ([], [0.5, 1.0]):
+            with pytest.raises(DomainError):
+                mc_first_hit(obstacle, z0, 100, seed=1)
+    for bad in (complex(math.nan, 0.0), complex(math.inf, 0.0), complex(0.5, -math.inf)):
+        with pytest.raises(ParameterError, match="finite"):
+            mc_first_hit([0.5, bad, 1.0], 0j, 100, seed=1)
+
+
 def test_walk_rejects_non_positive_max_steps():
     # a walk of no steps absorbs nothing and would report 0 +- 0
     for max_steps in (0, -3):

@@ -101,6 +101,68 @@ def test_multi_slit_vs_adaptive_quadrature():
     assert quasihyperbolic_axis(d, -3.0, 12.0) == pytest.approx(ref, abs=1e-8)
 
 
+def test_band_integrals_are_exact():
+    # a half-plane or strip is one ray without a corner: one flat stretch
+    for d, b in ((HalfPlaneDom(2.0, "below"), 2.0), (StripDom(-3.0, 0.5), 0.5)):
+        for x1, x2 in ((0.0, 7.0), (-3.25, 11.5), (1e6, -2.5e5), (-1e-9, 3e-9)):
+            lo, hi = min(x1, x2), max(x1, x2)
+            assert quasihyperbolic_axis(d, x1, x2) == (hi - lo) / b
+
+
+def test_chain_corner_stretches_are_exact():
+    # from t_{n-1} to the crossover the corner of stage n - 1 is nearest: each
+    # part of that stretch is one asinh difference, whatever other rays' cuts
+    # fall inside (stages 2, 3 and 5 hold such cuts)
+    d = RectangleChain(6)
+    for n in range(1, 7):
+        t_prev, h_prev, h_n = stage_abscissa(n - 1), stage_height(n - 1), stage_height(n)
+        crossover = t_prev + math.sqrt(h_n * h_n - h_prev * h_prev)
+        assert quasihyperbolic_axis(d, t_prev, crossover) == math.asinh((crossover - t_prev) / h_prev)
+        parts = [t_prev + f * (crossover - t_prev) for f in (0.0, 0.01, 0.1, 0.3, 0.7)] + [crossover]
+        for i, lo in enumerate(parts):
+            for hi in parts[i + 1 :]:
+                want = math.asinh((hi - t_prev) / h_prev) - math.asinh((lo - t_prev) / h_prev)
+                assert quasihyperbolic_axis(d, lo, hi) == want, (n, lo, hi)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_random_three_slit_planes_vs_adaptive_quadrature(seed):
+    rng = np.random.default_rng(900 + seed)
+    slits, a = [], rng.uniform(-5.0, 0.0)
+    for _ in range(3):
+        b = 10.0 ** rng.uniform(-0.5, 0.5)
+        a += b + rng.uniform(0.05, 4.0)
+        slits.append((a, b))
+        a += b  # keeps a_k + b_k < a_{k+1} - b_{k+1}
+    d = SlitPlane(tuple(slits))
+    x1, x2 = slits[0][0] - rng.uniform(0.5, 5.0), slits[-1][0] + rng.uniform(0.5, 10.0)
+    breaks = [s[0] for s in slits] + [
+        aj + math.sqrt(bk * bk - bj * bj) for aj, bj in slits for _, bk in slits if bk > bj
+    ]
+    ref, _ = quad(
+        lambda x: 1.0 / dist_to_boundary(d, complex(x)),
+        x1,
+        x2,
+        points=[x for x in breaks if x1 < x < x2],
+        epsabs=1e-12,
+        limit=400,
+    )
+    assert quasihyperbolic_axis(d, x1, x2) == pytest.approx(ref, abs=1e-8)
+
+
+@pytest.mark.parametrize(
+    "d", [HalfPlaneDom(-1.0, "above"), StripDom(-1.0, 2.0), SlitPlane(((0.0, 1.0),)), RectangleChain(3)]
+)
+def test_non_finite_endpoint_rejected(d):
+    # a NaN endpoint returned 0, NaN or a finite number by kind
+    nan, inf = math.nan, math.inf
+    for x1, x2 in ((nan, 1.0), (0.0, nan), (nan, nan), (-inf, 1.0), (0.0, inf), (inf, inf)):
+        with pytest.raises(DomainError):
+            quasihyperbolic_axis(d, x1, x2)
+        with pytest.raises(DomainError):
+            rho_bounds(d, x1, x2)
+
+
 def test_segment_beyond_truncation_rejected():
     with pytest.raises(DomainError):
         quasihyperbolic_axis(RectangleChain(2), 0.0, 17.0)
