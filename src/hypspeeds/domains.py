@@ -2,9 +2,13 @@
 
 Four variants: horizontal half-planes, horizontal strips, the staircase
 chain of growing rectangles, and planes slit along leftward half-lines.
-Every descriptor answers membership and exact Euclidean distance to its
-boundary; all are convex in the positive direction (z in the domain implies
-z + t in the domain for t >= 0).
+Convexity in the positive direction (z in the domain implies z + t in the
+domain for t >= 0) makes each complement closed under leftward translation,
+so every domain here is the plane minus a few closed leftward boxes
+{Re z <= a, lo <= Im z <= hi} (_complement): a = inf for half-planes and
+strips, lo = hi for a slit, and two boxes {Re z <= t_n, |Im z| >= h_n} per
+staircase stage.  Membership, the exact Euclidean distance to the boundary
+and inclusion are all read from those boxes.
 """
 
 from __future__ import annotations
@@ -12,7 +16,6 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Union
 
 from .errors import ConstructionError, DomainError, UnsupportedDomainError
@@ -112,65 +115,30 @@ def slit_plane(slits) -> SlitPlane:
 
 
 # ---------------------------------------------------------------------------
-# Rectangle-chain geometry
+# The complement as leftward boxes
 
 
-@lru_cache(maxsize=None)
-def _chain_segments(n_max: int) -> tuple[tuple[float, float, float, float], ...]:
-    """Finite boundary segments (x1, y1, x2, y2) of the upper boundary.
-
-    The final vertical step at t_{n_max} rises to the next stage height so
-    distance queries left of the truncation see the true infinite boundary.
-    """
-    segs = []
-    for n in range(1, n_max + 1):
-        x_prev = stage_abscissa(n - 1)
-        x_next = stage_abscissa(n)
-        h_prev = stage_height(n - 1)
-        h_next = stage_height(n)
-        segs.append((x_prev, h_prev, x_prev, h_next))  # vertical step up
-        segs.append((x_prev, h_next, x_next, h_next))  # ceiling of R_n
-    x_end = stage_abscissa(n_max)
-    segs.append((x_end, stage_height(n_max), x_end, stage_height(n_max + 1)))
-    return tuple(segs)
+def _complement(d: DomainDescriptor) -> tuple[tuple[float, float, float], ...]:
+    """The closed leftward boxes {Re z <= a, lo <= Im z <= hi} whose union is
+    the complement of d; for the staircase, left of its truncation."""
+    if isinstance(d, HalfPlaneDom):
+        h = d.boundary_height
+        return ((math.inf, -math.inf, h),) if d.side == "above" else ((math.inf, h, math.inf),)
+    if isinstance(d, StripDom):
+        return ((math.inf, -math.inf, d.y_low), (math.inf, d.y_high, math.inf))
+    if isinstance(d, SlitPlane):
+        return tuple((a, -b, -b) for a, b in d.slits)
+    if isinstance(d, RectangleChain):
+        stages = [(stage_abscissa(n), stage_height(n)) for n in range(d.n_max + 1)]
+        return tuple(box for t, h in stages for box in ((t, -math.inf, -h), (t, h, math.inf)))
+    raise ConstructionError(f"unknown descriptor {d!r}")
 
 
-def _segment_distance(px: float, py: float, x1: float, y1: float, x2: float, y2: float) -> float:
-    dx, dy = x2 - x1, y2 - y1
-    t = ((px - x1) * dx + (py - y1) * dy) / (dx * dx + dy * dy)
-    t = 0.0 if t < 0.0 else (1.0 if t > 1.0 else t)
-    return math.hypot(px - (x1 + t * dx), py - (y1 + t * dy))
-
-
-def _chain_contains(d: RectangleChain, x: float, y: float) -> bool:
-    if x >= stage_abscissa(d.n_max):
+def _require_left_of_truncation(d: DomainDescriptor, x: float) -> None:
+    if isinstance(d, RectangleChain) and x >= stage_abscissa(d.n_max):
         raise DomainError(
-            f"membership query at Re z = {x} beyond the truncation Re z < t_{d.n_max} = {stage_abscissa(d.n_max)}"
+            f"query at Re z = {x} beyond the truncation Re z < t_{d.n_max} = {stage_abscissa(d.n_max)}"
         )
-    if x <= stage_abscissa(0):
-        return abs(y) < 1.0
-    for n in range(1, d.n_max + 1):
-        if x == stage_abscissa(n - 1):
-            return abs(y) < stage_height(n - 1)
-        if x < stage_abscissa(n):
-            return abs(y) < stage_height(n)
-    raise AssertionError("unreachable")
-
-
-def _ray_distance(x: float, y: float, a: float, c: float) -> float:
-    """Distance from (x, y) to the leftward ray {Re <= a, Im = c}."""
-    if x <= a:
-        return abs(y - c)
-    return math.hypot(x - a, y - c)
-
-
-def _chain_boundary_distance(d: RectangleChain, x: float, y: float) -> float:
-    ay, t0 = abs(y), stage_abscissa(0)
-    best = min(_ray_distance(x, ay, t0, 1.0), _ray_distance(x, ay, t0, -1.0))
-    for x1, y1, x2, y2 in _chain_segments(d.n_max):
-        best = min(best, _segment_distance(x, ay, x1, y1, x2, y2))
-        best = min(best, _segment_distance(x, ay, x1, -y1, x2, -y2))
-    return best
 
 
 # ---------------------------------------------------------------------------
@@ -182,63 +150,42 @@ def contains(d: DomainDescriptor, z: complex) -> bool:
     z = complex(z)
     if not cmath.isfinite(z):
         return False
-    if isinstance(d, (HalfPlaneDom, StripDom)):
-        lo, hi = _band(d)
-        return lo < z.imag < hi
-    if isinstance(d, SlitPlane):
-        for a, b in d.slits:
-            if z.imag == -b and z.real <= a:
-                return False
-        return True
-    if isinstance(d, RectangleChain):
-        return _chain_contains(d, z.real, z.imag)
-    raise ConstructionError(f"unknown descriptor {d!r}")
-
-
-def _band(d: Union[HalfPlaneDom, StripDom]) -> tuple[float, float]:
-    """The open interval of Im z that a half-plane or strip consists of."""
-    if isinstance(d, StripDom):
-        return d.y_low, d.y_high
-    if d.side == "above":
-        return d.boundary_height, math.inf
-    return -math.inf, d.boundary_height
+    x, y = z.real, z.imag
+    _require_left_of_truncation(d, x)
+    return not any(x <= a and lo <= y <= hi for a, lo, hi in _complement(d))
 
 
 def includes(d: DomainDescriptor, d_tilde: DomainDescriptor) -> bool:
     """True iff d is a subset of d_tilde, decided exactly.
 
-    Both must be kinds with a closed-form Koenigs map: half-planes and strips
-    compare their intervals of Im z, and a slit plane contains d iff its slit
-    misses d.  Multi-slit planes and the rectangle chain raise
-    UnsupportedDomainError.
+    Both must be kinds with a closed-form Koenigs map: half-planes, strips and
+    single-slit planes.  Then d lies in d_tilde iff each complement box of
+    d_tilde lies in one complement box of d.  Multi-slit planes and the
+    rectangle chain raise UnsupportedDomainError.
     """
     for x in (d, d_tilde):
         if not (isinstance(x, (HalfPlaneDom, StripDom)) or (isinstance(x, SlitPlane) and len(x.slits) == 1)):
             raise UnsupportedDomainError(f"no exact inclusion test for {x!r}")
-    if isinstance(d_tilde, SlitPlane):
-        ((a_t, b_t),) = d_tilde.slits
-        if isinstance(d, SlitPlane):
-            # complements: the slit of d_tilde must lie on the slit of d
-            ((a, b),) = d.slits
-            return b == b_t and a_t <= a
-        lo, hi = _band(d)
-        return not lo < -b_t < hi
-    if isinstance(d, SlitPlane):
-        return False
-    (lo, hi), (lo_t, hi_t) = _band(d), _band(d_tilde)
-    return lo_t <= lo and hi <= hi_t
+    boxes = _complement(d)
+    return all(
+        any(a_t <= a and lo <= lo_t and hi_t <= hi for a, lo, hi in boxes) for a_t, lo_t, hi_t in _complement(d_tilde)
+    )
 
 
 def dist_to_boundary(d: DomainDescriptor, z: complex) -> float:
-    """Exact Euclidean distance from an interior point to the boundary."""
+    """Exact Euclidean distance from an interior point to the boundary: the
+    least distance to a complement box, which is 0 on or inside one."""
     z = complex(z)
-    if not contains(d, z):
+    if not cmath.isfinite(z):
         raise DomainError(f"z={z} is not inside the domain {d}")
-    if isinstance(d, (HalfPlaneDom, StripDom)):
-        lo, hi = _band(d)
-        return min(z.imag - lo, hi - z.imag)
-    if isinstance(d, SlitPlane):
-        return min(_ray_distance(z.real, z.imag, a, -b) for a, b in d.slits)
-    if isinstance(d, RectangleChain):
-        return _chain_boundary_distance(d, z.real, z.imag)
-    raise ConstructionError(f"unknown descriptor {d!r}")
+    x, y = z.real, z.imag
+    _require_left_of_truncation(d, x)
+    best = math.inf
+    for a, lo, hi in _complement(d):
+        dy = lo - y if y < lo else (y - hi if y > hi else 0.0)
+        r = dy if x <= a else math.hypot(x - a, dy)
+        if r < best:
+            best = r
+    if best == 0.0:
+        raise DomainError(f"z={z} is not inside the domain {d}")
+    return best

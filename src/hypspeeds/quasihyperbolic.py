@@ -1,16 +1,18 @@
 """Quasihyperbolic distance along the real axis and two-sided metric bounds.
 
 Along the real axis, the boundary distance of every supported domain is the
-least distance to a few leftward rays {Re z <= a, Im z = -b} or their mirror
-images (_axis_rays): one ray without a corner (a = inf) for a half-plane or
-strip, the slits of a slit plane, and the stage rays (t_n, h_n) of the
-staircase.  A ray is b away left of its corner and hypot(x - a, b) past it,
-so the axis integral int dx / dist(x, boundary) has a closed form piece by
-piece: (hi - lo)/b on flat stretches and a difference of asinh((x - a)/b)
-past a corner.  For conjugation-symmetric domains the real axis is a
-geodesic and the segment integral equals the quasihyperbolic distance;
-otherwise it is an upper bound for it.  Either way rho <= Q <= segment
-integral, which is what the bound consumers rely on.
+least distance to its complement boxes {Re z <= a, lo <= Im z <= hi}
+(domains._complement), and each box is seen from the axis as a leftward ray
+(a, b) with b = max(lo, -hi) (_axis_rays): rays without a corner (a = inf)
+for a half-plane or strip, the slits of a slit plane, and the stage rays
+(t_n, h_n) of the staircase.  A ray is b away left of its corner and
+hypot(x - a, b) past it, so the axis integral int dx / dist(x, boundary) has
+a closed form piece by piece: (hi - lo)/b on flat stretches and a difference
+of asinh((x - a)/b) past a corner.  For conjugation-symmetric domains (the
+boxes are their own mirror images) the real axis is a geodesic and the
+segment integral equals the quasihyperbolic distance; otherwise it is an
+upper bound for it.  Either way rho <= Q <= segment integral, which is what
+the bound consumers rely on.
 
 Staircase-domain stage powers and ratios are computed in log2 space so the
 largest table entries (junction abscissa 2^64) stay exact.
@@ -21,18 +23,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .domains import (
-    DomainDescriptor,
-    HalfPlaneDom,
-    RectangleChain,
-    SlitPlane,
-    StripDom,
-    _band,
-    _ray_distance,
-    stage_abscissa,
-    stage_exponent,
-    stage_height,
-)
+from .domains import DomainDescriptor, RectangleChain, _complement, stage_abscissa, stage_exponent
 from .errors import ConstructionError, DomainError
 
 
@@ -57,27 +48,20 @@ def _stretch(lo: float, hi: float, h: float, x0: float | None = None) -> float:
 
 
 def axis_is_qh_geodesic(d: DomainDescriptor) -> bool:
-    """True when the real axis minimizes the quasihyperbolic length
-    (conjugation-symmetric descriptors)."""
-    if isinstance(d, StripDom):
-        return d.y_low == -d.y_high
-    return isinstance(d, RectangleChain)
+    """True when the real axis minimizes the quasihyperbolic length: the
+    complement boxes are symmetric under conjugation."""
+    boxes = _complement(d)
+    return set(boxes) == {(a, -hi, -lo) for a, lo, hi in boxes}
 
 
 def _axis_rays(d: DomainDescriptor) -> list[tuple[float, float]]:
     """The rays (a, b) whose least distance from each axis point is its
-    boundary distance.  Left of t_{n_max} the staircase's complement is the
-    union of {Re z <= t_n, |Im z| >= h_n}, so its rays are (t_n, h_n)."""
-    if isinstance(d, (HalfPlaneDom, StripDom)):
-        lo, hi = _band(d)
-        if not lo < 0.0 < hi:
-            raise DomainError("the real axis is not inside this half-plane")
-        return [(math.inf, min(-lo, hi))]
-    if isinstance(d, SlitPlane):
-        return list(d.slits)
-    if isinstance(d, RectangleChain):
-        return [(stage_abscissa(n), stage_height(n)) for n in range(d.n_max + 1)]
-    raise ConstructionError(f"unknown descriptor {d!r}")
+    boundary distance: seen from the axis, the box {Re z <= a, lo <= Im z <= hi}
+    is b = max(lo, -hi) away left of a and hypot(x - a, b) past it."""
+    rays = list(dict.fromkeys((a, max(lo, -hi)) for a, lo, hi in _complement(d)))
+    if any(b <= 0.0 for _, b in rays):
+        raise DomainError(f"the real axis is not inside the domain {d}")
+    return rays
 
 
 def _ray_pieces(rays: list[tuple[float, float]], x1: float, x2: float) -> list[float]:
@@ -98,7 +82,7 @@ def _ray_pieces(rays: list[tuple[float, float]], x1: float, x2: float) -> list[f
     stretches = []  # [lo, hi, (nearest ray, past its corner)]
     for lo, hi in zip(xs[:-1], xs[1:]):
         mid = 0.5 * (lo + hi)
-        ray = min(rays, key=lambda r: _ray_distance(mid, 0.0, r[0], -r[1]))
+        ray = min(rays, key=lambda r: r[1] if mid <= r[0] else math.hypot(mid - r[0], r[1]))
         key = (ray, mid > ray[0])
         if stretches and stretches[-1][2] == key:
             stretches[-1][1] = hi  # a cut that changes no ray must not split an asinh difference
@@ -115,14 +99,15 @@ def quasihyperbolic_axis(d: DomainDescriptor, x1: float, x2: float) -> float:
     """
     if not (math.isfinite(x1) and math.isfinite(x2)):
         raise DomainError(f"axis endpoints must be finite, got ({x1}, {x2})")
-    if x1 == x2:
-        return 0.0
     lo, hi = (x1, x2) if x1 < x2 else (x2, x1)
     if isinstance(d, RectangleChain) and hi > stage_abscissa(d.n_max):
         raise DomainError(
             f"axis segment reaches beyond the truncation Re z <= t_{d.n_max} = {stage_abscissa(d.n_max)}"
         )
-    return sum(_ray_pieces(_axis_rays(d), lo, hi))
+    rays = _axis_rays(d)
+    if x1 == x2:
+        return 0.0
+    return sum(_ray_pieces(rays, lo, hi))
 
 
 def rho_bounds(d: DomainDescriptor, x1: float, x2: float) -> RhoBounds:

@@ -106,9 +106,7 @@ def generalized_speed(m: KoenigsMap, z: complex, t: float) -> float:
         width = strip.y_high - strip.y_low
         theta = math.pi * (w.imag - strip.y_low) / width
         s = math.pi * t / width
-        c2 = math.cos(theta) ** 2
-        log_height_ratio = s + 0.5 * math.log1p(c2 * math.exp(-2.0 * s) - 2.0 * c2 * math.exp(-s))
-        return 0.5 * (log_height_ratio - math.log(math.sin(theta)))
+        return 0.5 * (s + 0.5 * math.log1p((math.expm1(-s) / math.tan(theta)) ** 2))
     phi = orbit(m, z, t)
     p = project_to_geodesic(phi, _geodesic_to_one(z))
     return disk_distance(z, p)

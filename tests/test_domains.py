@@ -1,7 +1,10 @@
 """Domain descriptors: membership, boundary distance, structural invariants."""
 
+import hashlib
 import math
+import random
 
+import mpmath as mp
 import numpy as np
 import pytest
 
@@ -18,11 +21,15 @@ from hypspeeds.domains import (
     stage_height,
 )
 from hypspeeds.errors import ConstructionError, DomainError, UnsupportedDomainError
+from hypspeeds.quasihyperbolic import quasihyperbolic_axis
 
+THREE_SLITS = SlitPlane(((-2.0, 0.5), (1.0, 1.5), (7.0, 0.75)))
 ALL_SAMPLES = {
     "half_plane": (HalfPlaneDom(-1.0, "above"), [0j, 5.0 + 3.0j, -2.0 - 0.5j]),
+    "half_plane_below": (HalfPlaneDom(2.0, "below"), [0j, 3.0 + 1.9995j, -4.0 - 50.0j]),
     "strip": (StripDom(-1.0, 1.0), [0j, 4.0 + 0.5j, -3.0 - 0.9j]),
     "slit": (SlitPlane(((0.0, 1.0),)), [0j, -5.0 + 2.0j, 3.0 - 4.0j]),
+    "three_slits": (THREE_SLITS, [0j, 1.0002 - 1.5j, -4.0 - 0.4995j, 7.0 - 0.7j, 2.0 + 1.0j]),
     "chain": (RectangleChain(4), [0j, 3.0 + 1.5j, 20.0 - 2.0j]),
 }
 
@@ -267,3 +274,109 @@ def test_dist_is_lipschitz_sampled():
                     continue
                 delta = abs(dist_to_boundary(d, z0) - dist_to_boundary(d, z1))
                 assert delta <= abs(step) * (1.0 + 1e-9), name
+
+
+def _mp_chain_distance(n_max, z):
+    """Distance from z to the staircase's boundary in 50-digit mpmath, as the
+    least distance to its segments: the lines Im = +-1 left of 2 (cut at
+    Re = -1e6), each vertical step and ceiling, and the step at t_{n_max}."""
+    segs = [((-1e6, 1.0), (2.0, 1.0))]
+    for n in range(1, n_max + 2):
+        t_prev, h_prev, h_n = stage_abscissa(n - 1), stage_height(n - 1), stage_height(n)
+        segs.append(((t_prev, h_prev), (t_prev, h_n)))
+        if n <= n_max:
+            segs.append(((t_prev, h_n), (stage_abscissa(n), h_n)))
+    segs += [((x1, -y1), (x2, -y2)) for (x1, y1), (x2, y2) in segs]
+    with mp.workdps(50):
+        px, py = mp.mpf(z.real), mp.mpf(z.imag)
+        best = mp.inf
+        for (x1, y1), (x2, y2) in segs:
+            x1, y1, x2, y2 = (mp.mpf(v) for v in (x1, y1, x2, y2))
+            dx, dy = x2 - x1, y2 - y1
+            s = min(max(((px - x1) * dx + (py - y1) * dy) / (dx * dx + dy * dy), 0), 1)
+            best = min(best, mp.hypot(px - x1 - s * dx, py - y1 - s * dy))
+        return float(best)
+
+
+def _chain_probe_points(n_max, rng):
+    """Points one ulp around each corner of the staircase, and random points
+    in each stage's rectangle."""
+    def around(v):
+        return (math.nextafter(v, -math.inf), v, math.nextafter(v, math.inf))
+
+    corners = [(stage_abscissa(n), stage_height(n)) for n in range(n_max + 1)]
+    corners += [(stage_abscissa(n), stage_height(n + 1)) for n in range(n_max)]
+    points = [complex(x, sign * y) for cx, cy in corners for x in around(cx) for y in around(cy) for sign in (1, -1)]
+    for n in range(n_max + 1):
+        x_lo = stage_abscissa(n - 1) if n else -10.0
+        h = stage_height(n)
+        points += [complex(rng.uniform(x_lo, stage_abscissa(n)), rng.uniform(-h, h)) for _ in range(20)]
+    d = RectangleChain(n_max)
+    return [z for z in points if z.real < stage_abscissa(n_max) and contains(d, z)]
+
+
+@pytest.mark.parametrize("n_max", range(2, 7))
+def test_chain_distance_matches_mpmath_segments(n_max):
+    # one ulp from a corner the true distance is one ulp of the height; a
+    # projection onto the ceiling segment rounded to four times that
+    d = RectangleChain(n_max)
+    points = _chain_probe_points(n_max, random.Random(1500 + n_max))
+    assert len(points) > 20 * (n_max + 1)  # the corner points are not all filtered out
+    for z in points:
+        assert dist_to_boundary(d, z) == pytest.approx(_mp_chain_distance(n_max, z), rel=4.5e-16, abs=0.0), z
+
+
+# ---------------------------------------------------------------------------
+# pinned domain layer
+
+PIN_DOMAINS = [
+    HalfPlaneDom(-1.0),
+    HalfPlaneDom(2.0, "below"),
+    StripDom(-1.0, 1.0),
+    StripDom(-1.0, 2.0),
+    SlitPlane(((0.0, 1.0),)),
+    SlitPlane(((0.0, 1.0), (8.0, 2.0))),
+    THREE_SLITS,
+]
+PIN_CHAINS = [RectangleChain(3), RectangleChain(6)]
+
+
+def _outcome(f, *args):
+    try:
+        return f(*args)
+    except (DomainError, UnsupportedDomainError) as exc:
+        return type(exc).__name__
+
+
+def domain_layer_sample():
+    """contains, dist_to_boundary, quasihyperbolic_axis and includes on a
+    fixed sample: boundary heights and slit tips, one ulp and a little off
+    them, and the axis between features of every kind."""
+    def near(v):
+        return (v, math.nextafter(v, -math.inf), math.nextafter(v, math.inf), v - 1e-9, v + 0.25, v - 0.25)
+
+    ys = sorted({y for h in (-2.0, -1.5, -1.0, -0.75, -0.5, 0.0, 1.0, 2.0) for y in near(h)})
+    xs = sorted({x for a in (-2.0, 0.0, 1.0, 7.0, 8.0) for x in near(a)} | {-50.0, 3.0, 40.0})
+    points = [complex(x, y) for x in xs for y in ys]
+    queries = [(contains(d, z), _outcome(dist_to_boundary, d, z)) for d in PIN_DOMAINS for z in points]
+    axis = [-7.5, -2.0, 0.0, 0.5, 1.0, 2.0, 3.0, 4.0, 7.0, 9.5, 16.0, 300.0, 65536.0, 2.0**40]
+    integrals = [
+        _outcome(quasihyperbolic_axis, d, x1, x2)
+        for d in PIN_DOMAINS + PIN_CHAINS
+        for x1 in axis
+        for x2 in axis
+        if x1 != x2
+    ]
+    nested = [_outcome(includes, a, b) for a in PIN_DOMAINS[:5] for b in PIN_DOMAINS] + [
+        includes(d, d_tilde) for d, d_tilde, _ in INCLUSIONS
+    ]
+    return queries, integrals, nested
+
+
+# sha256 of repr(domain_layer_sample()): a refactor of the domain layer keeps it
+PINNED_DOMAIN_LAYER = "8a64baca4a468badb95fe601df13e1d0d2a4be244c7585758d66bd893b6925b2"
+
+
+def test_domain_layer_is_pinned():
+    digest = hashlib.sha256(repr(domain_layer_sample()).encode()).hexdigest()
+    assert digest == PINNED_DOMAIN_LAYER

@@ -79,6 +79,22 @@ def test_axis_geodesic_predicate():
     assert not axis_is_qh_geodesic(SlitPlane(((0.0, 1.0),)))
 
 
+@pytest.mark.parametrize(
+    "d, symmetric",
+    [
+        (StripDom(-2.5, 2.5), True),
+        (StripDom(-1.0, math.nextafter(1.0, 2.0)), False),
+        (StripDom(-3.0, 0.5), False),
+        (HalfPlaneDom(2.0, "below"), False),
+        (SlitPlane(((0.0, 1.0), (8.0, 2.0))), False),
+        (SlitPlane(((-2.0, 0.5), (1.0, 1.5), (7.0, 0.75))), False),
+    ]
+    + [(RectangleChain(n), True) for n in range(1, 7)],
+)
+def test_axis_geodesic_table(d, symmetric):
+    assert axis_is_qh_geodesic(d) is symmetric
+
+
 def test_chain_flat_zone_value_exact():
     # on [t_{n-1} + h_n, t_n] the boundary distance is exactly h_n, so the
     # integral over that stretch is (t_n - t_{n-1} - h_n)/h_n
@@ -171,6 +187,16 @@ def test_segment_beyond_truncation_rejected():
 def test_segment_outside_half_plane_rejected():
     with pytest.raises(DomainError):
         quasihyperbolic_axis(HalfPlaneDom(1.0, "above"), 0.0, 5.0)
+
+
+def test_coincident_points_off_the_axis_rejected():
+    # a coincident pair returned 0 before the axis and truncation checks ran
+    with pytest.raises(DomainError):
+        quasihyperbolic_axis(HalfPlaneDom(1.0), 3.0, 3.0)
+    with pytest.raises(DomainError):
+        quasihyperbolic_axis(RectangleChain(2), 100.0, 100.0)
+    with pytest.raises(DomainError):
+        rho_bounds(HalfPlaneDom(1.0), 3.0, 3.0)
 
 
 def test_additivity_exact():

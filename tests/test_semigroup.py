@@ -274,6 +274,23 @@ def test_strip_generalized_speed_matches_disk_route():
             assert fast == pytest.approx(disk_distance(z, p), abs=1e-6)
 
 
+@pytest.mark.parametrize("d", [StripDom(-1.0, 1.0), StripDom(-2.5, 2.5)])
+def test_symmetric_strip_generalized_speed_matches_mpmath(d):
+    # with W0 = 1, the disk point z sits at W = (1 + z)/(1 - z) in H, the orbit
+    # multiplies W by e^(pi t / width), and the speed is rho_H from W to the
+    # foot of that image on the ray Im = Im W; near t = 0 and near the unit
+    # circle the closed form must not cancel
+    m = make_model(d)
+    width = d.y_high - d.y_low
+    for z in (0.3 + 0j, -0.4j, 0.2 + 0.5j, 0.3 + 0.9j, 0.9999j, 0.99999j):
+        for t in (1e-8, 1e-6, 1e-3, 0.5, 30.0, 1e3, 1e5):
+            with mp.workdps(50):
+                w = (1 + mp.mpc(z)) / (1 - mp.mpc(z))
+                w_t = w * mp.exp(mp.pi * t / width)
+                ref = float(abs(mp.log(abs(w_t - 1j * w.imag) / w.real)) / 2)
+            assert generalized_speed(m, z, t) == pytest.approx(ref, rel=1e-9, abs=0.0), (z, t)
+
+
 # ---------------------------------------------------------------------------
 # monotonicity scans
 
