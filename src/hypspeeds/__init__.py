@@ -34,7 +34,6 @@ from .hyperbolic import (
     foot_on_diameter,
     geodesic_through,
     integrate_density_along,
-    perpendicular_geodesic,
     project_to_geodesic,
     region_density,
     region_distance,
@@ -56,7 +55,6 @@ from .semigroup import (
     monotonicity_scan,
     orbit,
     slit_inequality_on_K,
-    speed_difference_identity,
     speeds,
     theorem4_scan,
 )

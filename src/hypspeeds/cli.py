@@ -68,10 +68,15 @@ class TGrid:
             raise ConfigError(f"t_grid must be increasing with positive step, got {self}")
         if (self.stop - self.start) / self.step >= MAX_GRID_ROWS:
             raise ConfigError(f"t_grid must span fewer than {MAX_GRID_ROWS} steps, got {self}")
+        # one time gives no pair to compare, and every scan would pass on it
+        if self._count() < 2:
+            raise ConfigError(f"t_grid must hold at least two times, got {self}")
+
+    def _count(self) -> int:
+        return int(math.floor((self.stop - self.start) / self.step + 1e-9)) + 1
 
     def values(self) -> list[float]:
-        count = int(math.floor((self.stop - self.start) / self.step + 1e-9)) + 1
-        return [self.start + k * self.step for k in range(count)]
+        return [self.start + k * self.step for k in range(self._count())]
 
 
 # Config readers: each takes a JSON value and its key's path, and returns the

@@ -38,14 +38,15 @@ from __future__ import annotations
 
 import cmath
 import math
+import numbers
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
 from .conformal import KoenigsMap, map_inverse
-from .errors import DomainError, NumericError, ParameterError
-from .hyperbolic import perpendicular_geodesic, require_disk_point
+from .errors import DomainError, ParameterError
+from .hyperbolic import require_disk_point
 from .seeding import sample_streams, sample_uniforms, stream_uniforms
 from .semigroup import speeds
 
@@ -117,21 +118,15 @@ def geodesic_cut_measure(pi_t: float) -> tuple[ArcOnCircle, float]:
     """Measure from 0 of the boundary arc cut off toward 1 by the geodesic
     crossing the axis orthogonally at pi_t.
 
-    Returns the arc and the value (1/pi) arctan((1 - pi_t^2)/(2 pi_t)); the
-    geometric arc computation must agree with the closed form to 1e-10.
+    That geodesic lies on the circle |z - c| = r with c = (1 + pi_t^2)/(2 pi_t)
+    and r = (1 - pi_t^2)/(2 pi_t), which meets the unit circle at
+    exp(+-i theta), tan theta = r: so the arc is [-theta, theta] and the value
+    theta/pi = (1/pi) arctan((1 - pi_t^2)/(2 pi_t)).
     """
     if not 0.0 < pi_t < 1.0:
         raise DomainError(f"pi_t must lie in (0, 1), got {pi_t}")
-    gamma = perpendicular_geodesic(pi_t)
-    end_lo, end_hi = gamma.boundary_endpoints()
-    theta = abs(cmath.phase(end_lo))
-    if abs(theta - abs(cmath.phase(end_hi))) > 1e-12:
-        raise NumericError("geodesic endpoints lost conjugate symmetry")
-    geometric = theta / math.pi
-    closed = math.atan((1.0 - pi_t) * (1.0 + pi_t) / (2.0 * pi_t)) / math.pi
-    if abs(geometric - closed) > 1e-10:
-        raise NumericError(f"arc measure {geometric} disagrees with closed form {closed}")
-    return ArcOnCircle(-theta, theta), closed
+    theta = math.atan2((1.0 - pi_t) * (1.0 + pi_t), 2.0 * pi_t)
+    return ArcOnCircle(-theta, theta), theta / math.pi
 
 
 # ---------------------------------------------------------------------------
@@ -330,6 +325,17 @@ def _dist_to_segments(p: np.ndarray, segments: _Segments, cap=np.inf) -> np.ndar
     return out
 
 
+def _check_walk_params(eps: float, chunk: int, max_steps: int) -> None:
+    """ParameterError unless eps > 0 and chunk and max_steps are positive
+    integers: a NaN eps cuts off every walk and a NaN chunk starts none, and
+    either would report 0 +- 0."""
+    if not eps > 0.0:
+        raise ParameterError(f"eps must be positive, got {eps!r}")
+    for name, value in (("chunk", chunk), ("max_steps", max_steps)):
+        if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 1:
+            raise ParameterError(f"{name} must be a positive integer, got {value!r}")
+
+
 def _walk(absorb, z0: complex, n: int, seed: int, chunk: int, max_steps: int, classes: int) -> tuple[list[int], int]:
     """Walk-on-spheres from z0 for the samples 0 .. n-1, at most ``chunk``
     walks in flight.
@@ -344,10 +350,6 @@ def _walk(absorb, z0: complex, n: int, seed: int, chunk: int, max_steps: int, cl
     flight, and the obstacle distances of ``_obstacle_absorb`` no more than
     ``_PAIR_BLOCK`` point-segment pairs per temporary.
     """
-    if chunk <= 0:
-        raise ParameterError("chunk must be positive")
-    if max_steps < 1:
-        raise ParameterError("max_steps must be at least 1")
     counts = np.zeros(classes + 1, dtype=np.int64)
     truncated = 0
     # position, stream key and step counter of each walk in flight
@@ -416,8 +418,7 @@ def mc_first_hit(
     z0 = complex(z0)
     if not cmath.isfinite(z0):
         raise DomainError(f"start point must be finite, got {z0}")
-    if eps <= 0.0:
-        raise ParameterError("eps must be positive")
+    _check_walk_params(eps, chunk, max_steps)
     if verts.size == 0:
         return _binomial_estimate(0, n, seed)
     if verts.size == 1:
@@ -452,8 +453,7 @@ def semidisk_bisection_check(
     """
     if not 0.0 < t0 < 1.0:
         raise DomainError(f"t0 must lie in (0, 1), got {t0}")
-    if eps <= 0.0:
-        raise ParameterError("eps must be positive")
+    _check_walk_params(eps, chunk, max_steps)
     if min(t0, 1.0 - t0) <= 10.0 * eps:
         raise ParameterError("start point too close to the semidisk boundary for this eps")
 
@@ -524,6 +524,5 @@ def projection_bound_check(m: KoenigsMap, t: float, n: int, seed: int = 0, chunk
     """
     obstacle = discretize_orbit_tail(m, t)
     est = mc_first_hit(obstacle, 0j, n, seed=seed, chunk=chunk)
-    pi_t = speeds(m, t).pi_t
-    rhs = math.atan((1.0 - pi_t) * (1.0 + pi_t) / (2.0 * pi_t)) / (2.0 * math.pi)
+    rhs = 0.5 * geodesic_cut_measure(speeds(m, t).pi_t)[1]
     return ProjectionBoundResult(t=t, estimate=est, lower_bound=rhs, passed=est.value >= rhs - 3.0 * est.std_error)

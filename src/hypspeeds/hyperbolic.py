@@ -125,23 +125,8 @@ class OrthoCircle:
         a0 = math.acos(max(-1.0, min(1.0, -self.radius / abs(self.center))))
         return a0, 2.0 * math.pi - a0
 
-    def boundary_endpoints(self) -> tuple[complex, complex]:
-        u_lo, u_hi = self.disk_param_range()
-        return self.point_at(u_lo), self.point_at(u_hi)
-
 
 GeodesicArc = Union[Diameter, OrthoCircle]
-
-
-def perpendicular_geodesic(x: float) -> GeodesicArc:
-    """Geodesic of the disk crossing the real axis orthogonally at x."""
-    if not -1.0 < x < 1.0:
-        raise DomainError(f"x={x} must lie in (-1, 1)")
-    if x == 0.0:
-        return Diameter(math.pi / 2.0)
-    c = (x * x + 1.0) / (2.0 * x)
-    r = math.sqrt(max(c * c - 1.0, 0.0))
-    return OrthoCircle(complex(c, 0.0), r)
 
 
 def geodesic_through(z: complex, w: complex) -> GeodesicArc:
@@ -274,7 +259,6 @@ RoundRegion = Union[Disk, HalfPlane]
 
 UNIT_DISK = Disk(0j, 1.0)
 RIGHT_HALF_PLANE = HalfPlane(0j, 1.0 + 0j)
-UPPER_HALF_PLANE = HalfPlane(0j, 1j)
 
 
 def region_density(region: RoundRegion, z: complex) -> float:

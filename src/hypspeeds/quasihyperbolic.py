@@ -23,20 +23,20 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .domains import DomainDescriptor, RectangleChain, _complement, stage_abscissa, stage_exponent
+from .domains import DomainDescriptor, RectangleChain, _complement, dist_to_boundary, stage_abscissa, stage_exponent
 from .errors import ConstructionError, DomainError
 
 
 @dataclass(frozen=True)
 class RhoBounds:
-    """Two-sided bracket for the hyperbolic distance: lower = upper/4."""
+    """Two-sided bracket for the hyperbolic distance: 0 <= lower <= upper."""
 
     lower: float
     upper: float
 
     def __post_init__(self):
-        if self.lower < 0.0 or abs(self.lower - self.upper / 4.0) > 1e-15 * max(1.0, self.upper):
-            raise ConstructionError("RhoBounds must satisfy 0 <= lower = upper/4")
+        if not 0.0 <= self.lower <= self.upper:
+            raise ConstructionError(f"RhoBounds must satisfy 0 <= lower <= upper, got {self}")
 
 
 def _stretch(lo: float, hi: float, h: float, x0: float | None = None) -> float:
@@ -111,9 +111,18 @@ def quasihyperbolic_axis(d: DomainDescriptor, x1: float, x2: float) -> float:
 
 
 def rho_bounds(d: DomainDescriptor, x1: float, x2: float) -> RhoBounds:
-    """Bracket (Q/4, Q) for the hyperbolic distance between real axis points."""
+    """Bracket for the hyperbolic distance between real axis points.
+
+    rho <= Q, and Koebe gives rho >= k/4 for the quasihyperbolic distance k.
+    Where the axis is a quasihyperbolic geodesic k = Q; elsewhere Q only
+    bounds k from above, and the lower end is j/4 with Gehring-Palka's
+    j = log(1 + |x1 - x2| / min(dist(x1), dist(x2))) <= k.
+    """
     q = quasihyperbolic_axis(d, x1, x2)
-    return RhoBounds(lower=q / 4.0, upper=q)
+    if axis_is_qh_geodesic(d):
+        return RhoBounds(lower=q / 4.0, upper=q)
+    j = math.log1p(abs(x1 - x2) / min(dist_to_boundary(d, x1), dist_to_boundary(d, x2)))
+    return RhoBounds(lower=j / 4.0, upper=q)
 
 
 # ---------------------------------------------------------------------------

@@ -303,14 +303,3 @@ def dip_search(R: float, a0_grid) -> DipResult:
     curve = tuple((a0, _slit_gap(complex(-a0))) for a0 in grid)
     a_best, d_best = max(curve, key=lambda row: row[1])
     return DipResult(a0=a_best, dip=d_best, curve=curve)
-
-
-def speed_difference_identity(pi: float, pi_tilde: float) -> float:
-    """(1/2) log[(1 - pt^2)/(1 - p^2) * ((1+p)/(1+pt))^2] for p, pt in (0,1).
-
-    Algebraically equal to v_o(p) - v_o(pt) with v_o(x) = (1/2) log((1+x)/(1-x)).
-    """
-    if not (0.0 < pi < 1.0 and 0.0 < pi_tilde < 1.0):
-        raise DomainError("arguments must lie in (0, 1)")
-    ratio = ((1.0 - pi_tilde * pi_tilde) / (1.0 - pi * pi)) * ((1.0 + pi) / (1.0 + pi_tilde)) ** 2
-    return 0.5 * math.log(ratio)

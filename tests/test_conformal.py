@@ -141,10 +141,10 @@ def test_domain_distance_trivial():
 
 
 def test_upper_half_plane_distance_value():
-    from hypspeeds.hyperbolic import UPPER_HALF_PLANE
+    from hypspeeds.hyperbolic import HalfPlane
 
     # rho(i, 2i) in the upper half-plane: integral of dy/(2y) from 1 to 2
-    assert region_distance(UPPER_HALF_PLANE, 1j, 2j) == pytest.approx(0.5 * math.log(2.0), abs=1e-14)
+    assert region_distance(HalfPlane(0j, 1j), 1j, 2j) == pytest.approx(0.5 * math.log(2.0), abs=1e-14)
     # same configuration reached through the Koenigs handle of {Im > -1}
     k = build_koenigs(HalfPlaneDom(-1.0, "above"))
     val = domain_distance(k, 0j, 1.0j)
@@ -219,7 +219,7 @@ def test_quasihyperbolic_sandwich_symmetric_strip():
     rng = np.random.default_rng(29)
     for _ in range(50):
         x1 = rng.uniform(-3.0, 3.0)
-        x2 = x1 + rng.uniform(0.1, 5.0)
+        x2 = x1 + 10.0 ** rng.uniform(-2.0, 5.0)
         rho = domain_distance(k, complex(x1), complex(x2))
         bounds = rho_bounds(d, x1, x2)
         assert bounds.lower - 1e-12 <= rho <= bounds.upper + 1e-12

@@ -3,6 +3,7 @@
 import math
 import tracemalloc
 
+import mpmath
 import numpy as np
 import pytest
 from scipy.integrate import quad
@@ -83,6 +84,44 @@ def test_geodesic_cut_endpoint_geometry():
     pi_t = 0.5
     arc, _ = geodesic_cut_measure(pi_t)
     assert math.cos(arc.theta2) == pytest.approx(2.0 * pi_t / (1.0 + pi_t * pi_t), abs=1e-12)
+
+
+_CUT_POINTS = (
+    1e-320,
+    1e-200,
+    1e-161,
+    1e-9,
+    *(k / 10.0 for k in range(1, 10)),
+    1.0 - 1e-8,
+    1.0 - 1e-9,
+    1.0 - 1e-12,
+    math.nextafter(1.0, 0.0),
+)
+
+
+def test_geodesic_cut_matches_mpmath():
+    # the arc from the geodesic's endpoints overflowed at pi_t <= 1e-160 and
+    # failed its own checks at 1e-9 and from 1 - 1e-8 up
+    with mpmath.workdps(40):
+        for p in _CUT_POINTS:
+            q = mpmath.mpf(p)
+            ref = mpmath.atan2((1 - q) * (1 + q), 2 * q) / mpmath.pi
+            _, val = geodesic_cut_measure(p)
+            assert abs(val - ref) <= 1e-15 * ref, p
+
+
+def test_geodesic_cut_endpoints_lie_on_the_orthogonal_circle():
+    # the geodesic crossing the axis at p lies on |z - c| = r, orthogonal to
+    # the unit circle; exp(i theta2) must lie on it too
+    with mpmath.workdps(40):
+        for p in _CUT_POINTS:
+            arc, _ = geodesic_cut_measure(p)
+            assert arc.theta1 == -arc.theta2
+            q = mpmath.mpf(p)
+            c = (1 + q * q) / (2 * q)
+            r = (1 - q) * (1 + q) / (2 * q)
+            gap = abs(mpmath.expj(mpmath.mpf(arc.theta2)) - c)
+            assert abs(gap - r) <= 1e-15 * r, p
 
 
 def test_geodesic_cut_rejects_out_of_range():
@@ -168,7 +207,7 @@ def test_mc_first_hit_rejects_non_finite_input():
 
 def test_walk_rejects_non_positive_max_steps():
     # a walk of no steps absorbs nothing and would report 0 +- 0
-    for max_steps in (0, -3):
+    for max_steps in (0, -3, math.nan, 2.5):
         with pytest.raises(ParameterError):
             mc_first_hit([0.5 + 0j, 1.0 + 0j], 0j, 100, seed=1, max_steps=max_steps)
         with pytest.raises(ParameterError):
@@ -372,12 +411,22 @@ def test_simplify_polyline_matches_reference_loop(name, verts):
 
 
 def test_non_positive_chunk_rejected():
-    # a negative chunk would run no walk at all and report zero hits
-    for chunk in (0, -5):
+    # a negative or NaN chunk would run no walk at all and report zero hits,
+    # and a fraction failed inside numpy
+    for chunk in (0, -5, math.nan, 2.5):
         with pytest.raises(ParameterError):
             mc_first_hit([0.5 + 0j, 1.0 + 0j], 0j, 100, seed=1, chunk=chunk)
         with pytest.raises(ParameterError):
             semidisk_bisection_check(0.5, 100, seed=1, chunk=chunk)
+
+
+def test_non_positive_eps_rejected():
+    # a NaN eps cut off every walk and reported 0 +- 0
+    for eps in (0.0, -1e-4, math.nan):
+        with pytest.raises(ParameterError):
+            mc_first_hit([0.5 + 0j, 1.0 + 0j], 0j, 100, seed=1, eps=eps)
+        with pytest.raises(ParameterError):
+            semidisk_bisection_check(0.5, 100, seed=1, eps=eps)
 
 
 def test_mc_first_hit_chunk_invariance_on_curved_tail():

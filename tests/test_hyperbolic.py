@@ -14,18 +14,17 @@ from hypspeeds.hyperbolic import (
     CAYLEY,
     Diameter,
     Disk,
+    HalfPlane,
     MoebiusMap,
     OrthoCircle,
     RIGHT_HALF_PLANE,
     UNIT_DISK,
-    UPPER_HALF_PLANE,
     apply_mobius,
     density_of,
     disk_distance,
     foot_on_diameter,
     geodesic_through,
     integrate_density_along,
-    perpendicular_geodesic,
     project_to_geodesic,
     region_density,
     region_distance,
@@ -163,14 +162,14 @@ def test_moebius_inverse_round_trip():
 
 
 def test_density_examples():
-    assert region_density(UPPER_HALF_PLANE, 1j) == pytest.approx(0.5, abs=1e-15)
+    assert region_density(HalfPlane(0j, 1j), 1j) == pytest.approx(0.5, abs=1e-15)
     assert region_density(RIGHT_HALF_PLANE, 2.0 + 0j) == pytest.approx(0.25, abs=1e-15)
     assert region_density(UNIT_DISK, 0j) == pytest.approx(1.0, abs=1e-15)
 
 
 def test_density_rejects_exterior_points():
     with pytest.raises(DomainError):
-        region_density(UPPER_HALF_PLANE, -1j)
+        region_density(HalfPlane(0j, 1j), -1j)
     with pytest.raises(DomainError):
         region_density(UNIT_DISK, 2.0 + 0j)
     with pytest.raises(DomainError):
@@ -229,23 +228,6 @@ def test_foot_lies_inside_interval():
         assert -1.0 < foot_on_diameter(z) < 1.0
 
 
-def test_perpendicular_geodesic_cases():
-    assert isinstance(perpendicular_geodesic(0.0), Diameter)
-    g = perpendicular_geodesic(0.5)
-    assert isinstance(g, OrthoCircle)
-    assert g.center == pytest.approx(1.25 + 0j, abs=1e-14)
-    assert g.radius == pytest.approx(0.75, abs=1e-14)
-    assert abs(g.center) ** 2 == pytest.approx(1.0 + g.radius**2, abs=1e-12)
-
-
-def test_perpendicular_geodesic_endpoints():
-    g = perpendicular_geodesic(0.5)
-    e1, e2 = g.boundary_endpoints()
-    for e in (e1, e2):
-        assert abs(e) == pytest.approx(1.0, abs=1e-12)
-        assert e.real == pytest.approx(0.8, abs=1e-12)  # cos(theta) = 1/center
-
-
 def test_ortho_circle_invariant_enforced():
     with pytest.raises(ConstructionError):
         OrthoCircle(2.0 + 0j, 1.0)
@@ -284,7 +266,7 @@ def _transport_project(z, g: OrthoCircle):
 
 
 def test_project_point_on_geodesic_is_fixed():
-    g = perpendicular_geodesic(0.5)
+    g = OrthoCircle(1.25, 0.75)
     p = g.point_at(math.pi)
     assert project_to_geodesic(p, g) == p
 
@@ -300,7 +282,7 @@ def test_project_on_real_diameter_matches_foot():
 
 def test_project_matches_transport_oracle():
     rng = np.random.default_rng(29)
-    g = perpendicular_geodesic(0.5)
+    g = OrthoCircle(1.25, 0.75)
     assert project_to_geodesic(0j, g) == pytest.approx(0.5 + 0j, abs=1e-8)
     for z in random_disk_points(rng, 25, rmax=0.85):
         p_num = project_to_geodesic(z, g)
@@ -310,7 +292,7 @@ def test_project_matches_transport_oracle():
 
 def test_projection_is_contracting():
     rng = np.random.default_rng(31)
-    g = perpendicular_geodesic(0.4)
+    g = OrthoCircle(1.45, 1.05)
     for z, w in zip(random_disk_points(rng, 40, 0.9), random_disk_points(rng, 40, 0.9)):
         pz = project_to_geodesic(z, g)
         pw = project_to_geodesic(w, g)

@@ -65,8 +65,9 @@ def test_orientation_symmetry():
 
 
 def test_rho_bounds_invariant():
-    with pytest.raises(ConstructionError):
-        RhoBounds(lower=1.0, upper=1.0)
+    for lower, upper in ((2.0, 1.0), (-1.0, 1.0), (math.nan, 1.0)):
+        with pytest.raises(ConstructionError):
+            RhoBounds(lower=lower, upper=upper)
     b = rho_bounds(StripDom(-1.0, 1.0), 0.0, 4.0)
     assert b.lower == pytest.approx(1.0) and b.upper == pytest.approx(4.0)
 
@@ -257,8 +258,6 @@ def test_bounds_bracket_strip_distance():
 
 
 def test_bounds_bracket_half_plane_moderate_separation():
-    # the segment integral approximates the infimum only locally for the
-    # half-plane; the bracket is checked at moderate separations
     from hypspeeds.conformal import build_koenigs, domain_distance
 
     d = HalfPlaneDom(-1.0, "above")
@@ -266,7 +265,34 @@ def test_bounds_bracket_half_plane_moderate_separation():
     rng = np.random.default_rng(53)
     for _ in range(50):
         x1 = rng.uniform(-3.0, 3.0)
-        x2 = x1 + rng.uniform(0.2, 6.0)
+        x2 = x1 + 10.0 ** rng.uniform(-2.0, 5.0)
         rho = domain_distance(k, complex(x1), complex(x2))
         b = rho_bounds(d, x1, x2)
         assert b.lower - 1e-12 <= rho <= b.upper + 1e-12
+
+
+@pytest.mark.parametrize(
+    "d",
+    [
+        HalfPlaneDom(-1.0),
+        HalfPlaneDom(0.5, "below"),
+        SlitPlane(((0.0, 1.0),)),
+        SlitPlane(((3.0, 2.0),)),
+        StripDom(-1.0, 2.0),
+        StripDom(-1.0, 1.0),
+    ],
+    ids=["half_plane", "half_plane_below", "slit", "far_slit", "asymmetric_strip", "strip"],
+)
+def test_bounds_bracket_exact_distance_far_apart(d):
+    # off the geodesic axis Q/4 bounds nothing: on HalfPlaneDom(-1) it read
+    # 5.0 at (0, 20), where rho = asinh(10) = 2.998
+    from hypspeeds.conformal import build_koenigs, domain_distance
+
+    k = build_koenigs(d)
+    rng = np.random.default_rng(61)
+    for _ in range(2000):
+        x1 = rng.uniform(-5.0, 5.0)
+        x2 = x1 + 10.0 ** rng.uniform(-2.0, 5.0)
+        rho = domain_distance(k, complex(x1), complex(x2))
+        b = rho_bounds(d, x1, x2)
+        assert b.lower <= rho <= b.upper, (x1, x2, rho, b)

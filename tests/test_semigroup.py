@@ -21,7 +21,6 @@ from hypspeeds.semigroup import (
     orbit,
     scan_values,
     slit_inequality_on_K,
-    speed_difference_identity,
     speeds,
     theorem4_scan,
 )
@@ -487,25 +486,3 @@ def test_dip_matches_koenigs_route():
     dip_direct = _slit_gap(complex(-a0))
     dip_model = domain_distance(k, 0j, complex(a0 - 1.0)) - domain_distance(k, 0j, complex(a0 + 1.0))
     assert dip_model == pytest.approx(dip_direct, abs=1e-9)
-
-
-# ---------------------------------------------------------------------------
-# the orthogonal-speed difference identity
-
-
-def test_speed_difference_identity_trivial():
-    assert speed_difference_identity(0.4, 0.4) == pytest.approx(0.0, abs=1e-15)
-
-
-def test_speed_difference_identity_matches_direct():
-    def v_o(x):
-        return 0.5 * math.log((1.0 + x) / (1.0 - x))
-
-    for p, pt in ((0.9, 0.5), (0.3, 0.7), (0.99, 0.01)):
-        assert speed_difference_identity(p, pt) == pytest.approx(v_o(p) - v_o(pt), abs=1e-12)
-
-
-def test_speed_difference_identity_limit_sign():
-    assert speed_difference_identity(0.5, 1.0 - 1e-9) < -5.0
-    with pytest.raises(DomainError):
-        speed_difference_identity(0.5, 1.0)
