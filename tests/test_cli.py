@@ -495,6 +495,14 @@ def test_hm_report_counts_truncated_walks(tmp_path, monkeypatch):
     assert report.summary["truncated_walks"] == payload["summary"]["truncated_walks"] == sum(cut)
 
 
+def test_hm_on_a_far_strip_tail_exits_two_naming_t(tmp_path, capsys):
+    # h^{-1}(25) rounds onto 1: the tail has no length to walk against
+    strip = {"kind": "strip", "y_low": -1, "y_high": 1}
+    cfg_path = write_config(tmp_path, {"domain": strip, "seed": 1, "n_samples": 100, "hm": {"projection_ts": [25.0]}})
+    assert main(["hm", "--config", str(cfg_path), "--out", str(tmp_path)]) == 2
+    assert "t=25.0" in capsys.readouterr().err
+
+
 def test_mc_chunk_must_be_positive():
     base = {"experiment": "hm", "domain": {"kind": "strip", "y_low": -1, "y_high": 1}, "seed": 1}
     assert parse_config(dict(base, mc_chunk=1)).mc_chunk == 1

@@ -1,21 +1,25 @@
 """Harmonic measure: closed forms, geodesic cuts, and first-hit Monte Carlo."""
 
 import math
+import random
 import tracemalloc
 
 import mpmath
 import numpy as np
 import pytest
+from mpmath.libmp import from_int, mpf_cos_sin_pi, mpf_shift, to_float
 from scipy.integrate import quad
 
 from hypspeeds.domains import HalfPlaneDom, SlitPlane, StripDom
 from hypspeeds.errors import DomainError, ParameterError
 from hypspeeds.harmonic import (
     _ARC_CHUNK,
+    _ROOTS,
     _WINDOW,
     _WINDOW_PAIRS,
     ArcOnCircle,
     HMEstimate,
+    _directions,
     _dist_to_segments,
     _obstacle_absorb,
     _polyline_segments,
@@ -161,7 +165,7 @@ def _disk_arc_unchunked(z, arc, n, seed):
     pts = np.exp(2j * math.pi * u)
     if z != 0:
         pts = (pts + z) / (1.0 + z.conjugate() * pts)
-    hits = int(arc.contains_angle(np.angle(pts)).sum())
+    hits = int((np.mod(np.angle(pts) - arc.theta1, 2.0 * math.pi) <= arc.length).sum())
     value = hits / n
     return HMEstimate(value, math.sqrt(value * (1.0 - value) / n), n, seed)
 
@@ -171,6 +175,58 @@ def test_mc_disk_arc_chunks_match_one_pass(n):
     arc = ArcOnCircle(0.0, math.pi / 2)
     for z in (0j, 0.3 + 0.2j):
         assert mc_disk_arc(z, arc, n, seed=31) == _disk_arc_unchunked(z, arc, n, 31)
+
+
+ARC_CASES = [
+    # wraps past 0, runs through pi, the full circle two ways, nearly full
+    ArcOnCircle(-0.7, 0.4),
+    ArcOnCircle(5.5, 7.0),
+    ArcOnCircle(2.5, 3.8),
+    ArcOnCircle(0.0, 2.0 * math.pi),
+    ArcOnCircle(-math.pi, math.pi),
+    ArcOnCircle(1.0, 1.0 + 2.0 * math.pi - 1e-3),
+]
+
+
+@pytest.mark.parametrize("arc", ARC_CASES, ids=lambda arc: f"{arc.theta1:.2f},{arc.theta2:.2f}")
+def test_mc_disk_arc_preimage_matches_the_mapped_samples(arc):
+    # the preimage test against the exp, Moebius map and angle of every sample
+    for z in (0j, 0.3 + 0.2j, 0.999 + 0j, -0.999 + 0j, 0.999j, 0.999 * complex(math.cos(3.2), math.sin(3.2))):
+        est = mc_disk_arc(z, arc, 20_000, seed=41)
+        assert est == _disk_arc_unchunked(z, arc, 20_000, 41)
+
+
+# ---------------------------------------------------------------------------
+# the walk's jump directions
+
+
+def _exact_direction(u53: int) -> complex:
+    # exp(2 pi i u) for u = u53 2^-53, to 100 bits (30 digits), then rounded
+    cos, sin = mpf_cos_sin_pi(mpf_shift(from_int(u53), -52), 100)
+    return complex(to_float(cos), to_float(sin))
+
+
+def _check_directions(u53: list[int], low11: np.ndarray) -> None:
+    # the 11 bits below u must not move the direction
+    bits = (np.asarray(u53, dtype=np.uint64) << np.uint64(11)) | low11
+    direction = _directions(bits)
+    exact = np.asarray([_exact_direction(u) for u in u53])
+    assert np.abs(direction - exact).max() <= 2e-15
+    assert np.abs(np.abs(direction) - 1.0).max() <= 2e-15
+
+
+def test_directions_match_exp_on_every_table_row():
+    assert _ROOTS.size == 4096
+    rows = np.arange(4096)
+    for low in (0, 1, 2**40, 2**41 - 1):
+        u53 = [(int(j) << 41) | low for j in rows]
+        _check_directions(u53, (rows * 0x5A5 % 2048).astype(np.uint64))
+
+
+def test_directions_match_exp_on_random_words():
+    rng = random.Random(18)
+    u53 = [rng.getrandbits(53) for _ in range(100_000)]
+    _check_directions(u53, np.asarray([rng.getrandbits(11) for _ in u53], dtype=np.uint64))
 
 
 # ---------------------------------------------------------------------------
@@ -214,10 +270,19 @@ def test_walk_rejects_non_positive_max_steps():
             semidisk_bisection_check(0.5, 100, seed=1, max_steps=max_steps)
 
 
-def test_non_positive_sample_count_rejected():
+def test_non_positive_sample_count_rejected(monkeypatch):
     # n = 0 divided by zero in semidisk_bisection_check, and a negative n
-    # reached np.full in the walk
-    for n in (0, -3):
+    # reached np.full in the walk; a NaN n refilled the lanes forever, True
+    # reported n_samples=True and 2.5 failed inside numpy.  Each now stops
+    # before any sample is drawn.
+    import hypspeeds.harmonic as harmonic
+
+    def no_draws(*args):
+        raise AssertionError("a walk or a draw ran before the count was checked")
+
+    monkeypatch.setattr(harmonic, "_walk", no_draws)
+    monkeypatch.setattr(harmonic, "sample_uniforms", no_draws)
+    for n in (0, -3, math.nan, 2.5, True):
         for estimate in (
             lambda: mc_first_hit([0.5 + 0j, 1.0 + 0j], 0j, n, seed=1),
             lambda: mc_first_hit([], 0j, n, seed=1),
@@ -510,6 +575,13 @@ def test_discretize_orbit_tail_structure():
     gaps = np.abs(np.diff(obst))
     assert gaps[:-1].max() <= 1e-3
     assert abs(obst[0] - math.tanh(math.pi / 4.0)) <= 1e-9  # pullback of t = 1
+
+
+@pytest.mark.parametrize("t", (25.0, 30.0))
+def test_far_strip_tail_that_rounds_onto_one_is_refused(t):
+    # every vertex rounded onto 1, and the walk failed on a zero-length polyline
+    with pytest.raises(DomainError, match=f"t={t}"):
+        discretize_orbit_tail(make_model(StripDom(-1.0, 1.0)), t)
 
 
 def test_projection_bound_strip_small_n():

@@ -4,7 +4,7 @@ and one chain that gives the same bits on Python ints and on uint64 arrays."""
 import numpy as np
 import pytest
 
-from hypspeeds.seeding import sample_streams, sample_uniforms, stream_uniforms
+from hypspeeds.seeding import GAMMA, sample_streams, sample_uniforms, stream_bits, stream_uniforms
 
 
 def test_uniforms_in_unit_interval():
@@ -109,3 +109,16 @@ def test_array_arguments_are_not_modified():
     stream_uniforms(keys, 7)
     for array, copy in zip((idx, steps, keys), before):
         assert array.tobytes() == copy.tobytes()
+
+
+def test_stream_counter_chain_matches_stream_uniforms():
+    # the walk adds GAMMA to each counter after each draw, and stream_bits
+    # must leave the counters as they are; counters wrap past 2^64 at every
+    # step or two, and at the first step for the last two keys
+    wrap = np.asarray([2**64 - 1, 2**64 - GAMMA], dtype=np.uint64)
+    keys = np.concatenate([sample_streams(4, np.arange(64, dtype=np.uint64)), wrap])
+    counters = keys + np.uint64(GAMMA)
+    for step in range(10_001):
+        bits = stream_bits(counters)
+        assert ((bits >> np.uint64(11)) * 2.0**-53).tobytes() == stream_uniforms(keys, step).tobytes()
+        counters += np.uint64(GAMMA)
