@@ -96,6 +96,15 @@ def _finite(value, name: str) -> float:
     return x
 
 
+def _positive(value, name: str) -> float:
+    """A finite config number above 0.  A sigma of 0 or below fails each
+    two-sided Monte Carlo check whatever the estimate."""
+    x = _finite(value, name)
+    if not x > 0.0:
+        raise ConfigError(f"{name} must be positive, got {value!r}")
+    return x
+
+
 def _integer(value, name: str, least: float = -math.inf, most: float = math.inf) -> int:
     """A config integer.  A fraction is refused rather than truncated, and a
     boolean rather than read as 1 or 0."""
@@ -196,7 +205,7 @@ class ExperimentConfig:
     mc_chunk: int = _key("mc_chunk", partial(_integer, least=1), 8192)
     base_points: list[complex] = _key("base_points", _base_points, [0.3 + 0j, -0.4j, 0.2 + 0.5j])
     violation_slack: float = _key("tolerances.violation_slack", _finite, 1e-12)
-    mc_sigma: float = _key("tolerances.mc_sigma", _finite, 3.0)
+    mc_sigma: float = _key("tolerances.mc_sigma", _positive, 3.0)
     table_n_lo: int = _key("table.n_lo", _integer, 2)
     table_n_hi: int = _key("table.n_hi", _integer, 6)
     table_alpha: float = _key("table.alpha", _finite, 7.0 / 12.0)
@@ -456,7 +465,7 @@ def _run_hm(cfg: ExperimentConfig, out_dir: Path) -> RunReport:
     model = make_model(cfg.domain)
     truncated = 0
     for t in cfg.projection_ts:
-        res = projection_bound_check(model, t, n, seed=seed, chunk=cfg.mc_chunk)
+        res = projection_bound_check(model, t, n, seed=seed, chunk=cfg.mc_chunk, sigma=sigma)
         truncated += res.estimate.truncated
         rows.append(
             ("projection_bound", t, res.estimate.value, res.lower_bound, res.estimate.std_error, n, seed, res.passed)

@@ -6,7 +6,9 @@ avoids both the obstacle and the unit circle, absorbing once within ``eps``
 of either.  The absorption layer gives an O(eps) bias, dominated by the
 sampling error at the sample counts used here.  Obstacle proximity is
 checked before boundary proximity, so walks landing near the junction of the
-obstacle with the boundary count as hits.
+obstacle with the boundary count as hits.  Every polyline is walked as
+given; an orbit tail's comes from ``discretize_orbit_tail`` alone, within
+``_TAIL_TOL`` = 1e-6 of the tail, so a straight tail is one segment.
 
 One walk loop, ``_walk``, serves every absorbing set: the caller passes a
 vectorized ``absorb(p) -> (radius, class)``.  For a polyline obstacle the
@@ -176,54 +178,6 @@ def mc_disk_arc(z: complex, arc: ArcOnCircle, n: int, seed: int = 0) -> HMEstima
         u -= start
         hits += int(np.count_nonzero(np.mod(u, 1.0, out=u) <= length))
     return _binomial_estimate(hits, n, seed)
-
-
-#: Candidate chords tested per call of ``_simplify_polyline``, and the most
-#: vertex-chord pairs one call holds: on a long straight run the window narrows.
-_WINDOW = 32
-_WINDOW_PAIRS = 1 << 14
-#: Largest distance from a dropped vertex to the chord that replaces it.
-_SIMPLIFY_TOL = 1e-6
-
-
-def _simplify_polyline(verts: np.ndarray) -> np.ndarray:
-    """Drop vertices that deviate less than `_SIMPLIFY_TOL` from the local chord.
-
-    Orbit-tail polylines are resolved far below the walk absorption layer, so
-    collapsing straight runs changes distances by at most `_SIMPLIFY_TOL`
-    while cutting the per-step cost dramatically.
-
-    From the current anchor, the chord to each later vertex j must pass within
-    `_SIMPLIFY_TOL` of every vertex strictly between; the first j whose chord
-    does not makes j - 1 the next anchor.  The chords to a window of
-    consecutive j are tested in one call, with the arithmetic of testing
-    them one at a time.
-    """
-    if verts.size <= 2:
-        return verts
-    keep = [0]
-    anchor = 0
-    j = 2
-    while j < verts.size:
-        width = max(1, min(_WINDOW, _WINDOW_PAIRS // (j - anchor)))
-        ends = np.arange(j, min(j + width, verts.size))
-        rel = verts[anchor + 1 : ends[-1]] - verts[anchor]
-        chord = (verts[ends] - verts[anchor])[:, None]
-        span = np.abs(chord)
-        # a zero chord gives t = 0, and so the distance to the anchor itself
-        t = np.clip((rel * chord.conjugate()).real / np.where(span == 0.0, 1.0, span * span), 0.0, 1.0)
-        dev = np.abs(rel - t * chord)
-        # the chord to ends[k] spans the vertices before it only
-        dev[np.arange(rel.size) >= (ends - anchor - 1)[:, None]] = 0.0
-        bad = np.flatnonzero(dev.max(axis=1) > _SIMPLIFY_TOL)
-        if bad.size:
-            anchor = int(ends[bad[0]]) - 1
-            keep.append(anchor)
-            j = anchor + 2
-        else:
-            j = int(ends[-1]) + 1
-    keep.append(verts.size - 1)
-    return verts[np.asarray(keep)]
 
 
 class _Segments(NamedTuple):
@@ -519,7 +473,7 @@ def mc_first_hit(
         raise ParameterError("obstacle vertices must be finite")
     if np.any(np.abs(verts) > 1.0 + 1e-12):
         raise ParameterError("obstacle vertices must lie in the closed unit disk")
-    segments = _polyline_segments(_simplify_polyline(verts))
+    segments = _polyline_segments(verts)
     start_gap = float(_dist_to_segments(np.asarray([z0]), segments)[0])
     if start_gap <= 10.0 * eps:
         raise ParameterError(f"start point within {start_gap:.2e} of the obstacle; eps={eps} too coarse")
@@ -563,42 +517,61 @@ def semidisk_bisection_check(
 # Obstacles from orbits and the two boundary checks
 
 
-#: Largest disk distance between adjacent vertices of an orbit tail, the
-#: distance from 1 at which the tail closes straight to 1, and the most
-#: vertices it takes before that.
-_TAIL_SPACING = 5e-4
+#: Largest distance from a tail point the polyline was built from to the
+#: polyline, the distance from 1 at which the tail closes straight to 1, and
+#: the most vertices it takes before that.
+_TAIL_TOL = 1e-6
 _TAIL_STOP_RADIUS = 5e-4
 _TAIL_MAX_VERTICES = 20_000
 
 
-def discretize_orbit_tail(m: KoenigsMap, t: float) -> np.ndarray:
-    """Polyline through h^{-1}([t, infinity)), resolved to `_TAIL_SPACING`.
+def _chord_gap(p: complex, a: complex, b: complex) -> float:
+    """Distance from p to the segment [a, b]."""
+    chord, rel = b - a, p - a
+    # a zero chord gives s = 0, and so the distance to a itself
+    s = (rel * chord.conjugate()).real / (abs(chord) ** 2 or 1.0)
+    return abs(rel - min(1.0, max(0.0, s)) * chord)
 
-    The parameter step adapts so adjacent vertices stay within `_TAIL_SPACING`
-    in the disk; the final vertex is the Denjoy-Wolff point 1 itself, closing
-    the obstacle to the boundary.  DomainError if h^{-1}(t) rounds onto 1,
-    as on far strip tails, since the tail then has no length.
+
+def discretize_orbit_tail(m: KoenigsMap, t: float) -> np.ndarray:
+    """Polyline through h^{-1}([t, infinity)), within `_TAIL_TOL` of the tail.
+
+    A parameter step is accepted once the tail point at its midpoint lies
+    within `_TAIL_TOL` of the step's chord.  The open chord from the last
+    vertex stretches to each step's end while every tail point evaluated
+    since that vertex stays within `_TAIL_TOL` of it, else its old end
+    becomes a vertex: a straight tail is one segment.  Within
+    `_TAIL_STOP_RADIUS` of 1 the chord stretches by the same rule to the
+    Denjoy-Wolff point 1, the final vertex.  DomainError if h^{-1}(t) rounds
+    onto 1, as on far strip tails, since the tail then has no length.
     """
     if t <= 0.0:
         raise DomainError("the orbit tail obstacle needs t > 0")
     z = map_inverse(m, complex(t))
     if z == 1.0:
         raise DomainError(f"the orbit tail from t={t} rounds onto the Denjoy-Wolff point 1 and has no length")
-    verts = [z]
-    tau = float(t)
-    dtau = 0.01 * max(1.0, t)
+    # seen: the tail points evaluated since the last vertex; the open chord ends at z
+    verts, seen = [z], []
+    tau, dtau = float(t), 0.01 * max(1.0, t)
     while abs(z - 1.0) > _TAIL_STOP_RADIUS and len(verts) < _TAIL_MAX_VERTICES:
         while True:
+            mid = map_inverse(m, complex(tau + 0.5 * dtau))
             z_next = map_inverse(m, complex(tau + dtau))
-            gap = abs(z_next - z)
-            if gap <= _TAIL_SPACING or dtau <= 1e-12 * max(1.0, tau):
+            bend = _chord_gap(mid, z, z_next)
+            if bend <= _TAIL_TOL or dtau <= 1e-12 * max(1.0, tau):
                 break
             dtau *= 0.5
         tau += dtau
+        if seen and any(_chord_gap(p, verts[-1], z_next) > _TAIL_TOL for p in seen + [mid]):
+            verts.append(z)
+            seen = []
+        seen += [mid, z_next]
         z = z_next
+        # the midpoint's gap scales as dtau^2: grown 1.2 times, the step still passes
+        if bend < 0.6 * _TAIL_TOL:
+            dtau *= 1.2
+    if any(_chord_gap(p, verts[-1], 1.0 + 0j) > _TAIL_TOL for p in seen):
         verts.append(z)
-        if gap < 0.3 * _TAIL_SPACING:
-            dtau *= 1.8
     verts.append(1.0 + 0j)
     return np.asarray(verts, dtype=complex)
 
@@ -611,13 +584,15 @@ class ProjectionBoundResult:
     passed: bool
 
 
-def projection_bound_check(m: KoenigsMap, t: float, n: int, seed: int = 0, chunk: int = 8192) -> ProjectionBoundResult:
+def projection_bound_check(
+    m: KoenigsMap, t: float, n: int, seed: int = 0, chunk: int = 8192, sigma: float = 3.0
+) -> ProjectionBoundResult:
     """Check the projection lower bound for the orbit-tail hitting probability.
 
     The first-hit probability of the obstacle h^{-1}([t, inf)) from 0 must be
-    at least (1/(2 pi)) arctan((1 - pi_t^2)/(2 pi_t)), up to 3 sigma.
+    at least (1/(2 pi)) atan((1 - pi_t^2)/(2 pi_t)) less ``sigma`` std errors.
     """
     obstacle = discretize_orbit_tail(m, t)
     est = mc_first_hit(obstacle, 0j, n, seed=seed, chunk=chunk)
     rhs = 0.5 * geodesic_cut_measure(speeds(m, t).pi_t)[1]
-    return ProjectionBoundResult(t=t, estimate=est, lower_bound=rhs, passed=est.value >= rhs - 3.0 * est.std_error)
+    return ProjectionBoundResult(t=t, estimate=est, lower_bound=rhs, passed=est.value >= rhs - sigma * est.std_error)

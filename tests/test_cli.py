@@ -495,6 +495,42 @@ def test_hm_report_counts_truncated_walks(tmp_path, monkeypatch):
     assert report.summary["truncated_walks"] == payload["summary"]["truncated_walks"] == sum(cut)
 
 
+def test_mc_sigma_reaches_the_projection_rows(tmp_path, monkeypatch):
+    import hypspeeds.harmonic as harmonic
+
+    seen = []
+    check = harmonic.projection_bound_check
+
+    def recording_check(*args, **kwargs):
+        seen.append(kwargs.get("sigma"))
+        return check(*args, **kwargs)
+
+    monkeypatch.setattr(harmonic, "projection_bound_check", recording_check)
+    data = {
+        "experiment": "hm",
+        "domain": {"kind": "strip", "y_low": -1, "y_high": 1},
+        "seed": 99,
+        "n_samples": 500,
+        "tolerances": {"mc_sigma": 2.5},
+        "hm": {"projection_ts": [1.0, 5.0], "semidisk_t0": 0.5},
+    }
+    run(parse_config(data), tmp_path)
+    # each projection row was checked at 3 sigma whatever the config said
+    assert seen == [2.5, 2.5]
+
+
+def test_mc_sigma_must_be_positive(tmp_path):
+    # at -3 the arc and semidisk rows failed while the projection rows
+    # passed, and the run printed FAIL and exited 1
+    base = {"domain": {"kind": "strip", "y_low": -1, "y_high": 1}, "seed": 1, "n_samples": 100}
+    assert parse_config(dict(base, experiment="hm", tolerances={"mc_sigma": 0.5})).mc_sigma == 0.5
+    for sigma in (0, -3.0):
+        with pytest.raises(ConfigError, match="must be positive"):
+            parse_config(dict(base, experiment="hm", tolerances={"mc_sigma": sigma}))
+        cfg_path = write_config(tmp_path, dict(base, tolerances={"mc_sigma": sigma}))
+        assert main(["hm", "--config", str(cfg_path), "--out", str(tmp_path)]) == 2
+
+
 def test_hm_on_a_far_strip_tail_exits_two_naming_t(tmp_path, capsys):
     # h^{-1}(25) rounds onto 1: the tail has no length to walk against
     strip = {"kind": "strip", "y_low": -1, "y_high": 1}

@@ -10,20 +10,19 @@ import pytest
 from mpmath.libmp import from_int, mpf_cos_sin_pi, mpf_shift, to_float
 from scipy.integrate import quad
 
+from hypspeeds.conformal import map_inverse
 from hypspeeds.domains import HalfPlaneDom, SlitPlane, StripDom
 from hypspeeds.errors import DomainError, ParameterError
 from hypspeeds.harmonic import (
     _ARC_CHUNK,
     _ROOTS,
-    _WINDOW,
-    _WINDOW_PAIRS,
+    _TAIL_STOP_RADIUS,
     ArcOnCircle,
     HMEstimate,
     _directions,
     _dist_to_segments,
     _obstacle_absorb,
     _polyline_segments,
-    _simplify_polyline,
     disk_arc_measure,
     discretize_orbit_tail,
     geodesic_cut_measure,
@@ -366,8 +365,8 @@ def test_dist_to_segments_matches_brute_force_bitwise(count):
 
 @pytest.mark.parametrize("t", (1.0, 5.0))
 def test_dist_to_orbit_tail_matches_brute_force_bitwise(t):
-    # simplified as the walk sees it: 234 segments at t = 1, 116 at t = 5
-    tail = _simplify_polyline(discretize_orbit_tail(make_model(SlitPlane(((0.0, 1.0),))), t))
+    # as the walk sees it: 276 segments at t = 1, 142 at t = 5
+    tail = discretize_orbit_tail(make_model(SlitPlane(((0.0, 1.0),))), t)
     segments = _polyline_segments(tail)
     assert segments.centers.size > 1
     rng = np.random.default_rng(int(t))
@@ -390,12 +389,12 @@ def _brute_absorb(p, verts, eps):
     [
         (make_model(SlitPlane(((0.0, 1.0),))), 1.0),
         (make_model(SlitPlane(((0.0, 1.0),))), 5.0),
-        # 700 segments after simplification
+        # 794 segments
         (make_model(HalfPlaneDom(-1.0)), 0.5),
     ],
 )
 def test_obstacle_absorb_matches_brute_force_bitwise(model, t, eps):
-    tail = _simplify_polyline(discretize_orbit_tail(model, t))
+    tail = discretize_orbit_tail(model, t)
     absorb = _obstacle_absorb(_polyline_segments(tail), eps)
     rng = np.random.default_rng(int(10 * t))
     far = 0.9999 * np.sqrt(rng.random(3000)) * np.exp(2j * math.pi * rng.random(3000))
@@ -414,7 +413,7 @@ def test_obstacle_absorb_matches_brute_force_bitwise(model, t, eps):
 
 
 def test_walk_working_set_does_not_grow_with_the_obstacle():
-    # 700 segments in 26 blocks: copying every walk's nearest block of
+    # 794 segments in 28 blocks: copying every walk's nearest block of
     # segments took this to a traced peak of about 25 MB
     tail = discretize_orbit_tail(make_model(HalfPlaneDom(-1.0)), 0.5)
     tracemalloc.start()
@@ -426,53 +425,6 @@ def test_walk_working_set_does_not_grow_with_the_obstacle():
     assert peak < 8e6
     assert est.value == 0.474853515625
     assert est.std_error == 0.0055172808058563715
-
-
-def _simplify_reference(verts, tol=1e-6):
-    # one candidate chord per step
-    if verts.size <= 2:
-        return verts
-    keep = [0]
-    anchor = 0
-    for j in range(2, verts.size):
-        chord = verts[j] - verts[anchor]
-        span = abs(chord)
-        run = verts[anchor + 1 : j]
-        if span == 0.0:
-            dev = np.abs(run - verts[anchor]).max()
-        else:
-            rel = run - verts[anchor]
-            t = np.clip((rel * chord.conjugate()).real / (span * span), 0.0, 1.0)
-            dev = np.abs(rel - t * chord).max()
-        if dev > tol:
-            anchor = j - 1
-            keep.append(anchor)
-    keep.append(verts.size - 1)
-    return verts[np.asarray(keep)]
-
-
-def _simplify_cases():
-    slit = make_model(SlitPlane(((0.0, 1.0),)))
-    yield "slit tail t=1", discretize_orbit_tail(slit, 1.0)
-    yield "slit tail t=5", discretize_orbit_tail(slit, 5.0)
-    yield "half-plane tail t=0.5", discretize_orbit_tail(make_model(HalfPlaneDom(-1.0)), 0.5)
-    yield "strip tail t=1", discretize_orbit_tail(make_model(StripDom(-1.0, 1.0)), 1.0)
-    # a straight run long enough to narrow the window, then a kink
-    line = np.linspace(0.0, 0.5, 2 * _WINDOW_PAIRS // _WINDOW)
-    yield "long run", np.concatenate([line, 0.5 + 1j * line[1:]])
-    yield "runs of one window", np.linspace(0.0, 1.0, 3 * _WINDOW + 2) + 0j
-    rng = np.random.default_rng(7)
-    for k in range(40):
-        n = int(rng.integers(3, 400))
-        scale = (1e-7, 1e-6, 1e-5)[k % 3]
-        verts = np.cumsum(rng.normal(size=n) + 1j * rng.normal(size=n)) * scale
-        # each vertex up to 4 times in a row: zero chords
-        yield f"random {k}", np.repeat(verts, rng.integers(1, 5, size=n))
-
-
-@pytest.mark.parametrize("name, verts", list(_simplify_cases()), ids=lambda x: x if isinstance(x, str) else "")
-def test_simplify_polyline_matches_reference_loop(name, verts):
-    assert np.array_equal(_simplify_polyline(verts), _simplify_reference(verts))
 
 
 def test_non_positive_chunk_rejected():
@@ -569,12 +521,49 @@ def test_semidisk_bisection_validation():
 
 
 def test_discretize_orbit_tail_structure():
+    # the symmetric strip's tail is the slit [pi_t, 1]: one segment
     m = make_model(StripDom(-1.0, 1.0))
+    for t in (0.3, 1.0, 5.0):
+        assert discretize_orbit_tail(m, t).size == 2
     obst = discretize_orbit_tail(m, 1.0)
     assert obst[-1] == 1.0 + 0j
-    gaps = np.abs(np.diff(obst))
-    assert gaps[:-1].max() <= 1e-3
     assert abs(obst[0] - math.tanh(math.pi / 4.0)) <= 1e-9  # pullback of t = 1
+
+
+def _tail_sample(m, t, count=20_000):
+    """Tail points at ``count`` log-spaced times from t to where the tail
+    comes within ``_TAIL_STOP_RADIUS`` of 1, beyond which it closes straight."""
+    lo, hi = math.log(t), math.log(t)
+    while abs(map_inverse(m, complex(math.exp(hi))) - 1.0) > _TAIL_STOP_RADIUS:
+        hi += 1.0
+    for _ in range(60):
+        mid = 0.5 * (lo + hi)
+        if abs(map_inverse(m, complex(math.exp(mid))) - 1.0) > _TAIL_STOP_RADIUS:
+            lo = mid
+        else:
+            hi = mid
+    taus = np.exp(np.linspace(math.log(t), hi, count))
+    return np.asarray([map_inverse(m, complex(tau)) for tau in taus])
+
+
+@pytest.mark.parametrize(
+    "domain, t",
+    [
+        pytest.param(SlitPlane(((0.0, 1.0),)), 1.0, id="slit-1"),
+        pytest.param(SlitPlane(((0.0, 1.0),)), 5.0, id="slit-5"),
+        pytest.param(HalfPlaneDom(-1.0), 0.5, id="half-plane-0.5"),
+        pytest.param(HalfPlaneDom(-1.0), 1.0, id="half-plane-1"),
+    ],
+)
+def test_discretize_orbit_tail_follows_the_tail(domain, t):
+    # every point of a dense sample of the tail lies within about
+    # _TAIL_TOL = 1e-6 of the polyline, not only the points it was built from
+    m = make_model(domain)
+    tail = discretize_orbit_tail(m, t)
+    assert tail[0] == map_inverse(m, complex(t))
+    assert tail[-1] == 1.0 + 0j
+    gaps = _dist_to_segments(_tail_sample(m, t), _polyline_segments(tail))
+    assert gaps.max() <= 1.05e-6
 
 
 @pytest.mark.parametrize("t", (25.0, 30.0))
@@ -589,6 +578,16 @@ def test_projection_bound_strip_small_n():
     res = projection_bound_check(m, 1.0, 20_000, seed=9)
     assert res.passed
     assert res.estimate.value >= res.lower_bound
+
+
+def test_projection_bound_reads_sigma():
+    m = make_model(StripDom(-1.0, 1.0))
+    res = projection_bound_check(m, 1.0, 2000, seed=9)
+    margin = (res.estimate.value - res.lower_bound) / res.estimate.std_error
+    assert margin > 3.0
+    # the same walks: only the allowance moves
+    assert projection_bound_check(m, 1.0, 2000, seed=9, sigma=1.0 - margin).passed
+    assert not projection_bound_check(m, 1.0, 2000, seed=9, sigma=-1.0 - margin).passed
 
 
 def test_projection_bound_near_zero_time():

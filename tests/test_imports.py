@@ -150,3 +150,60 @@ def test_numpy_import_is_detected():
 def test_only_the_walk_kernel_imports_numpy():
     sources = {p.name: p.read_text(encoding="utf-8") for p in (SRC / "hypspeeds").glob("*.py")}
     assert _numpy_importers(sources) == ["harmonic.py"]
+
+
+def _private_definitions(source: str) -> dict[str, int]:
+    """The module-level private functions, classes and constants a module
+    defines (dunder names aside), each with its line."""
+    found = {}
+    for node in ast.parse(source).body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names = [n.id for target in targets for n in ast.walk(target) if isinstance(n, ast.Name)]
+        else:
+            continue
+        found.update((name, node.lineno) for name in names if name.startswith("_") and not name.startswith("__"))
+    return found
+
+
+def _references(source: str) -> set[str]:
+    """Every name a module reads, as a name, an attribute or an import."""
+    names = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            names.update(alias.name for alias in node.names)
+    return names
+
+
+def _unreferenced_private_names(sources: dict[str, str]) -> list[str]:
+    """The private module-level names that no module reads."""
+    used = set().union(*map(_references, sources.values()))
+    return [
+        f"{module}: {name} (line {line})"
+        for module, source in sorted(sources.items())
+        for name, line in sorted(_private_definitions(source).items())
+        if name not in used
+    ]
+
+
+def test_unreferenced_private_name_is_detected():
+    sources = {
+        "a.py": "_SPACING = 5e-4\n_TOL, _RADIUS = 1e-6, 5e-4\ndef _helper():\n    return _TOL\n__all__ = []\n",
+        "b.py": "from .a import _helper\nclass _Unused:\n    pass\n",
+    }
+    assert _unreferenced_private_names(sources) == [
+        "a.py: _RADIUS (line 2)",
+        "a.py: _SPACING (line 1)",
+        "b.py: _Unused (line 2)",
+    ]
+
+
+def test_every_private_name_is_referenced():
+    sources = {p.name: p.read_text(encoding="utf-8") for p in (SRC / "hypspeeds").glob("*.py")}
+    assert _unreferenced_private_names(sources) == []
