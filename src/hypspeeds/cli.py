@@ -6,6 +6,11 @@ Exit codes: 0 when every assertion of the experiment passed, 1 when an
 assertion was violated, 2 for configuration or numeric errors (including a
 domain kind the requested experiment cannot support).  Re-running with an
 identical config and seed reproduces byte-identical CSV output.
+
+Each runner is a function of its config alone and returns its CSV schema and
+rows, its verdict and its summary; ``run`` writes ``<experiment>.csv`` and
+``<experiment>_report.json`` after the runner returns, so a run that raises
+writes neither.
 """
 
 from __future__ import annotations
@@ -292,15 +297,18 @@ def emit_csv(rows, schema, path: Path) -> None:
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
-def _emit_speeds(samples, path: Path) -> None:
-    emit_csv([(s.t, s.v, s.v_o, s.v_T, s.pi_t) for s in samples], ["t", "v", "v_o", "v_T", "pi_t"], path)
+_SPEEDS_SCHEMA = ["t", "v", "v_o", "v_T", "pi_t"]
+
+
+def _speeds_rows(samples) -> list[tuple]:
+    return [(s.t, s.v, s.v_o, s.v_T, s.pi_t) for s in samples]
 
 
 # ---------------------------------------------------------------------------
-# Experiment bodies
+# Experiment bodies: each returns (schema, rows, passed, summary)
 
 
-def _run_dist(cfg: ExperimentConfig, out_dir: Path) -> RunReport:
+def _run_dist(cfg: ExperimentConfig) -> tuple:
     from .seeding import sample_uniforms
 
     seed = cfg.seed
@@ -330,22 +338,20 @@ def _run_dist(cfg: ExperimentConfig, out_dir: Path) -> RunReport:
         err = abs(val - ref)
         worst_quad = max(worst_quad, err)
         rows.append(("disk_vs_quadrature", z1.real, z1.imag, z2.real, z2.imag, val, ref, err))
-    emit_csv(rows, ["check", "re1", "im1", "re2", "im2", "value", "reference", "abs_err"], out_dir / "dist.csv")
+    schema = ["check", "re1", "im1", "re2", "im2", "value", "reference", "abs_err"]
     passed = worst_pair <= 1e-10 and worst_quad <= 1e-8
-    summary = {"max_abs_err_halfplane": worst_pair, "max_abs_err_quadrature": worst_quad}
-    return RunReport("dist", passed, summary, _provenance(cfg))
+    return schema, rows, passed, {"max_abs_err_halfplane": worst_pair, "max_abs_err_quadrature": worst_quad}
 
 
-def _run_speeds(cfg: ExperimentConfig, out_dir: Path) -> RunReport:
+def _run_speeds(cfg: ExperimentConfig) -> tuple:
     model = make_model(cfg.domain)
     samples = [speeds(model, t) for t in cfg.t_grid.values()]
-    _emit_speeds(samples, out_dir / "speeds.csv")
     tol = 1e-12
     ok = all(s.v_o <= s.v + tol and s.v_T <= s.v + tol and s.v <= s.v_o + s.v_T + tol for s in samples)
-    return RunReport("speeds", ok, {"n_rows": len(samples), "invariants_ok": ok}, _provenance(cfg))
+    return _SPEEDS_SCHEMA, _speeds_rows(samples), ok, {"n_rows": len(samples), "invariants_ok": ok}
 
 
-def _run_thm1(cfg: ExperimentConfig, out_dir: Path) -> RunReport:
+def _run_thm1(cfg: ExperimentConfig) -> tuple:
     model = make_model(cfg.domain)
     grid = cfg.t_grid.values()
     slack = cfg.violation_slack
@@ -356,18 +362,16 @@ def _run_thm1(cfg: ExperimentConfig, out_dir: Path) -> RunReport:
     }
     for z in cfg.base_points:
         scans[_base_label(z)] = monotonicity_scan(model, grid, "generalized", base_point=z, slack=slack)
-    _emit_speeds(samples, out_dir / "thm1.csv")
     violations = {name: len(rep.violations) for name, rep in scans.items()}
     passed = all(v == 0 for v in violations.values())
-    return RunReport("thm1", passed, {"violations": violations}, _provenance(cfg))
+    return _SPEEDS_SCHEMA, _speeds_rows(samples), passed, {"violations": violations}
 
 
-def _run_thm2(cfg: ExperimentConfig, out_dir: Path) -> RunReport:
+def _run_thm2(cfg: ExperimentConfig) -> tuple:
     lo, hi, count = cfg.dip_a0_log10_start, cfg.dip_a0_log10_stop, cfg.dip_a0_count
     a0_grid = [10.0 ** (lo + (hi - lo) * k / (count - 1)) for k in range(count)]
     dip = dip_search(cfg.dip_R, a0_grid)
     etas = [slit_inequality_on_K(R, cfg.k_samples) for R in cfg.k_radii]
-    emit_csv(dip.curve, ["a0", "delta"], out_dir / "thm2.csv")
     summary = {
         "best_a0": dip.a0,
         "dip": dip.dip,
@@ -377,16 +381,11 @@ def _run_thm2(cfg: ExperimentConfig, out_dir: Path) -> RunReport:
         "eta_margin": min(e.min_gap for e in etas),
     }
     passed = summary["dip_margin"] >= 0.0 and summary["eta_margin"] > 0.0
-    return RunReport("thm2", passed, summary, _provenance(cfg))
+    return ["a0", "delta"], dip.curve, passed, summary
 
 
-def _run_thm3(cfg: ExperimentConfig, out_dir: Path) -> RunReport:
+def _run_thm3(cfg: ExperimentConfig) -> tuple:
     rows = theorem3_table(cfg.table_n_lo, cfg.table_n_hi, cfg.table_alpha)
-    emit_csv(
-        [(r.n, r.t_n, r.q_total, r.upper_ratio, r.lower_ratio) for r in rows],
-        ["n", "t_n", "Q", "upper_ratio", "lower_ratio"],
-        out_dir / "thm3.csv",
-    )
     odd = [r for r in rows if r.n % 2 == 1]
     even = [r for r in rows if r.n % 2 == 0]
     exceptions = []
@@ -410,16 +409,12 @@ def _run_thm3(cfg: ExperimentConfig, out_dir: Path) -> RunReport:
         "stage_ratios": {str(n): r for n, r in ratios.items()},
         "additivity_ok": additive_ok,
     }
-    return RunReport("thm3", passed, summary, _provenance(cfg))
+    table = [(r.n, r.t_n, r.q_total, r.upper_ratio, r.lower_ratio) for r in rows]
+    return ["n", "t_n", "Q", "upper_ratio", "lower_ratio"], table, passed, summary
 
 
-def _run_thm4(cfg: ExperimentConfig, out_dir: Path) -> RunReport:
+def _run_thm4(cfg: ExperimentConfig) -> tuple:
     report = theorem4_scan(make_model(cfg.domain), make_model(cfg.domain_tilde), cfg.t_grid.values())
-    emit_csv(
-        [(r.t, r.v_o, r.v_o_tilde, r.diff, r.ratio) for r in report.rows],
-        ["t", "v_o", "v_o_tilde", "diff", "ratio"],
-        out_dir / "thm4.csv",
-    )
     summary = {
         "tail_min_diff": report.tail_min_diff,
         "tail_min_ratio": report.tail_min_ratio,
@@ -428,10 +423,11 @@ def _run_thm4(cfg: ExperimentConfig, out_dir: Path) -> RunReport:
         "ratio_margin": report.tail_min_ratio - 0.25 + cfg.ratio_slack,
     }
     passed = summary["diff_margin"] >= 0.0 and summary["ratio_margin"] >= 0.0
-    return RunReport("thm4", passed, summary, _provenance(cfg))
+    rows = [(r.t, r.v_o, r.v_o_tilde, r.diff, r.ratio) for r in report.rows]
+    return ["t", "v_o", "v_o_tilde", "diff", "ratio"], rows, passed, summary
 
 
-def _run_hm(cfg: ExperimentConfig, out_dir: Path) -> RunReport:
+def _run_hm(cfg: ExperimentConfig) -> tuple:
     from .harmonic import (
         ArcOnCircle,
         disk_arc_measure,
@@ -442,15 +438,13 @@ def _run_hm(cfg: ExperimentConfig, out_dir: Path) -> RunReport:
     )
 
     seed, n, sigma = cfg.seed, cfg.n_samples, cfg.mc_sigma
-    rows = []
-    checks_ok = []
+    rows = []  # each row ends with its own verdict
 
     arc = ArcOnCircle(0.0, math.pi / 2.0)
     est = mc_disk_arc(0j, arc, n, seed=seed)
     ref = disk_arc_measure(0j, arc)
     ok = abs(est.value - ref) <= sigma * est.std_error
     rows.append(("arc_calibration", 0.25, est.value, ref, est.std_error, est.n_samples, seed, ok))
-    checks_ok.append(ok)
 
     worst = 0.0
     for k in range(1, 10):
@@ -460,7 +454,6 @@ def _run_hm(cfg: ExperimentConfig, out_dir: Path) -> RunReport:
         worst = max(worst, abs(geo - closed))
     ok = worst <= 1e-10
     rows.append(("geodesic_cut_agreement", math.nan, worst, 0.0, 0.0, 9, seed, ok))
-    checks_ok.append(ok)
 
     model = make_model(cfg.domain)
     truncated = 0
@@ -470,7 +463,6 @@ def _run_hm(cfg: ExperimentConfig, out_dir: Path) -> RunReport:
         rows.append(
             ("projection_bound", t, res.estimate.value, res.lower_bound, res.estimate.std_error, n, seed, res.passed)
         )
-        checks_ok.append(res.passed)
 
     left, right = semidisk_bisection_check(cfg.semidisk_t0, n, seed=seed, chunk=cfg.mc_chunk)
     # one walk per sample serves both halves: count its truncations once
@@ -478,15 +470,9 @@ def _run_hm(cfg: ExperimentConfig, out_dir: Path) -> RunReport:
     joint = math.sqrt(left.std_error**2 + right.std_error**2 + 2.0 * left.value * right.value / n)
     ok = abs(left.value - right.value) <= sigma * joint
     rows.append(("semidisk_bisection", cfg.semidisk_t0, left.value, right.value, joint, n, seed, ok))
-    checks_ok.append(ok)
 
-    emit_csv(
-        rows,
-        ["check", "param", "value", "reference", "std_error", "n", "seed", "passed"],
-        out_dir / "hm.csv",
-    )
-    summary = {"n_checks": len(checks_ok), "truncated_walks": truncated}
-    return RunReport("hm", all(checks_ok), summary, _provenance(cfg))
+    schema = ["check", "param", "value", "reference", "std_error", "n", "seed", "passed"]
+    return schema, rows, all(row[-1] for row in rows), {"n_checks": len(rows), "truncated_walks": truncated}
 
 
 #: Each experiment's runner and the config keys it cannot run without.
@@ -502,15 +488,13 @@ _RUNNERS = {
 EXPERIMENTS = tuple(_RUNNERS)
 
 
-def _provenance(cfg: ExperimentConfig) -> dict:
-    return {"config": cfg.raw, "seed": cfg.seed, "version": __version__}
-
-
 def run(cfg: ExperimentConfig, out_dir: Path) -> RunReport:
-    """Dispatch an experiment; writes its CSV and JSON report into out_dir."""
+    """Run an experiment, then write its CSV and JSON report into out_dir."""
+    schema, rows, passed, summary = _RUNNERS[cfg.experiment][0](cfg)
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    report = _RUNNERS[cfg.experiment][0](cfg, out_dir)
+    emit_csv(rows, schema, out_dir / f"{cfg.experiment}.csv")
+    report = RunReport(cfg.experiment, passed, summary, {"config": cfg.raw, "seed": cfg.seed, "version": __version__})
     (out_dir / f"{cfg.experiment}_report.json").write_text(report.to_json() + "\n", encoding="utf-8")
     return report
 

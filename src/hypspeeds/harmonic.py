@@ -110,15 +110,13 @@ def _binomial_estimate(hits: int, n: int, seed: int, truncated: int = 0) -> HMEs
 
 
 def disk_arc_measure(z: complex, arc: ArcOnCircle) -> float:
-    """Poisson integral of the arc indicator at z; from 0 it is length/(2 pi)."""
+    """Poisson integral of the arc indicator at z: the length in turns of the
+    arc's preimage under the automorphism sending 0 to z, so from 0 it is
+    length/(2 pi)."""
     z = require_disk_point(z)
     if arc.length >= TWO_PI - 1e-15:
         return 1.0
-    e1 = cmath.exp(1j * arc.theta1)
-    e2 = cmath.exp(1j * arc.theta2)
-    t1 = (e1 - z) / (1.0 - z.conjugate() * e1)
-    t2 = (e2 - z) / (1.0 - z.conjugate() * e2)
-    return ((cmath.phase(t2) - cmath.phase(t1)) % TWO_PI) / TWO_PI
+    return _arc_preimage(z, arc)[1]
 
 
 def geodesic_cut_measure(pi_t: float) -> tuple[ArcOnCircle, float]:

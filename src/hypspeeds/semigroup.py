@@ -148,6 +148,17 @@ class ScanReport:
         return not self.violations
 
 
+def _increasing(t_grid, least: int = 0) -> list[float]:
+    """t_grid as floats.  Raises ParameterError unless it holds at least
+    ``least`` times and strictly increases."""
+    grid = [float(t) for t in t_grid]
+    if len(grid) < least:
+        raise ParameterError(f"scan grid must hold at least {least} times, got {len(grid)}")
+    if not all(a < b for a, b in zip(grid[:-1], grid[1:])):
+        raise ParameterError("scan grid must be strictly increasing")
+    return grid
+
+
 def monotonicity_scan(
     m: KoenigsMap,
     t_grid,
@@ -161,9 +172,7 @@ def monotonicity_scan(
     'generalized' (requires base_point).  An empty violation list certifies
     strict increase on the grid up to numeric noise.
     """
-    grid = [float(t) for t in t_grid]
-    if any(b <= a for a, b in zip(grid[:-1], grid[1:])):
-        raise ParameterError("scan grid must be strictly increasing")
+    grid = _increasing(t_grid)
     if quantity == "generalized":
         if base_point is None:
             raise ParameterError("generalized speed needs a base point")
@@ -181,10 +190,13 @@ def monotonicity_scan(
 
 
 def scan_values(quantity: str, t_grid: list[float], values: list[float], slack: float) -> ScanReport:
-    """The scan of values already taken on an increasing t_grid: flag adjacent
-    pairs where the value drops by more than `slack`."""
-    report = ScanReport(quantity=quantity, t_grid=t_grid, values=values)
-    for (t0, v0), (t1, v1) in zip(zip(t_grid[:-1], values[:-1]), zip(t_grid[1:], values[1:])):
+    """The scan of values already taken on an increasing t_grid, one value per
+    time: flag adjacent pairs where the value drops by more than `slack`."""
+    grid = _increasing(t_grid)
+    if len(values) != len(grid):
+        raise ParameterError(f"need one value per time, got {len(values)} values for {len(grid)} times")
+    report = ScanReport(quantity=quantity, t_grid=grid, values=values)
+    for (t0, v0), (t1, v1) in zip(zip(grid[:-1], values[:-1]), zip(grid[1:], values[1:])):
         delta = v1 - v0
         if delta <= -slack:
             report.violations.append(ScanViolation(t0, t1, delta))
@@ -216,14 +228,15 @@ def theorem4_scan(m: KoenigsMap, m_tilde: KoenigsMap, t_grid) -> NestedSpeedRepo
     the squared-gap ratio (1 - pi_tilde^2)/(1 - pi^2), with their minima over
     the tail, the second half of the rows.
 
-    Raises DomainError unless the first Koenigs domain lies inside the second,
+    Raises ParameterError unless t_grid is nonempty and strictly increasing,
+    and DomainError unless the first Koenigs domain lies inside the second,
     which ``includes`` decides exactly before scanning.
     """
+    grid = _increasing(t_grid, least=1)
     d, d_tilde = m.domain, m_tilde.domain
     if not includes(d, d_tilde):
         raise DomainError(f"inclusion check failed: {d} is not contained in {d_tilde}")
     report = NestedSpeedReport()
-    grid = [float(t) for t in t_grid]
     for t in grid:
         v = speeds(m, t).v_o
         v_t = speeds(m_tilde, t).v_o

@@ -537,6 +537,9 @@ def test_hm_on_a_far_strip_tail_exits_two_naming_t(tmp_path, capsys):
     cfg_path = write_config(tmp_path, {"domain": strip, "seed": 1, "n_samples": 100, "hm": {"projection_ts": [25.0]}})
     assert main(["hm", "--config", str(cfg_path), "--out", str(tmp_path)]) == 2
     assert "t=25.0" in capsys.readouterr().err
+    # the run raised before anything was written
+    assert not (tmp_path / "hm.csv").exists()
+    assert not (tmp_path / "hm_report.json").exists()
 
 
 def test_mc_chunk_must_be_positive():

@@ -207,3 +207,46 @@ def test_unreferenced_private_name_is_detected():
 def test_every_private_name_is_referenced():
     sources = {p.name: p.read_text(encoding="utf-8") for p in (SRC / "hypspeeds").glob("*.py")}
     assert _unreferenced_private_names(sources) == []
+
+
+#: The public functions and classes that no code in src/ reads, each with
+#: its reason.  A name here that gains a reference fails the test too.
+UNREFERENCED_PUBLIC_NAMES = {
+    "domain_distance": "read by the tests",
+    "pullback_density": "read by the tests",
+    "log_one_minus_pi_sq": "read by the tests",
+    "geodesic_through": "API of the acceptance gate",
+    "slit_plane": "public constructor of SlitPlane",
+    "rho_bounds": "the staircase bracket (ROADMAP item 7) is its planned caller",
+}
+
+
+def _public_definitions(source: str) -> list[str]:
+    """The module-level public functions and classes a module defines."""
+    return [
+        node.name
+        for node in ast.parse(source).body
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)) and not node.name.startswith("_")
+    ]
+
+
+def _unreferenced_public_names(sources: dict[str, str]) -> list[str]:
+    """The public functions and classes that no module reads.  A definition
+    is not a read, and neither is a re-export in ``__init__.py``."""
+    sources = {module: source for module, source in sources.items() if module != "__init__.py"}
+    used = set().union(*map(_references, sources.values()))
+    return sorted(name for source in sources.values() for name in _public_definitions(source) if name not in used)
+
+
+def test_unreferenced_public_name_is_detected():
+    sources = {
+        "__init__.py": "from .a import Unused, shown, unused\n",
+        "a.py": "def shown():\n    pass\nclass Unused:\n    pass\ndef unused():\n    pass\n",
+        "b.py": "from .a import shown\nshown()\n",
+    }
+    assert _unreferenced_public_names(sources) == ["Unused", "unused"]
+
+
+def test_every_public_name_is_referenced_or_allowed():
+    sources = {p.name: p.read_text(encoding="utf-8") for p in (SRC / "hypspeeds").glob("*.py")}
+    assert _unreferenced_public_names(sources) == sorted(UNREFERENCED_PUBLIC_NAMES)

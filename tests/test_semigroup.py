@@ -336,6 +336,11 @@ def test_scan_validates_grid_and_quantity():
         monotonicity_scan(m, [0.0, 1.0], "sideways")
     with pytest.raises(ParameterError):
         monotonicity_scan(m, [0.0, 1.0], "generalized")
+    # values already taken: one per time, on an increasing grid
+    with pytest.raises(ParameterError):
+        scan_values("x", [0.0, 1.0, 2.0], [1.0], 1e-12)
+    with pytest.raises(ParameterError):
+        scan_values("x", [2.0, 1.0, 0.0], [1.0, 0.0, -1.0], 1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -378,6 +383,16 @@ def test_theorem4_strip_in_half_plane_diverges():
     mt = make_model(HalfPlaneDom(-1.0, "above"))
     rep = theorem4_scan(m, mt, [10.0, 50.0, 100.0])
     assert rep.rows[-1].diff > rep.rows[0].diff > 0.0
+
+
+def test_theorem4_scan_validates_grid():
+    m = make_model(StripDom(-1.0, 1.0))
+    mt = make_model(StripDom(-2.0, 2.0))
+    # an empty grid has no tail to take minima over; a decreasing one would
+    # take them over its earliest times
+    for grid in ([], [100.0, 10.0, 1.0, 0.5], [1.0, 1.0, 2.0]):
+        with pytest.raises(ParameterError):
+            theorem4_scan(m, mt, grid)
 
 
 def test_theorem4_inclusion_violation_detected():
