@@ -22,7 +22,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Optional
 
 from .domains import DomainDescriptor, HalfPlaneDom, SlitPlane, StripDom, contains, dist_to_boundary
 from .errors import ConstructionError, DomainError, UnsupportedDomainError
@@ -30,6 +30,7 @@ from .hyperbolic import require_disk_point
 
 #: A point W of H as (log|W|, W/|W|).
 HPoint = tuple[float, complex]
+_LOG2 = math.log(2.0)
 
 
 def slit_sqrt_forward(z: complex) -> complex:
@@ -54,13 +55,16 @@ class KoenigsMap:
     """Normalized Riemann map h = from_h o M: disk -> domain, h(0) = 0, h(1) = P_inf.
 
     ``dlog(L)`` is |d from_h / d log W| at log|W| = L, the stretch that
-    ``pullback_density`` divides by.
+    ``pullback_density`` divides by.  ``advance(p, t)`` is the H point q of
+    from_h(p) + t, with the step W_q - W_p free of cancellation while it is
+    at most |W_p| (else None).
     """
 
     domain: DomainDescriptor
     to_h: Callable[[complex], HPoint]
     from_h: Callable[[float, complex], complex]
     dlog: Callable[[float], float]
+    advance: Callable[[HPoint, float], tuple[HPoint, Optional[complex]]]
     w0: complex
 
 
@@ -72,6 +76,7 @@ def _half_plane_maps(d: HalfPlaneDom):
         lambda w: _polar((w - shift) / rot),
         lambda L, u: rot * math.exp(L) * u + shift,
         math.exp,
+        lambda p, t: (_polar(math.exp(p[0]) * p[1] + t / rot), t / rot if t <= math.exp(p[0]) else None),
     )
 
 
@@ -80,20 +85,34 @@ def _strip_maps(d: StripDom):
     width = d.y_high - d.y_low
     mid = 0.5 * (d.y_low + d.y_high)
     scale = width / math.pi
+
+    def advance(p: HPoint, t: float):
+        c = math.pi * t / width  # W_q = e^c W_p, a step within |W_p| while c <= log 2
+        return (p[0] + c, p[1]), (math.exp(p[0]) * p[1] * math.expm1(c) if c <= _LOG2 else None)
+
     return (
         lambda w: (math.pi * w.real / width, cmath.rect(1.0, math.pi * (w.imag - mid) / width)),
         lambda L, u: complex(scale * L, scale * cmath.phase(u) + mid),
         lambda L: scale,
+        advance,
     )
 
 
 def _slit_maps(d: SlitPlane):
     # plane minus {Re w <= a0, Im w = -b0}: W = sqrt((w - a0)/b0 + i)
     ((a0, b0),) = d.slits
+
+    def advance(p: HPoint, t: float):
+        big_w = math.exp(p[0]) * p[1]
+        big_wq = cmath.sqrt(big_w * big_w + t / b0)  # W_q^2 = W_p^2 + t/b0
+        step = (t / b0) / (big_wq + big_w)
+        return _polar(big_wq), (step if abs(step) <= math.exp(p[0]) else None)
+
     return (
         lambda w: _polar(slit_sqrt_forward((w - a0) / b0)),
         lambda L, u: b0 * (math.exp(2.0 * L) * u * u - 1j) + a0,
         lambda L: 2.0 * b0 * math.exp(2.0 * L),
+        advance,
     )
 
 
@@ -118,16 +137,29 @@ def build_koenigs(d: DomainDescriptor) -> KoenigsMap:
         raise UnsupportedDomainError(
             f"no explicit Riemann map for {type(d).__name__}; distances there are bounded via quasihyperbolic estimates"
         )
-    to_h, from_h, dlog = maps
+    to_h, from_h, dlog, advance = maps
     log_r, u = to_h(0j)
-    return KoenigsMap(domain=d, to_h=to_h, from_h=from_h, dlog=dlog, w0=math.exp(log_r) * u)
+    return KoenigsMap(domain=d, to_h=to_h, from_h=from_h, dlog=dlog, advance=advance, w0=math.exp(log_r) * u)
+
+
+def _disk_to_h(k: KoenigsMap, z: complex) -> HPoint:
+    """M(z) = i Im W0 + Re W0 (1 + z)/(1 - z)."""
+    return _polar(1j * k.w0.imag + k.w0.real * (1.0 + z) / (1.0 - z))
+
+
+def _h_to_disk(k: KoenigsMap, p: HPoint) -> complex:
+    """M^{-1}(W) = (W - W0)/(W + conj W0)."""
+    log_r, u = p
+    # both terms scaled by 1/max(|W|, 1) so exp cannot overflow
+    top = max(log_r, 0.0)
+    s = math.exp(-top)
+    big_w = math.exp(log_r - top) * u
+    return (big_w - s * k.w0) / (big_w + s * k.w0.conjugate())
 
 
 def map_forward(k: KoenigsMap, z: complex) -> complex:
     """Evaluate h(z) for z strictly inside the disk."""
-    z = require_disk_point(z)
-    big_w = 1j * k.w0.imag + k.w0.real * (1.0 + z) / (1.0 - z)
-    return k.from_h(*_polar(big_w))
+    return k.from_h(*_disk_to_h(k, require_disk_point(z)))
 
 
 def _checked_to_h(k: KoenigsMap, w: complex) -> HPoint:
@@ -143,12 +175,7 @@ def map_inverse(k: KoenigsMap, w: complex) -> complex:
     Far along the orbit the result may round onto the unit circle; it is
     returned as is, since the domain-side distances do not need it.
     """
-    log_r, u = _checked_to_h(k, w)
-    # M^{-1}(W) = (W - W0)/(W + conj W0), both terms scaled by 1/max(|W|, 1) so exp cannot overflow
-    top = max(log_r, 0.0)
-    s = math.exp(-top)
-    big_w = math.exp(log_r - top) * u
-    return (big_w - s * k.w0) / (big_w + s * k.w0.conjugate())
+    return _h_to_disk(k, _checked_to_h(k, w))
 
 
 def _h_distance(p: HPoint, q: HPoint) -> float:

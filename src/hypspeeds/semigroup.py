@@ -9,10 +9,11 @@ time-t map is h^{-1}(h(z) + t).  Speeds of the origin orbit:
     tangential  v_T(t) = rho(phi_t(0), pi_t)
 
 All three are read in the right half-plane H, where the Koenigs map sends 0
-to W0 = to_h(0), phi_t(0) to W_t = to_h(t) and the diameter (-1, 1) to the
-horizontal ray Im W = Im W0.  The foot of W_t on that ray is explicit, so
+to W0 = to_h(0), phi_t(0) to W_t = advance(W0, t) and the diameter (-1, 1) to
+the horizontal ray Im W = Im W0.  The foot of W_t on that ray is explicit, so
 every supported domain takes the same closed-form route, and nothing passes
-through the disk, where far orbit points crowd against the unit circle.
+through the disk, where far orbit points crowd against the unit circle.  Near
+t = 0 the speeds are read from the step W_t - W0, not from two rounded points.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .conformal import KoenigsMap, _h_distance, _h_foot, build_koenigs, map_forward, map_inverse
+from .conformal import HPoint, KoenigsMap, _disk_to_h, _h_distance, _h_foot, _h_to_disk, build_koenigs
 from .domains import DomainDescriptor, SlitPlane, StripDom, includes
 from .errors import DomainError, ParameterError
 from .hyperbolic import Diameter, OrthoCircle, disk_distance, project_to_geodesic, require_disk_point
@@ -57,12 +58,25 @@ def _require_time(t: float) -> None:
 
 
 def orbit(m: KoenigsMap, z: complex, t: float) -> complex:
-    """phi_t(z) = h^{-1}(h(z) + t)."""
+    """phi_t(z) = h^{-1}(h(z) + t), translated in H: M^{-1}(advance(M(z), t))."""
     _require_time(t)
     z = require_disk_point(z)
     if t == 0.0:
         return z
-    return map_inverse(m, map_forward(m, z) + t)
+    return _h_to_disk(m, m.advance(_disk_to_h(m, z), t)[0])
+
+
+def _speeds_in_h(m: KoenigsMap, p: HPoint, t: float) -> tuple[float, float, float]:
+    """(s, v, v_T) for p and q = advance(p, t): s/2 the signed H distance from p to
+    the foot of q on the ray Im W = Im W_p, v that from p to q, v_T from q to the foot."""
+    q, delta = m.advance(p, t)
+    if delta is None:
+        s, v_T = _h_foot(p, q)
+        return s, _h_distance(p, q), v_T
+    # the step r = (W_q - W_p)/Re W_p carries every digit: |W_q - i Im W_p| = Re W_p |1 + r|
+    r = delta / (math.exp(p[0]) * p[1].real)
+    s = 0.5 * math.log1p(2.0 * r.real + abs(r) ** 2)
+    return s, math.asinh(abs(r) / (2.0 * math.sqrt(1.0 + r.real))), 0.5 * math.asinh(abs(r.imag) / (1.0 + r.real))
 
 
 def speeds(m: KoenigsMap, t: float) -> SpeedSample:
@@ -73,12 +87,9 @@ def speeds(m: KoenigsMap, t: float) -> SpeedSample:
     rounds to 1), v_T the H distance from W_t to that foot, and v the H
     distance from W0 to W_t.
     """
-    if t == 0.0:
-        return SpeedSample(0.0, 0.0, 0.0, 0.0, 0.0)
     _require_time(t)
-    p0, p_t = m.to_h(0j), m.to_h(complex(t))
-    s, v_T = _h_foot(p0, p_t)
-    return SpeedSample(t, _h_distance(p0, p_t), 0.5 * abs(s), v_T, min(math.tanh(0.5 * s), _PREV_ONE))
+    s, v, v_T = _speeds_in_h(m, m.to_h(0j), t)
+    return SpeedSample(t, v, 0.5 * abs(s), v_T, min(math.tanh(0.5 * s), _PREV_ONE))
 
 
 def _geodesic_to_one(z: complex):
@@ -91,22 +102,14 @@ def _geodesic_to_one(z: complex):
 
 def generalized_speed(m: KoenigsMap, z: complex, t: float) -> float:
     """Orthogonal speed seeded at z: rho(z, projection of phi_t(z) onto the
-    geodesic through z ending at 1."""
+    geodesic through z ending at 1.  On the symmetric strip it is read in H,
+    where that geodesic is the ray Im W = Im M(z); elsewhere in the disk."""
     z = require_disk_point(z)
     _require_time(t)
     if t == 0.0:
         return 0.0
-    strip = _symmetric_strip(m)
-    if strip is not None:
-        # Half-plane picture: the base point sits on the ray arg = theta at
-        # radius R, the geodesic to the Denjoy-Wolff point is the vertical
-        # line Re = R cos(theta), and projecting the orbit point onto it is
-        # explicit.  Exact for every t, no disk-coordinate saturation.
-        w = map_forward(m, z)
-        width = strip.y_high - strip.y_low
-        theta = math.pi * (w.imag - strip.y_low) / width
-        s = math.pi * t / width
-        return 0.5 * (s + 0.5 * math.log1p((math.expm1(-s) / math.tan(theta)) ** 2))
+    if _symmetric_strip(m) is not None:
+        return 0.5 * abs(_speeds_in_h(m, _disk_to_h(m, z), t)[0])
     phi = orbit(m, z, t)
     p = project_to_geodesic(phi, _geodesic_to_one(z))
     return disk_distance(z, p)

@@ -192,6 +192,22 @@ def test_thm1_takes_speeds_once_per_grid_point(tmp_path, monkeypatch):
     assert calls == cfg.t_grid.values()
 
 
+def test_thm1_small_times_without_slack(tmp_path):
+    # v_o is about t^2/4 here; read as the difference of two rounded points
+    # of H it was 0 on every row, and both origin-orbit scans flagged all 10 pairs
+    cfg = parse_config(
+        {
+            "experiment": "thm1",
+            "domain": {"kind": "half_plane", "boundary_height": -1, "side": "above"},
+            "t_grid": {"start": 0, "stop": 1e-8, "step": 1e-9},
+            "base_points": [[0.3, 0]],
+            "tolerances": {"violation_slack": 0},
+        }
+    )
+    violations = run(cfg, tmp_path).summary["violations"]
+    assert (violations["orthogonal"], violations["foot"]) == (0, 0)
+
+
 def test_thm1_labels_each_base_point(tmp_path):
     # the shipped configs' base points keep their labels
     data = json.loads((CONFIGS / "thm1_slit.json").read_text(encoding="utf-8"))

@@ -215,6 +215,7 @@ UNREFERENCED_PUBLIC_NAMES = {
     "domain_distance": "read by the tests",
     "pullback_density": "read by the tests",
     "log_one_minus_pi_sq": "read by the tests",
+    "map_forward": "the Koenigs map h itself, read by the tests; orbits translate in H",
     "geodesic_through": "API of the acceptance gate",
     "slit_plane": "public constructor of SlitPlane",
     "rho_bounds": "the staircase bracket (ROADMAP item 7) is its planned caller",

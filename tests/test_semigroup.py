@@ -209,6 +209,95 @@ def _mp_h_distance(p, q):
     return mp.acosh(1 + abs(p - q) ** 2 / (2 * p.real * q.real)) / 2
 
 
+def _mp_from_h(d, big_w):
+    """The inverse of ``_mp_to_h``."""
+    if isinstance(d, SlitPlane):
+        ((a, b),) = d.slits
+        return b * (big_w * big_w - 1j) + a
+    if isinstance(d, HalfPlaneDom):
+        return big_w * (1j if d.side == "above" else -1j) + 1j * d.boundary_height
+    width, mid = d.y_high - d.y_low, (d.y_low + d.y_high) / 2
+    return width / mp.pi * mp.log(big_w) + 1j * mid
+
+
+ADVANCE_MODELS = {
+    "half_plane_above": HalfPlaneDom(-1.0, "above"),
+    "half_plane_below": HalfPlaneDom(2.0, "below"),
+    "strip": StripDom(-1.0, 2.0),
+    "slit": SlitPlane(((3.0, 2.0),)),
+}
+
+
+@pytest.mark.parametrize("name", ADVANCE_MODELS)
+def test_advance_is_the_translation(name):
+    d = ADVANCE_MODELS[name]
+    m = make_model(d)
+    for w in (0j, 0.7 + 0.4j, -3.0 + 0.5j, -3.0 - 0.9j):
+        p = m.to_h(w)
+        # far enough out nothing cancels, and the round trip through the domain is the reference
+        for t in (10.0 ** (k / 2) for k in range(0, 601)):
+            (lq, uq), (lr, ur) = m.advance(p, t)[0], m.to_h(m.from_h(*p) + t)
+            assert abs(lq - lr) <= 1e-13 * max(1.0, abs(lr)) and abs(uq - ur) <= 1e-13, (w, t)
+        # the step W_q - W_p, in full precision, and present exactly while |W_q - W_p| <= |W_p|
+        for t in (10.0 ** (k / 2) for k in range(-28, 7)):
+            step = m.advance(p, t)[1]
+            with mp.workdps(50):
+                big_w = mp.exp(p[0]) * mp.mpc(p[1])
+                ref = _mp_to_h(d, _mp_from_h(d, big_w) + t) - big_w
+                beyond = abs(ref) > abs(big_w)
+                err = None if step is None else float(abs(step - ref) / abs(ref))
+            assert (step is None) == beyond, (w, t)
+            assert step is None or err <= 1e-14, (w, t, err)
+
+
+SMALL_T_MODELS = {
+    "slit": SlitPlane(((0.0, 1.0),)),
+    "slit_deep": SlitPlane(((3.0, 2.0),)),
+    "half_plane": HalfPlaneDom(-1.0),
+    "asymmetric_strip": StripDom(-1.0, 2.0),
+    "symmetric_strip": StripDom(-1.0, 1.0),
+}
+
+
+@pytest.mark.parametrize("name", SMALL_T_MODELS)
+def test_small_t_speeds_match_mpmath(name):
+    # near t = 0 the speeds are read from the step W_t - W0, not from two
+    # rounded points of H: v_o is about t^2/4 on the half-plane, so acosh(1 + x)
+    # needs about 100 digits to keep those of x ~ 1e-57
+    d = SMALL_T_MODELS[name]
+    m = make_model(d)
+    for t in (10.0 ** (k / 2) for k in range(-28, 1)):
+        with mp.workdps(100):
+            w0, w_t = _mp_to_h(d, mp.mpf(0)), _mp_to_h(d, mp.mpf(t))
+            foot = mp.mpc(abs(w_t - 1j * w0.imag), w0.imag)
+            ref = {"v": _mp_h_distance(w0, w_t), "v_o": _mp_h_distance(w0, foot), "v_T": _mp_h_distance(w_t, foot)}
+            ref = {key: float(value) if value >= 1e-30 else 0.0 for key, value in ref.items()}
+        s = speeds(m, t)
+        for key, value in ref.items():
+            assert getattr(s, key) == pytest.approx(value, rel=1e-13, abs=0.0), (t, key)
+
+
+@pytest.mark.parametrize(
+    "d, d_scaled, lam",
+    [
+        (HalfPlaneDom(-1.0), HalfPlaneDom(-1e4), 1e4),
+        (StripDom(-1.0, 2.0), StripDom(-1e-3, 2e-3), 1e-3),
+        (SlitPlane(((2.0, 1.0),)), SlitPlane(((2e3, 1e3),)), 1e3),
+    ],
+    ids=["half_plane", "strip", "slit"],
+)
+def test_speeds_scale_with_the_domain(d, d_scaled, lam):
+    # w -> lam w maps the domain onto the scaled one and its orbit at time t onto
+    # the scaled orbit at time lam t, so no oracle is needed
+    m, m_scaled = make_model(d), make_model(d_scaled)
+    for t in (10.0**k for k in range(-12, 301)):
+        if lam * t > 1e300:
+            break
+        s, s_scaled = speeds(m, t), speeds(m_scaled, lam * t)
+        for key, rel in (("v", 1e-14), ("v_o", 1e-14), ("v_T", 5e-14)):
+            assert getattr(s_scaled, key) == pytest.approx(getattr(s, key), rel=rel, abs=0.0), (t, key)
+
+
 FAR_MODELS = {
     "slit": SlitPlane(((0.0, 1.0),)),
     "half_plane_above": HalfPlaneDom(-1.0, "above"),
