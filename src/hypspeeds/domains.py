@@ -18,7 +18,7 @@ import math
 from dataclasses import dataclass
 from typing import Union
 
-from .errors import ConstructionError, DomainError, UnsupportedDomainError
+from .errors import ConstructionError, DomainError, UnsupportedDomainError, _positive_int
 
 RECT_MAX_STAGE = 6  # 2^(2^6) = 2^64 is the largest junction coordinate kept exact
 
@@ -79,8 +79,8 @@ class RectangleChain:
     n_max: int
 
     def __post_init__(self):
-        if not 1 <= self.n_max <= RECT_MAX_STAGE:
-            raise ConstructionError(f"n_max must lie in [1, {RECT_MAX_STAGE}], got {self.n_max}")
+        if not (_positive_int(self.n_max) and self.n_max <= RECT_MAX_STAGE):
+            raise ConstructionError(f"n_max must be an integer in [1, {RECT_MAX_STAGE}], got {self.n_max!r}")
 
 
 @dataclass(frozen=True)

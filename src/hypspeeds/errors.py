@@ -1,4 +1,11 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and its integer-argument test."""
+
+import numbers
+
+
+def _positive_int(value) -> bool:
+    """True for an integer >= 1; false for a fraction, a NaN or a bool."""
+    return not isinstance(value, bool) and isinstance(value, numbers.Integral) and value >= 1
 
 
 class HypspeedsError(Exception):

@@ -2,13 +2,15 @@
 
 The Monte Carlo engine is walk-on-spheres: each walk repeatedly jumps to a
 uniform point of the largest circle centered at the current position that
-avoids both the obstacle and the unit circle, absorbing once within ``eps``
-of either.  The absorption layer gives an O(eps) bias, dominated by the
-sampling error at the sample counts used here.  Obstacle proximity is
-checked before boundary proximity, so walks landing near the junction of the
-obstacle with the boundary count as hits.  Every polyline is walked as
-given; an orbit tail's comes from ``discretize_orbit_tail`` alone, within
-``_TAIL_TOL`` = 1e-6 of the tail, so a straight tail is one segment.
+avoids both the obstacle and the unit circle, absorbing once within
+``eps = ABSORB_EPS`` of either, or cut off after ``MAX_STEPS`` steps.  The
+absorption layer gives an O(eps) bias, dominated by the sampling error at
+the sample counts used here; a study of it sets these module constants,
+which every walk reads when called.  Obstacle proximity is checked before
+boundary proximity, so walks landing near the junction of the obstacle with
+the boundary count as hits.  Every polyline is walked as given; an orbit
+tail's comes from ``discretize_orbit_tail`` alone, within ``_TAIL_TOL`` =
+1e-6 of the tail, so a straight tail is one segment.
 
 One walk loop, ``_walk``, serves every absorbing set: the caller passes a
 vectorized ``absorb(p) -> (radius, class)``.  For a polyline obstacle the
@@ -50,21 +52,22 @@ from __future__ import annotations
 import cmath
 import itertools
 import math
-import numbers
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
-from .conformal import KoenigsMap, map_inverse
-from .errors import DomainError, ParameterError
+from .conformal import KoenigsMap
+from .errors import DomainError, ParameterError, _positive_int
 from .hyperbolic import require_disk_point
 from .seeding import GAMMA, sample_streams, sample_uniforms, stream_bits
-from .semigroup import speeds
+from .semigroup import orbit, speeds
 
 TWO_PI = 2.0 * math.pi
-#: Default width of the absorbing layer around an obstacle and the unit circle.
+#: Width of the absorbing layer around an obstacle and the unit circle, and
+#: the most steps a walk takes before it is cut off.
 ABSORB_EPS = 1e-4
+MAX_STEPS = 10_000
 
 
 @dataclass(frozen=True)
@@ -87,7 +90,7 @@ class ArcOnCircle:
 class HMEstimate:
     """Monte Carlo harmonic-measure value with its binomial standard error.
 
-    ``truncated`` counts the walks still running after ``max_steps``; they are
+    ``truncated`` counts the walks still running after ``MAX_STEPS``; they are
     in ``n_samples`` but in no absorbing class.
     """
 
@@ -301,10 +304,6 @@ def _dist_to_segments(p: np.ndarray, segments: _Segments, cap=np.inf) -> np.ndar
     return out
 
 
-def _positive_int(value) -> bool:
-    return not isinstance(value, bool) and isinstance(value, numbers.Integral) and value >= 1
-
-
 def _check_sample_count(n: int) -> None:
     """ParameterError unless n is a positive integer: a NaN n never ends a
     walk loop, and a True one reports n_samples=True."""
@@ -312,16 +311,12 @@ def _check_sample_count(n: int) -> None:
         raise ParameterError(f"need n > 0 samples, as an integer; got {n!r}")
 
 
-def _check_walk_params(n: int, eps: float, chunk: int, max_steps: int) -> None:
-    """ParameterError unless n, chunk and max_steps are positive integers
-    and eps > 0: a NaN eps cuts off every walk and a NaN chunk starts none,
-    and either would report 0 +- 0."""
+def _check_walk_params(n: int, chunk: int) -> None:
+    """ParameterError unless n and chunk are positive integers: a NaN chunk
+    starts no walk and would report 0 +- 0."""
     _check_sample_count(n)
-    if not eps > 0.0:
-        raise ParameterError(f"eps must be positive, got {eps!r}")
-    for name, value in (("chunk", chunk), ("max_steps", max_steps)):
-        if not _positive_int(value):
-            raise ParameterError(f"{name} must be a positive integer, got {value!r}")
+    if not _positive_int(chunk):
+        raise ParameterError(f"chunk must be a positive integer, got {chunk!r}")
 
 
 #: exp(2 pi i j / 4096) for j = 0 .. 4095: np.exp on the first quarter turn,
@@ -440,29 +435,22 @@ def _obstacle_absorb(segments: _Segments, eps: float):
     return absorb
 
 
-def mc_first_hit(
-    obstacle,
-    z0: complex,
-    n: int,
-    eps: float = ABSORB_EPS,
-    seed: int = 0,
-    chunk: int = 8192,
-    max_steps: int = 10_000,
-) -> HMEstimate:
+def mc_first_hit(obstacle, z0: complex, n: int, seed: int = 0, chunk: int = 8192) -> HMEstimate:
     """Walk-on-spheres estimate of the probability that Brownian motion from
     z0 hits the obstacle polyline before the unit circle.
 
     Deterministic given (seed, n): per-sample streams are derived from the
     seed and the sample index, so ``chunk``, the most walks in flight,
     cannot change the result; no temporary holds more than ``_PAIR_BLOCK``
-    point-segment pairs at any ``chunk``.  Walks cut off at ``max_steps``
-    count as misses and are reported in ``truncated``.
+    point-segment pairs at any ``chunk``.  Walks absorb within ``ABSORB_EPS``
+    and are cut off at ``MAX_STEPS``, module constants that a study sets on
+    ``hypspeeds.harmonic``; cut-off walks count as misses, in ``truncated``.
     """
     verts = np.asarray([complex(v) for v in obstacle], dtype=complex)
     z0 = complex(z0)
     if not cmath.isfinite(z0):
         raise DomainError(f"start point must be finite, got {z0}")
-    _check_walk_params(n, eps, chunk, max_steps)
+    _check_walk_params(n, chunk)
     if verts.size == 0:
         return _binomial_estimate(0, n, seed)
     if verts.size == 1:
@@ -473,33 +461,28 @@ def mc_first_hit(
         raise ParameterError("obstacle vertices must lie in the closed unit disk")
     segments = _polyline_segments(verts)
     start_gap = float(_dist_to_segments(np.asarray([z0]), segments)[0])
-    if start_gap <= 10.0 * eps:
-        raise ParameterError(f"start point within {start_gap:.2e} of the obstacle; eps={eps} too coarse")
-    if 1.0 - abs(z0) <= 10.0 * eps:
-        raise ParameterError("start point too close to the unit circle for this eps")
+    if start_gap <= 10.0 * ABSORB_EPS:
+        raise ParameterError(f"start point within {start_gap:.2e} of the obstacle; ABSORB_EPS={ABSORB_EPS} too coarse")
+    if 1.0 - abs(z0) <= 10.0 * ABSORB_EPS:
+        raise ParameterError(f"start point too close to the unit circle for ABSORB_EPS={ABSORB_EPS}")
 
-    (hits, _), truncated = _walk(_obstacle_absorb(segments, eps), z0, n, seed, chunk, max_steps, classes=2)
+    (hits, _), truncated = _walk(_obstacle_absorb(segments, ABSORB_EPS), z0, n, seed, chunk, MAX_STEPS, classes=2)
     return _binomial_estimate(hits, n, seed, truncated)
 
 
-def semidisk_bisection_check(
-    t0: float,
-    n: int,
-    seed: int = 0,
-    eps: float = ABSORB_EPS,
-    chunk: int = 8192,
-    max_steps: int = 10_000,
-) -> tuple[HMEstimate, HMEstimate]:
+def semidisk_bisection_check(t0: float, n: int, seed: int = 0, chunk: int = 8192) -> tuple[HMEstimate, HMEstimate]:
     """Exit-side estimates from -i t0 in the lower half-disk.
 
     Returns the measures of the two diameter halves (-1, 0] and [0, 1); by
     the reflection symmetry in the imaginary axis their true values coincide.
+    The walks read ``ABSORB_EPS`` and ``MAX_STEPS`` as ``mc_first_hit``'s do.
     """
     if not 0.0 < t0 < 1.0:
         raise DomainError(f"t0 must lie in (0, 1), got {t0}")
-    _check_walk_params(n, eps, chunk, max_steps)
+    _check_walk_params(n, chunk)
+    eps = ABSORB_EPS
     if min(t0, 1.0 - t0) <= 10.0 * eps:
-        raise ParameterError("start point too close to the semidisk boundary for this eps")
+        raise ParameterError(f"start point too close to the semidisk boundary for ABSORB_EPS={eps}")
 
     def absorb(p):
         d_diam = np.abs(p.imag)
@@ -507,7 +490,7 @@ def semidisk_bisection_check(
         # 1: the left half of the diameter, 2: the right half, 3: the arc
         return np.minimum(d_diam, d_arc), np.where(d_diam <= eps, 1 + (p.real >= 0.0), 3 * (d_arc <= eps))
 
-    (left, right, _), truncated = _walk(absorb, -1j * t0, n, seed, chunk, max_steps, classes=3)
+    (left, right, _), truncated = _walk(absorb, -1j * t0, n, seed, chunk, MAX_STEPS, classes=3)
     return _binomial_estimate(left, n, seed, truncated), _binomial_estimate(right, n, seed, truncated)
 
 
@@ -534,7 +517,8 @@ def _chord_gap(p: complex, a: complex, b: complex) -> float:
 def discretize_orbit_tail(m: KoenigsMap, t: float) -> np.ndarray:
     """Polyline through h^{-1}([t, infinity)), within `_TAIL_TOL` of the tail.
 
-    A parameter step is accepted once the tail point at its midpoint lies
+    Each tail point h^{-1}(tau) = phi_tau(0) is read through ``orbit``.  A
+    parameter step is accepted once the tail point at its midpoint lies
     within `_TAIL_TOL` of the step's chord.  The open chord from the last
     vertex stretches to each step's end while every tail point evaluated
     since that vertex stays within `_TAIL_TOL` of it, else its old end
@@ -545,7 +529,7 @@ def discretize_orbit_tail(m: KoenigsMap, t: float) -> np.ndarray:
     """
     if t <= 0.0:
         raise DomainError("the orbit tail obstacle needs t > 0")
-    z = map_inverse(m, complex(t))
+    z = orbit(m, 0j, t)
     if z == 1.0:
         raise DomainError(f"the orbit tail from t={t} rounds onto the Denjoy-Wolff point 1 and has no length")
     # seen: the tail points evaluated since the last vertex; the open chord ends at z
@@ -553,8 +537,8 @@ def discretize_orbit_tail(m: KoenigsMap, t: float) -> np.ndarray:
     tau, dtau = float(t), 0.01 * max(1.0, t)
     while abs(z - 1.0) > _TAIL_STOP_RADIUS and len(verts) < _TAIL_MAX_VERTICES:
         while True:
-            mid = map_inverse(m, complex(tau + 0.5 * dtau))
-            z_next = map_inverse(m, complex(tau + dtau))
+            mid = orbit(m, 0j, tau + 0.5 * dtau)
+            z_next = orbit(m, 0j, tau + dtau)
             bend = _chord_gap(mid, z, z_next)
             if bend <= _TAIL_TOL or dtau <= 1e-12 * max(1.0, tau):
                 break

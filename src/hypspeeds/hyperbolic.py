@@ -336,6 +336,8 @@ _WG = (
 )
 
 _QUAD_LIMIT = 200  # most subintervals one polyline segment may be cut into
+#: Absolute tolerance of ``integrate_density_along``, read at each call.
+QUAD_TOL = 1e-10
 
 
 def _kronrod15(f: Callable[[float], float], a: float, b: float) -> tuple[float, float]:
@@ -375,17 +377,16 @@ def _adaptive_kronrod(f: Callable[[float], float], tol: float) -> float:
     return math.fsum(parts)
 
 
-def integrate_density_along(
-    path: Sequence[complex], density: Callable[[complex], float], tol: float = 1e-10
-) -> float:
+def integrate_density_along(path: Sequence[complex], density: Callable[[complex], float]) -> float:
     """Adaptive quadrature of a conformal density along a polyline.
 
-    Each segment gets a share tol/(number of segments) of the absolute
+    Each segment gets a share QUAD_TOL/(number of segments) of the absolute
     tolerance and is integrated with an adaptive Gauss-Kronrod 7-15 rule
     (QUADPACK qk15) in at most 200 subintervals; ``NumericError`` when that
     budget runs out.  The density is evaluated at every vertex first, so a
     vertex on the boundary raises the density's ``DomainError`` even though
-    no Gauss-Kronrod node is an endpoint.
+    no Gauss-Kronrod node is an endpoint.  A study of the quadrature error
+    sets the module constant ``QUAD_TOL`` = 1e-10, read at each call.
     """
     pts = [complex(p) for p in path]
     if len(pts) < 2:
@@ -393,7 +394,7 @@ def integrate_density_along(
     for p in pts:
         density(p)
     total = 0.0
-    seg_tol = tol / max(1, len(pts) - 1)
+    seg_tol = QUAD_TOL / max(1, len(pts) - 1)
     for p, q in zip(pts[:-1], pts[1:]):
         if p == q:
             continue

@@ -24,7 +24,7 @@ import math
 from dataclasses import dataclass
 
 from .domains import DomainDescriptor, RectangleChain, _complement, dist_to_boundary, stage_abscissa, stage_exponent
-from .errors import ConstructionError, DomainError
+from .errors import ConstructionError, DomainError, _positive_int
 
 
 @dataclass(frozen=True)
@@ -163,8 +163,8 @@ def theorem3_table(n_lo: int = 2, n_hi: int = 6, alpha: float = DEFAULT_ALPHA) -
     lower_ratio = Q/(4 t^alpha) are valid proxies for the ratio rho/t^alpha
     from above and below.
     """
-    if not (2 <= n_lo <= n_hi <= 6):
-        raise DomainError(f"need 2 <= n_lo <= n_hi <= 6, got [{n_lo}, {n_hi}]")
+    if not (_positive_int(n_lo) and _positive_int(n_hi) and 2 <= n_lo <= n_hi <= 6):
+        raise DomainError(f"need integers 2 <= n_lo <= n_hi <= 6, got [{n_lo!r}, {n_hi!r}]")
     d = RectangleChain(n_hi)
     q_total = quasihyperbolic_axis(d, 0.0, stage_abscissa(0))
     rows = []

@@ -24,7 +24,7 @@ from typing import Optional
 
 from .conformal import HPoint, KoenigsMap, _disk_to_h, _h_distance, _h_foot, _h_to_disk, build_koenigs
 from .domains import DomainDescriptor, SlitPlane, StripDom, includes
-from .errors import DomainError, ParameterError
+from .errors import DomainError, ParameterError, _positive_int
 from .hyperbolic import Diameter, OrthoCircle, disk_distance, project_to_geodesic, require_disk_point
 
 _PREV_ONE = math.nextafter(1.0, 0.0)
@@ -281,8 +281,8 @@ def slit_inequality_on_K(R: float, n_samples: int = 1000) -> KGapResult:
     """
     if not 1.0 < R < math.inf:
         raise ParameterError(f"need finite R > 1, got {R}")
-    if n_samples < 2:
-        raise ParameterError(f"need at least 2 samples on the arc, got {n_samples}")
+    if not (_positive_int(n_samples) and n_samples >= 2):
+        raise ParameterError(f"need at least 2 samples on the arc, as an integer; got {n_samples!r}")
     theta_lo = math.asin(1.0 / R)
     best = math.inf
     best_z = 0j

@@ -62,6 +62,11 @@ def test_rectangle_chain_range():
         RectangleChain(0)
     with pytest.raises(ConstructionError):
         RectangleChain(7)
+    # a fraction was built and raised a bare TypeError at its first query;
+    # True was built as one stage
+    for n_max in (5.5, math.nan, True):
+        with pytest.raises(ConstructionError, match="integer"):
+            RectangleChain(n_max)
     assert RectangleChain(3).n_max == 3
 
 

@@ -1,5 +1,6 @@
 """Harmonic measure: closed forms, geodesic cuts, and first-hit Monte Carlo."""
 
+import contextlib
 import math
 import random
 import tracemalloc
@@ -10,6 +11,7 @@ import pytest
 from mpmath.libmp import from_int, mpf_cos_sin_pi, mpf_shift, to_float
 from scipy.integrate import quad
 
+import hypspeeds.harmonic as harmonic
 from hypspeeds.conformal import map_inverse
 from hypspeeds.domains import HalfPlaneDom, SlitPlane, StripDom
 from hypspeeds.errors import DomainError, ParameterError
@@ -242,8 +244,8 @@ def test_mc_first_hit_parameter_errors():
         mc_first_hit([0.5 + 0j], 0j, 100, seed=1)  # single vertex
     with pytest.raises(ParameterError):
         mc_first_hit([0.5, 1.0], 0.5 + 1e-6j, 100, seed=1)  # touching start
-    with pytest.raises(ParameterError):
-        mc_first_hit([0.5, 1.0], 0j, 100, eps=0.2, seed=1)  # eps too coarse
+    with _walk_constants(ABSORB_EPS=0.2), pytest.raises(ParameterError):
+        mc_first_hit([0.5, 1.0], 0j, 100, seed=1)  # ABSORB_EPS too coarse
     with pytest.raises(ParameterError):
         mc_first_hit([1.5, 2.0], 0j, 100, seed=1)  # outside the disk
 
@@ -258,15 +260,6 @@ def test_mc_first_hit_rejects_non_finite_input():
     for bad in (complex(math.nan, 0.0), complex(math.inf, 0.0), complex(0.5, -math.inf)):
         with pytest.raises(ParameterError, match="finite"):
             mc_first_hit([0.5, bad, 1.0], 0j, 100, seed=1)
-
-
-def test_walk_rejects_non_positive_max_steps():
-    # a walk of no steps absorbs nothing and would report 0 +- 0
-    for max_steps in (0, -3, math.nan, 2.5):
-        with pytest.raises(ParameterError):
-            mc_first_hit([0.5 + 0j, 1.0 + 0j], 0j, 100, seed=1, max_steps=max_steps)
-        with pytest.raises(ParameterError):
-            semidisk_bisection_check(0.5, 100, seed=1, max_steps=max_steps)
 
 
 def test_non_positive_sample_count_rejected(monkeypatch):
@@ -296,17 +289,28 @@ def _slit_tail(t):
     return discretize_orbit_tail(make_model(SlitPlane(((0.0, 1.0),))), t)
 
 
+@contextlib.contextmanager
+def _walk_constants(**values):
+    """Run the block with these module constants of ``harmonic`` set, as a
+    study of the walks would set them, and restore them after it."""
+    with pytest.MonkeyPatch.context() as patch:
+        for name, value in values.items():
+            patch.setattr(harmonic, name, value)
+        yield
+
+
 def test_walk_estimates_are_pinned():
     # exact values at fixed seeds: a change to any step's arithmetic or to
     # which walks draw which uniforms moves at least one of them
     cases = [
         (mc_first_hit([0.5, 1.0], 0j, 5000, seed=14), 1048, 0.00575617650875996),
         (mc_first_hit(_slit_tail(1.0), 0j, 3000, seed=11), 1193, 0.008935470308250686),
-        (mc_first_hit(_slit_tail(5.0), 0.1j, 3000, seed=12, eps=1e-3), 551, 0.007069493669333097),
     ]
     left, right = semidisk_bisection_check(0.5, 5000, seed=15)
     cases += [(left, 1081, 0.005821641692856062), (right, 973, 0.005598764863789156)]
-    left, right = semidisk_bisection_check(0.3, 5000, seed=16, eps=1e-3)
+    with _walk_constants(ABSORB_EPS=1e-3):
+        cases += [(mc_first_hit(_slit_tail(5.0), 0.1j, 3000, seed=12), 551, 0.007069493669333097)]
+        left, right = semidisk_bisection_check(0.3, 5000, seed=16)
     cases += [(left, 1585, 0.006580440714724204), (right, 1563, 0.006555627201115085)]
     for est, hits, std_error in cases:
         assert est.value == hits / est.n_samples
@@ -316,7 +320,7 @@ def test_walk_estimates_are_pinned():
 
 def _assert_chunk_invariant(run, n, lone_n):
     # 257 lanes refilled as walks end, 4096 and n + 1 lanes holding every
-    # walk at once; with max_steps the cut-off walks end in staggered lanes
+    # walk at once; with MAX_STEPS = 3 the cut-off walks end in staggered lanes
     whole = run(n, n + 1)
     assert run(n, 257) == run(n, 4096) == whole
     # one lane, every walk run alone: on the first lone_n samples, which
@@ -325,13 +329,12 @@ def _assert_chunk_invariant(run, n, lone_n):
 
 
 def test_mc_first_hit_chunk_invariance():
-    obstacle = [0.5 + 0j, 1.0 + 0j]
+    def run(n, chunk):
+        return mc_first_hit([0.5 + 0j, 1.0 + 0j], 0j, n, seed=21, chunk=chunk)
+
     for max_steps in (10_000, 3):
-
-        def run(n, chunk):
-            return mc_first_hit(obstacle, 0j, n, seed=21, chunk=chunk, max_steps=max_steps)
-
-        _assert_chunk_invariant(run, 4_000, 400)
+        with _walk_constants(MAX_STEPS=max_steps):
+            _assert_chunk_invariant(run, 4_000, 400)
 
 
 def _brute_dist(p, verts):
@@ -437,45 +440,39 @@ def test_non_positive_chunk_rejected():
             semidisk_bisection_check(0.5, 100, seed=1, chunk=chunk)
 
 
-def test_non_positive_eps_rejected():
-    # a NaN eps cut off every walk and reported 0 +- 0
-    for eps in (0.0, -1e-4, math.nan):
-        with pytest.raises(ParameterError):
-            mc_first_hit([0.5 + 0j, 1.0 + 0j], 0j, 100, seed=1, eps=eps)
-        with pytest.raises(ParameterError):
-            semidisk_bisection_check(0.5, 100, seed=1, eps=eps)
-
-
 def test_mc_first_hit_chunk_invariance_on_curved_tail():
     tail = discretize_orbit_tail(make_model(SlitPlane(((0.0, 1.0),))), 5.0)
+
+    def run(n, chunk):
+        return mc_first_hit(tail, 0j, n, seed=21, chunk=chunk)
+
     for max_steps in (10_000, 3):
-
-        def run(n, chunk):
-            return mc_first_hit(tail, 0j, n, seed=21, chunk=chunk, max_steps=max_steps)
-
-        _assert_chunk_invariant(run, 3_000, 300)
+        with _walk_constants(MAX_STEPS=max_steps):
+            _assert_chunk_invariant(run, 3_000, 300)
 
 
 def test_walks_cut_off_at_max_steps_are_counted():
     obstacle = [0.5 + 0j, 1.0 + 0j]
     full = mc_first_hit(obstacle, 0j, 2_000, seed=5)
-    cut = mc_first_hit(obstacle, 0j, 2_000, seed=5, max_steps=3)
+    with _walk_constants(MAX_STEPS=3):
+        cut = mc_first_hit(obstacle, 0j, 2_000, seed=5)
+        left, right = semidisk_bisection_check(0.5, 2_000, seed=5)
     assert full.truncated == 0
     assert 0 < cut.truncated <= 2_000
     # the same streams: a walk absorbed within 3 steps is absorbed alike in both runs
     assert cut.value <= full.value
-    left, right = semidisk_bisection_check(0.5, 2_000, seed=5, max_steps=3)
     assert left.truncated == right.truncated > 0
     assert (left.value + right.value) * 2_000 + left.truncated <= 2_000
     # pinned: a walk is checked for absorption 3 times, then cut off
     assert (cut.value, cut.truncated) == (2 / 2_000, 1983)
     assert (left.value, right.value, left.truncated) == (14 / 2_000, 17 / 2_000, 1901)
+
+    def run(n, chunk):
+        return semidisk_bisection_check(0.5, n, seed=5, chunk=chunk)
+
     for max_steps in (10_000, 3):
-
-        def run(n, chunk):
-            return semidisk_bisection_check(0.5, n, seed=5, chunk=chunk, max_steps=max_steps)
-
-        _assert_chunk_invariant(run, 2_000, 400)
+        with _walk_constants(MAX_STEPS=max_steps):
+            _assert_chunk_invariant(run, 2_000, 400)
 
 
 def test_mc_first_hit_obstacle_monotonicity():
@@ -510,10 +507,6 @@ def test_semidisk_bisection_validation():
         semidisk_bisection_check(1.5, 100)
     with pytest.raises(ParameterError):
         semidisk_bisection_check(1e-6, 100)
-    # eps = 0 never absorbs: most walks would end truncated, as a 0 +- 0 estimate
-    for eps in (0.0, -1e-4):
-        with pytest.raises(ParameterError):
-            semidisk_bisection_check(0.5, 200, seed=1, eps=eps)
 
 
 # ---------------------------------------------------------------------------

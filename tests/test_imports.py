@@ -216,6 +216,7 @@ UNREFERENCED_PUBLIC_NAMES = {
     "pullback_density": "read by the tests",
     "log_one_minus_pi_sq": "read by the tests",
     "map_forward": "the Koenigs map h itself, read by the tests; orbits translate in H",
+    "map_inverse": "h⁻¹ itself, read by the tests",
     "geodesic_through": "API of the acceptance gate",
     "slit_plane": "public constructor of SlitPlane",
     "rho_bounds": "the staircase bracket (ROADMAP item 7) is its planned caller",
@@ -251,3 +252,67 @@ def test_unreferenced_public_name_is_detected():
 def test_every_public_name_is_referenced_or_allowed():
     sources = {p.name: p.read_text(encoding="utf-8") for p in (SRC / "hypspeeds").glob("*.py")}
     assert _unreferenced_public_names(sources) == sorted(UNREFERENCED_PUBLIC_NAMES)
+
+
+#: The defaulted parameters of public functions that no call in src/ passes,
+#: each with its reason.  An entry whose parameter gains a caller fails the
+#: test too.
+UNPASSED_OPTIONS = {
+    "cli.main(argv)": "entry point: the console script passes nothing, tests pass argv",
+}
+
+
+def _defaulted_parameters(source: str) -> list[tuple[str, str, int | None]]:
+    """(function, parameter, position) for each defaulted parameter of a
+    module-level public function; a keyword-only one has no position."""
+    found = []
+    for node in ast.parse(source).body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and not node.name.startswith("_"):
+            positional = node.args.posonlyargs + node.args.args
+            first = len(positional) - len(node.args.defaults)
+            found += [(node.name, a.arg, i) for i, a in enumerate(positional) if i >= first]
+            kwonly = zip(node.args.kwonlyargs, node.args.kw_defaults)
+            found += [(node.name, a.arg, None) for a, default in kwonly if default is not None]
+    return found
+
+
+def _passed_arguments(source: str) -> set[tuple[str, int | str]]:
+    """(function name, position or keyword) for every argument that a call in
+    the module passes.  An argument unpacked with * or ** passes none."""
+    passed = set()
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, ast.Call):
+            continue
+        func = node.func
+        name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+        passed |= {(name, i) for i, arg in enumerate(node.args) if not isinstance(arg, ast.Starred)}
+        passed |= {(name, kw.arg) for kw in node.keywords if kw.arg}
+    return passed
+
+
+def _unpassed_options(sources: dict[str, str]) -> list[str]:
+    """The defaulted parameters of public functions that no call in any
+    module passes, by keyword or by position, as ``module.function(name)``."""
+    passed = set().union(*map(_passed_arguments, sources.values()))
+    return sorted(
+        f"{module.removesuffix('.py')}.{function}({name})"
+        for module, source in sources.items()
+        for function, name, position in _defaulted_parameters(source)
+        if (function, name) not in passed and (function, position) not in passed
+    )
+
+
+def test_unpassed_option_is_detected():
+    sources = {
+        "a.py": (
+            "def f(x, by_position=1, by_keyword=2, unused=3, *, kw_only=4, kw_unused=5):\n    pass\n"
+            "def _private(x=1):\n    pass\n"
+        ),
+        "b.py": "from .a import f\nf(0, 1, by_keyword=2, kw_only=4)\nf(*[0, 1, 2, 3])\nf(**{'unused': 3})\n",
+    }
+    assert _unpassed_options(sources) == ["a.f(kw_unused)", "a.f(unused)"]
+
+
+def test_every_option_is_passed_or_allowed():
+    sources = {p.name: p.read_text(encoding="utf-8") for p in (SRC / "hypspeeds").glob("*.py")}
+    assert _unpassed_options(sources) == sorted(UNPASSED_OPTIONS)

@@ -242,6 +242,21 @@ def test_growth_table_range_validation():
         theorem3_table(3, 2)
 
 
+def test_growth_table_refuses_non_integer_stages(monkeypatch):
+    # theorem3_table(2.5, 6) returned the rows n = 3..6 and (2, 5.5) raised a
+    # bare TypeError; each is now refused before any stage is integrated
+    import hypspeeds.quasihyperbolic as quasihyperbolic
+
+    def no_work(*args):
+        raise AssertionError("a stage was integrated before the stages were checked")
+
+    monkeypatch.setattr(quasihyperbolic, "quasihyperbolic_axis", no_work)
+    monkeypatch.setattr(quasihyperbolic, "stage_gap", no_work)
+    for n_lo, n_hi in ((2.5, 6), (2, 5.5), (math.nan, 6), (2, math.nan), (True, 6), (2.0, 6)):
+        with pytest.raises(DomainError, match="integers"):
+            theorem3_table(n_lo, n_hi)
+
+
 def test_bounds_bracket_strip_distance():
     # rho is exactly computable for the strip; check Q/4 <= rho <= Q
     from hypspeeds.conformal import build_koenigs, domain_distance

@@ -205,8 +205,9 @@ def _mp_to_h(d, w):
 
 
 def _mp_h_distance(p, q):
-    # density 1/(2 Re W), matching 1/(1 - |z|^2) on the disk
-    return mp.acosh(1 + abs(p - q) ** 2 / (2 * p.real * q.real)) / 2
+    # density 1/(2 Re W), matching 1/(1 - |z|^2) on the disk; the asinh form
+    # keeps the digits of small distances that acosh(1 + x) loses
+    return mp.asinh(abs(p - q) / (2 * mp.sqrt(p.real * q.real)))
 
 
 def _mp_from_h(d, big_w):
@@ -262,8 +263,9 @@ SMALL_T_MODELS = {
 @pytest.mark.parametrize("name", SMALL_T_MODELS)
 def test_small_t_speeds_match_mpmath(name):
     # near t = 0 the speeds are read from the step W_t - W0, not from two
-    # rounded points of H: v_o is about t^2/4 on the half-plane, so acosh(1 + x)
-    # needs about 100 digits to keep those of x ~ 1e-57
+    # rounded points of H: v_o is about t^2/4 on the half-plane, down to 1e-29
+    # here, and the reference's foot differs from W0 by that much, so the
+    # reference works at 100 digits
     d = SMALL_T_MODELS[name]
     m = make_model(d)
     for t in (10.0 ** (k / 2) for k in range(-28, 1)):
@@ -296,6 +298,23 @@ def test_speeds_scale_with_the_domain(d, d_scaled, lam):
         s, s_scaled = speeds(m, t), speeds(m_scaled, lam * t)
         for key, rel in (("v", 1e-14), ("v_o", 1e-14), ("v_T", 5e-14)):
             assert getattr(s_scaled, key) == pytest.approx(getattr(s, key), rel=rel, abs=0.0), (t, key)
+
+
+@pytest.mark.parametrize(
+    "d, d_mirror",
+    [
+        (HalfPlaneDom(-1.0), HalfPlaneDom(1.0, "below")),
+        (HalfPlaneDom(-1e4), HalfPlaneDom(1e4, "below")),
+        (StripDom(-1.0, 2.0), StripDom(-2.0, 1.0)),
+    ],
+    ids=["half_plane", "far_half_plane", "strip"],
+)
+def test_speeds_are_mirror_symmetric(d, d_mirror):
+    # w -> conj(w) maps the domain onto its mirror image and fixes the real
+    # orbit of 0, so the speeds agree exactly, with no oracle
+    m, m_mirror = make_model(d), make_model(d_mirror)
+    for t in (10.0 ** (k / 2) for k in range(-24, 601)):
+        assert speeds(m_mirror, t) == speeds(m, t), t
 
 
 FAR_MODELS = {
@@ -540,6 +559,20 @@ def test_k_gap_requires_radius_above_one():
     for R in (0.5, 1.0, math.nan, math.inf):
         with pytest.raises(ParameterError):
             slit_inequality_on_K(R)
+
+
+def test_k_gap_refuses_non_integer_sample_counts(monkeypatch):
+    # a fraction or a NaN raised a bare TypeError; each is now refused, with
+    # a bool, before any gap is taken
+    import hypspeeds.semigroup as semigroup
+
+    def no_work(*args):
+        raise AssertionError("a gap was taken before the sample count was checked")
+
+    monkeypatch.setattr(semigroup, "_slit_gap", no_work)
+    for n_samples in (2.5, math.nan, True, 400.0, 1):
+        with pytest.raises(ParameterError, match="samples"):
+            slit_inequality_on_K(100.0, n_samples)
 
 
 def test_dip_search_basics():
