@@ -513,7 +513,7 @@ def main(argv=None) -> int:
             data["seed"] = args.seed
         cfg = parse_config(data)
         report = run(cfg, Path(args.out))
-    except (HypspeedsError, OSError, json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
+    except (HypspeedsError, OSError, ArithmeticError, KeyError, TypeError, ValueError) as exc:
         print(f"hypspeeds: error: {exc}", file=sys.stderr)
         return 2
     print(f"{cfg.experiment}: {'PASS' if report.passed else 'FAIL'}")

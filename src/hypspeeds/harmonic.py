@@ -40,17 +40,18 @@ out the same on every shipped config and on the benchmark's walks at seeds
 1-8.  That is an observation, not a theorem: a walk can change class only
 where a distance lands within about 1e-15 of a threshold such as ``eps``.
 
-``chunk`` is the most walks in flight: a walk that ends hands its lane to
-the next sample, which draws from its own stream at its own step.  The
-exact distances group the points by block and broadcast each group against
-that block's segments, so however long the obstacle and however many the
-walks, no temporary holds more than ``_PAIR_BLOCK`` point-segment pairs.
+``_walk`` runs ``min(chunk, n)`` lanes, allocated once per call: a lane
+whose walk ends restarts in place at the start point with the next sample,
+which draws from its own stream at its own step, and a walk cut off at
+``MAX_STEPS`` is counted as one more class.  The exact distances group the
+points by block and broadcast each group against that block's segments, so
+however long the obstacle and however many the walks, no temporary holds
+more than ``_PAIR_BLOCK`` point-segment pairs.
 """
 
 from __future__ import annotations
 
 import cmath
-import itertools
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -362,60 +363,48 @@ def _directions(bits: np.ndarray) -> np.ndarray:
 
 
 def _walk(absorb, z0: complex, n: int, seed: int, chunk: int, max_steps: int, classes: int) -> tuple[list[int], int]:
-    """Walk-on-spheres from z0 for the samples 0 .. n-1, at most ``chunk``
-    walks in flight.
+    """Walk-on-spheres from z0 for the samples 0 .. n-1 on ``min(chunk, n)``
+    lanes.
 
     ``absorb(p)`` returns, for each position, the radius of the next jump
-    and a class: 0 keeps walking, 1 .. ``classes`` absorbs there.  Returns
-    the walks absorbed in each class and the walks still running after
-    ``max_steps``.  A walk that ends hands its lane to the next sample, and
-    each walk counts its own steps: sample i draws from stream (seed, i) at
-    its own step, so neither ``chunk`` nor the order of the lanes can
-    change the result.  The loop's arrays hold one entry per walk in
-    flight, and the obstacle distances of ``_obstacle_absorb`` no more than
-    ``_PAIR_BLOCK`` point-segment pairs per temporary.
+    and a class: 0 keeps walking, 1 .. ``classes`` absorbs there.  A walk
+    still live at its step ``max_steps - 1`` is cut off before it jumps, as
+    class ``classes + 1``.  Returns the walks absorbed in each class and the
+    walks cut off.
 
-    Each walk carries its stream counter ``key + GAMMA (step + 1)`` and
-    adds ``GAMMA`` after each jump: the chain of ``stream_uniforms``, with
-    no multiply by the step.  ``_directions`` turns the counter's bits into
-    the jump direction.  Each walk records the pass it began at, so its step
-    is ``now - born``.  The walks in flight keep the order they began in, so
-    the first is the oldest, and the walks are tested against ``max_steps``
-    only once it can reach it.
+    The lanes are allocated once: each holds a position, a stream counter
+    and a step count.  A lane whose walk ends restarts in place at z0 with
+    the next sample, and lanes are dropped only once no sample is left to
+    start.  Sample i draws from stream (seed, i) at its own step, so neither
+    ``chunk`` nor which lane a sample takes can change the result.  Each
+    counter starts at ``key + GAMMA`` and adds ``GAMMA`` after each jump:
+    the chain of ``stream_uniforms``, with no multiply by the step.
+    ``_directions`` turns the counter's bits into the jump direction.
     """
-    counts = np.zeros(classes + 1, dtype=np.int64)
-    truncated = 0
-    # position, stream counter and starting pass of each walk in flight
-    pos = np.empty(0, dtype=complex)
-    counters = np.empty(0, dtype=np.uint64)
-    born = np.empty(0, dtype=np.intp)
-    started = 0
-    for now in itertools.count():
-        fill = min(chunk - pos.size, n - started)
-        if fill > 0:
-            keys = sample_streams(seed, np.arange(started, started + fill, dtype=np.uint64))
-            pos = np.concatenate([pos, np.full(fill, z0, dtype=complex)])
-            counters = np.concatenate([counters, keys + np.uint64(GAMMA)])
-            born = np.concatenate([born, np.full(fill, now)])
-            started += fill
-        if not pos.size:
-            break
+    counts = np.zeros(classes + 2, dtype=np.int64)
+    started = min(chunk, n)
+    pos = np.full(started, z0, dtype=complex)
+    counters = sample_streams(seed, np.arange(started, dtype=np.uint64)) + np.uint64(GAMMA)
+    steps = np.zeros(started, dtype=np.intp)
+    while pos.size:
         radius, cls = absorb(pos)
-        counts += np.bincount(cls, minlength=classes + 1)
-        live = cls == 0
-        # a live walk on its last step is cut off before it jumps
-        if now - int(born[0]) >= max_steps - 1:
-            last = live & (born == now - (max_steps - 1))
-            truncated += int(np.count_nonzero(last))
-            live &= ~last
-        # one index array serves every take: a boolean mask is rescanned per use
-        keep = np.flatnonzero(live)
-        pos, counters, born = pos.take(keep), counters.take(keep), born.take(keep)
+        cls[(cls == 0) & (steps == max_steps - 1)] = classes + 1
+        counts += np.bincount(cls, minlength=classes + 2)
+        # every lane jumps; an ended lane's jump is overwritten by its restart or dropped with it
         jump = _directions(stream_bits(counters))
-        jump *= radius.take(keep)
+        jump *= radius
         pos += jump
         counters += np.uint64(GAMMA)
-    return [int(c) for c in counts[1:]], truncated
+        steps += 1
+        ended = np.flatnonzero(cls)
+        new, gone = ended[: n - started], ended[n - started :]
+        if new.size:
+            keys = sample_streams(seed, np.arange(started, started + new.size, dtype=np.uint64))
+            pos[new], counters[new], steps[new] = z0, keys + np.uint64(GAMMA), 0
+            started += new.size
+        if gone.size:
+            pos, counters, steps = (np.delete(lane, gone) for lane in (pos, counters, steps))
+    return [int(c) for c in counts[1:-1]], int(counts[-1])
 
 
 def _obstacle_absorb(segments: _Segments, eps: float):
@@ -440,16 +429,14 @@ def mc_first_hit(obstacle, z0: complex, n: int, seed: int = 0, chunk: int = 8192
     z0 hits the obstacle polyline before the unit circle.
 
     Deterministic given (seed, n): per-sample streams are derived from the
-    seed and the sample index, so ``chunk``, the most walks in flight,
+    seed and the sample index, so ``chunk``, the number of walk lanes,
     cannot change the result; no temporary holds more than ``_PAIR_BLOCK``
     point-segment pairs at any ``chunk``.  Walks absorb within ``ABSORB_EPS``
     and are cut off at ``MAX_STEPS``, module constants that a study sets on
     ``hypspeeds.harmonic``; cut-off walks count as misses, in ``truncated``.
     """
     verts = np.asarray([complex(v) for v in obstacle], dtype=complex)
-    z0 = complex(z0)
-    if not cmath.isfinite(z0):
-        raise DomainError(f"start point must be finite, got {z0}")
+    z0 = require_disk_point(z0, "z0")
     _check_walk_params(n, chunk)
     if verts.size == 0:
         return _binomial_estimate(0, n, seed)

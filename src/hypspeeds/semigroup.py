@@ -24,7 +24,7 @@ from typing import Optional
 
 from .conformal import HPoint, KoenigsMap, _disk_to_h, _h_distance, _h_foot, _h_to_disk, build_koenigs
 from .domains import DomainDescriptor, SlitPlane, StripDom, includes
-from .errors import DomainError, ParameterError, _positive_int
+from .errors import DomainError, NumericError, ParameterError, _positive_int
 from .hyperbolic import Diameter, OrthoCircle, disk_distance, project_to_geodesic, require_disk_point
 
 _PREV_ONE = math.nextafter(1.0, 0.0)
@@ -70,6 +70,9 @@ def _speeds_in_h(m: KoenigsMap, p: HPoint, t: float) -> tuple[float, float, floa
     """(s, v, v_T) for p and q = advance(p, t): s/2 the signed H distance from p to
     the foot of q on the ray Im W = Im W_p, v that from p to q, v_T from q to the foot."""
     q, delta = m.advance(p, t)
+    # 2^-1022 is the smallest normal float: a subnormal Re u_q has lost digits, and a zero one divides by 0
+    if not (math.isfinite(q[0]) and q[1].real >= 2.0**-1022):
+        raise NumericError(f"the orbit point at t={t} overflows H or rounds onto its boundary")
     if delta is None:
         s, v_T = _h_foot(p, q)
         return s, _h_distance(p, q), v_T
@@ -85,7 +88,9 @@ def speeds(m: KoenigsMap, t: float) -> SpeedSample:
     With s/2 the signed H distance from W0 to the foot of W_t on the ray
     Im W = Im W0: v_o = |s|/2, pi_t = tanh(s/2) (below 1 even where it
     rounds to 1), v_T the H distance from W_t to that foot, and v the H
-    distance from W0 to W_t.
+    distance from W0 to W_t.  NumericError where log|W_t| overflows or the
+    real part of W_t/|W_t| is 0 or subnormal: the speeds have lost their
+    digits there.
     """
     _require_time(t)
     s, v, v_T = _speeds_in_h(m, m.to_h(0j), t)

@@ -26,6 +26,9 @@ ROOT = Path(__file__).resolve().parent.parent
 CONFIGS = ROOT / "configs"
 
 
+HUGE_T_GRID = {"start": 0, "stop": 1e300, "step": 1e299}
+
+
 def write_config(tmp_path: Path, data: dict) -> Path:
     path = tmp_path / "config.json"
     path.write_text(json.dumps(data), encoding="utf-8")
@@ -545,6 +548,29 @@ def test_mc_sigma_must_be_positive(tmp_path):
             parse_config(dict(base, experiment="hm", tolerances={"mc_sigma": sigma}))
         cfg_path = write_config(tmp_path, dict(base, tolerances={"mc_sigma": sigma}))
         assert main(["hm", "--config", str(cfg_path), "--out", str(tmp_path)]) == 2
+
+
+@pytest.mark.parametrize(
+    "experiment, data",
+    [
+        # 10.0 ** 400 for the last dip abscissa
+        ("thm2", {"dip": {"a0_log10_stop": 400}}),
+        # 2.0 ** (2^n * 1e300) for the table's upper bound
+        ("thm3", {"table": {"alpha": -1e300}}),
+        # t/b0 overflows in the slit's H step
+        ("speeds", {"domain": {"kind": "slit_plane", "slits": [[0, 1e-300]]}, "t_grid": HUGE_T_GRID}),
+        # Re u_t underflows to 0 in the half-plane's H step
+        ("speeds", {"domain": {"kind": "half_plane", "boundary_height": -1e-300}, "t_grid": HUGE_T_GRID}),
+    ],
+    ids=["thm2", "thm3", "speeds_slit", "speeds_half_plane"],
+)
+def test_finite_config_past_float_range_exits_two(tmp_path, capsys, experiment, data):
+    # an OverflowError or ZeroDivisionError traceback exited 1, the code of a
+    # failed assertion, and the slit wrote NaN rows and printed FAIL
+    cfg_path = write_config(tmp_path, data)
+    assert main([experiment, "--config", str(cfg_path), "--out", str(tmp_path)]) == 2
+    assert capsys.readouterr().err.startswith("hypspeeds: error:")
+    assert not (tmp_path / f"{experiment}.csv").exists()
 
 
 def test_hm_on_a_far_strip_tail_exits_two_naming_t(tmp_path, capsys):

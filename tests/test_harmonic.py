@@ -252,8 +252,10 @@ def test_mc_first_hit_parameter_errors():
 
 def test_mc_first_hit_rejects_non_finite_input():
     # a NaN start returned 0.0 with every walk truncated; a NaN vertex was
-    # reported as an obstacle of zero length
-    for z0 in (complex(math.nan, 0.0), complex(0.0, math.inf)):
+    # reported as an obstacle of zero length.  A start outside the disk
+    # returned 0 +- 0 with no obstacle, and was called too close to the unit
+    # circle with one.
+    for z0 in (complex(math.nan, 0.0), complex(0.0, math.inf), 2.0, 1.5):
         for obstacle in ([], [0.5, 1.0]):
             with pytest.raises(DomainError):
                 mc_first_hit(obstacle, z0, 100, seed=1)

@@ -9,7 +9,7 @@ import pytest
 
 from hypspeeds.conformal import map_forward, map_inverse, slit_sqrt_forward
 from hypspeeds.domains import HalfPlaneDom, SlitPlane, StripDom, contains
-from hypspeeds.errors import DomainError, ParameterError
+from hypspeeds.errors import DomainError, NumericError, ParameterError
 from hypspeeds.hyperbolic import RIGHT_HALF_PLANE, disk_distance, region_density, region_distance
 from hypspeeds.semigroup import (
     _slit_gap,
@@ -350,6 +350,20 @@ def test_speeds_match_mpmath_half_plane_route(name):
         got = {"v": s.v, "v_o": s.v_o, "v_T": s.v_T, "pi_t": s.pi_t, "log_gap": log_one_minus_pi_sq(m, t)}
         for key, value in got.items():
             assert value == pytest.approx(ref[key], rel=1e-12, abs=0.0), (t, key)
+
+
+@pytest.mark.parametrize(
+    "d",
+    [SlitPlane(((0.0, 1e-300),)), HalfPlaneDom(-1e-300), HalfPlaneDom(-1e-10), StripDom(-1e-300, 1e-300)],
+    ids=["slit", "half_plane", "subnormal_half_plane", "strip"],
+)
+def test_speeds_whose_orbit_point_leaves_h_raise(d):
+    # the slit's t/b0 overflowed into NaN speeds, the half-plane's Re u_t
+    # underflowed to 0 and raised a bare ZeroDivisionError, a subnormal
+    # Re u_t = 1e-310 overflowed the tangential asinh to v_T = inf, and the
+    # strip read v = inf
+    with pytest.raises(NumericError):
+        speeds(make_model(d), 1e300)
 
 
 # ---------------------------------------------------------------------------
