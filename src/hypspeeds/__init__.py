@@ -54,6 +54,7 @@ from .semigroup import (
     make_model,
     monotonicity_scan,
     orbit,
+    orthogonal_rate,
     slit_inequality_on_K,
     speeds,
     theorem4_scan,

@@ -37,10 +37,11 @@ def slit_sqrt_forward(z: complex) -> complex:
     """Branch of sqrt(z + i) with positive real part, cut along the slit.
 
     Maps the plane minus {Re z <= 0, Im z = -1} onto H.  Evaluation within
-    1e-12 of the cut is rejected, branch flips being the dominant bug class.
+    1e-12 of the cut, in absolute terms, is rejected, branch flips being the
+    dominant bug class.
     """
     u = complex(z) + 1j
-    if u.real <= 0.0 and abs(u.imag) <= 1e-12 * max(1.0, abs(u.real)):
+    if u.real <= 0.0 and abs(u.imag) <= 1e-12:
         raise DomainError(f"z={z} lies on (or within 1e-12 of) the slit")
     return cmath.sqrt(u)
 
@@ -54,16 +55,17 @@ def _polar(big_w: complex) -> HPoint:
 class KoenigsMap:
     """Normalized Riemann map h = from_h o M: disk -> domain, h(0) = 0, h(1) = P_inf.
 
-    ``dlog(L)`` is |d from_h / d log W| at log|W| = L, the stretch that
-    ``pullback_density`` divides by.  ``advance(p, t)`` is the H point q of
-    from_h(p) + t, with the step W_q - W_p free of cancellation while it is
-    at most |W_p| (else None).
+    ``velocity(p)`` is dW/dw at the H point p in units of |W|, so that it stays
+    finite wherever p does: the stretch that ``pullback_density`` reads, and
+    the t-derivative of W along ``advance``.  ``advance(p, t)`` is the H point
+    q of from_h(p) + t, with the step W_q - W_p free of cancellation while it
+    is at most |W_p| (else None).
     """
 
     domain: DomainDescriptor
     to_h: Callable[[complex], HPoint]
     from_h: Callable[[float, complex], complex]
-    dlog: Callable[[float], float]
+    velocity: Callable[[HPoint], complex]
     advance: Callable[[HPoint, float], tuple[HPoint, Optional[complex]]]
     w0: complex
 
@@ -75,7 +77,7 @@ def _half_plane_maps(d: HalfPlaneDom):
     return (
         lambda w: _polar((w - shift) / rot),
         lambda L, u: rot * math.exp(L) * u + shift,
-        math.exp,
+        lambda p: math.exp(-p[0]) * rot.conjugate(),  # dW/dw = 1/rot
         lambda p, t: (_polar(math.exp(p[0]) * p[1] + t / rot), t / rot if t <= math.exp(p[0]) else None),
     )
 
@@ -93,7 +95,7 @@ def _strip_maps(d: StripDom):
     return (
         lambda w: (math.pi * w.real / width, cmath.rect(1.0, math.pi * (w.imag - mid) / width)),
         lambda L, u: complex(scale * L, scale * cmath.phase(u) + mid),
-        lambda L: scale,
+        lambda p: p[1] / scale,  # dW/dw = W pi/width
         advance,
     )
 
@@ -101,6 +103,7 @@ def _strip_maps(d: StripDom):
 def _slit_maps(d: SlitPlane):
     # plane minus {Re w <= a0, Im w = -b0}: W = sqrt((w - a0)/b0 + i)
     ((a0, b0),) = d.slits
+    log_2b0 = math.log(2.0 * b0)
 
     def advance(p: HPoint, t: float):
         big_w = math.exp(p[0]) * p[1]
@@ -111,7 +114,8 @@ def _slit_maps(d: SlitPlane):
     return (
         lambda w: _polar(slit_sqrt_forward((w - a0) / b0)),
         lambda L, u: b0 * (math.exp(2.0 * L) * u * u - 1j) + a0,
-        lambda L: 2.0 * b0 * math.exp(2.0 * L),
+        # dW/dw = 1/(2 b0 W), and 1/u = conj(u); one exp keeps a small b0 from underflowing early
+        lambda p: math.exp(-2.0 * p[0] - log_2b0) * p[1].conjugate(),
         advance,
     )
 
@@ -137,9 +141,12 @@ def build_koenigs(d: DomainDescriptor) -> KoenigsMap:
         raise UnsupportedDomainError(
             f"no explicit Riemann map for {type(d).__name__}; distances there are bounded via quasihyperbolic estimates"
         )
-    to_h, from_h, dlog, advance = maps
+    to_h, from_h, velocity, advance = maps
     log_r, u = to_h(0j)
-    return KoenigsMap(domain=d, to_h=to_h, from_h=from_h, dlog=dlog, advance=advance, w0=math.exp(log_r) * u)
+    w0 = math.exp(log_r) * u
+    if not cmath.isfinite(w0):
+        raise ConstructionError(f"W0 = to_h(0) is not finite for {d}: got {w0}")
+    return KoenigsMap(domain=d, to_h=to_h, from_h=from_h, velocity=velocity, advance=advance, w0=w0)
 
 
 def _disk_to_h(k: KoenigsMap, z: complex) -> HPoint:
@@ -210,6 +217,6 @@ def domain_distance(k: KoenigsMap, w1: complex, w2: complex) -> float:
 
 
 def pullback_density(k: KoenigsMap, w: complex) -> float:
-    """Hyperbolic density of the domain at w: 1/(2 Re W |dw/dW|)."""
-    log_r, u = _checked_to_h(k, w)
-    return 1.0 / (2.0 * u.real * k.dlog(log_r))
+    """Hyperbolic density of the domain at w: |dW/dw| / (2 Re W)."""
+    p = _checked_to_h(k, w)
+    return abs(k.velocity(p)) / (2.0 * p[1].real)

@@ -1,5 +1,5 @@
-"""Orbits, the three speeds, monotonicity scans, the nested-domain scan, and
-the slit-plane dip search.
+"""Orbits, the three speeds, the rate of the orthogonal speed, monotonicity
+scans, the nested-domain scan, and the slit-plane dip search.
 
 A semigroup is given by its normalized Koenigs map h, a ``KoenigsMap``: the
 time-t map is h^{-1}(h(z) + t).  Speeds of the origin orbit:
@@ -63,16 +63,25 @@ def orbit(m: KoenigsMap, z: complex, t: float) -> complex:
     z = require_disk_point(z)
     if t == 0.0:
         return z
-    return _h_to_disk(m, m.advance(_disk_to_h(m, z), t)[0])
+    q = m.advance(_disk_to_h(m, z), t)[0]
+    if not math.isfinite(q[0]):
+        raise NumericError(f"the orbit point at t={t} overflows H")
+    return _h_to_disk(m, q)
+
+
+def _advance_in_h(m: KoenigsMap, p: HPoint, t: float) -> tuple[HPoint, Optional[complex]]:
+    """``m.advance(p, t)``, refused with NumericError where q has lost its digits."""
+    q, delta = m.advance(p, t)
+    # 2^-1022 is the smallest normal float: a subnormal Re u_q has lost digits, and a zero one divides by 0
+    if not (math.isfinite(q[0]) and q[1].real >= 2.0**-1022):
+        raise NumericError(f"the orbit point at t={t} overflows H or rounds onto its boundary")
+    return q, delta
 
 
 def _speeds_in_h(m: KoenigsMap, p: HPoint, t: float) -> tuple[float, float, float]:
     """(s, v, v_T) for p and q = advance(p, t): s/2 the signed H distance from p to
     the foot of q on the ray Im W = Im W_p, v that from p to q, v_T from q to the foot."""
-    q, delta = m.advance(p, t)
-    # 2^-1022 is the smallest normal float: a subnormal Re u_q has lost digits, and a zero one divides by 0
-    if not (math.isfinite(q[0]) and q[1].real >= 2.0**-1022):
-        raise NumericError(f"the orbit point at t={t} overflows H or rounds onto its boundary")
+    q, delta = _advance_in_h(m, p, t)
     if delta is None:
         s, v_T = _h_foot(p, q)
         return s, _h_distance(p, q), v_T
@@ -118,6 +127,32 @@ def generalized_speed(m: KoenigsMap, z: complex, t: float) -> float:
     phi = orbit(m, z, t)
     p = project_to_geodesic(phi, _geodesic_to_one(z))
     return disk_distance(z, p)
+
+
+def orthogonal_rate(m: KoenigsMap, z: complex, t: float) -> float:
+    """d/dt of the orthogonal speed seeded at z, in closed form in H.
+
+    With p = M(z), q = advance(p, t) and b = Im W_p, the foot of W_q on the
+    ray Im W = b lies at signed distance (1/2) log(|W_q - i b| / Re W_p) from
+    p, whose absolute value is ``generalized_speed``.  Its rate is
+    (1/2) Re(W_q' conj(W_q - i b)) / |W_q - i b|^2, where W_q' is dW/dw at q,
+    the t-derivative of W_q.  Near t = 0, W_q - i b is read as Re W_p plus the
+    step of ``advance``: on the half-plane Re W_q' is 0, and W_q - i b taken
+    from the rounded W_q would keep few digits of the product.  NumericError
+    where q overflows H or rounds onto its boundary.
+    """
+    z = require_disk_point(z)
+    _require_time(t)
+    p = _disk_to_h(m, z)
+    q, delta = _advance_in_h(m, p, t)
+    velocity = m.velocity(q)  # W_q' / |W_q|
+    if delta is None:
+        # W_q - i b = |W_q| (u_q - i beta), with the beta of _h_foot
+        gap = q[1] - 1j * math.exp(p[0] - q[0]) * p[1].imag
+        return 0.5 * (velocity * gap.conjugate()).real / abs(gap) ** 2
+    # W_q - i b = Re W_p (1 + r), with r the step over Re W_p as in _speeds_in_h
+    gap = 1.0 + delta / (math.exp(p[0]) * p[1].real)
+    return 0.5 * (velocity * gap.conjugate()).real * math.exp(q[0] - p[0]) / (p[1].real * abs(gap) ** 2)
 
 
 def _minus_two_log_cosh(v_o: float) -> float:

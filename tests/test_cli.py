@@ -207,8 +207,26 @@ def test_thm1_small_times_without_slack(tmp_path):
             "tolerances": {"violation_slack": 0},
         }
     )
-    violations = run(cfg, tmp_path).summary["violations"]
-    assert (violations["orthogonal"], violations["foot"]) == (0, 0)
+    report = run(cfg, tmp_path)
+    assert (report.summary["violations"]["orthogonal"], report.summary["violations"]["foot"]) == (0, 0)
+    # the base point's speed, read by a disk projection, went flat and flagged
+    # 9 of 10 pairs; its rate is t / (2 (X^2 + t^2)) here, X = Re M(0.3) = 13/7
+    assert report.passed
+
+
+@pytest.mark.parametrize(
+    "domain",
+    [{"kind": "half_plane", "boundary_height": -1}, {"kind": "strip", "y_low": -1, "y_high": 2}],
+    ids=["half_plane", "asymmetric_strip"],
+)
+def test_thm1_far_out_passes(tmp_path, domain):
+    # the disk projection of the base points' orbits rounded onto the unit
+    # circle, and the run exited 2; their rates are read in H
+    cfg_path = write_config(tmp_path, {"domain": domain, "t_grid": {"start": 0, "stop": 1e8, "step": 1e6}})
+    assert main(["thm1", "--config", str(cfg_path), "--out", str(tmp_path)]) == 0
+    summary = json.loads((tmp_path / "thm1_report.json").read_text(encoding="utf-8"))["summary"]
+    assert set(summary["violations"].values()) == {0}
+    assert min(summary["least_rate"].values()) > 0.0
 
 
 def test_thm1_labels_each_base_point(tmp_path):
@@ -571,6 +589,16 @@ def test_finite_config_past_float_range_exits_two(tmp_path, capsys, experiment, 
     assert main([experiment, "--config", str(cfg_path), "--out", str(tmp_path)]) == 2
     assert capsys.readouterr().err.startswith("hypspeeds: error:")
     assert not (tmp_path / f"{experiment}.csv").exists()
+
+
+def test_slit_plane_whose_w0_overflows_exits_two_naming_w0(tmp_path, capsys):
+    # to_h(0) overflowed to NaN, and speeds then blamed t=0.0
+    cfg_path = write_config(
+        tmp_path, {"domain": {"kind": "slit_plane", "slits": [[-1e300, 1e-10]]}, "t_grid": {"start": 0, "stop": 1, "step": 0.5}}
+    )
+    assert main(["speeds", "--config", str(cfg_path), "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("hypspeeds: error:") and "W0" in err and "t=0.0" not in err
 
 
 def test_hm_on_a_far_strip_tail_exits_two_naming_t(tmp_path, capsys):

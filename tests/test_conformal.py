@@ -15,7 +15,7 @@ from hypspeeds.conformal import (
     slit_sqrt_forward,
 )
 from hypspeeds.domains import HalfPlaneDom, RectangleChain, SlitPlane, StripDom
-from hypspeeds.errors import DomainError, UnsupportedDomainError
+from hypspeeds.errors import ConstructionError, DomainError, UnsupportedDomainError
 from hypspeeds.hyperbolic import RIGHT_HALF_PLANE, integrate_density_along, region_distance
 from hypspeeds.quasihyperbolic import rho_bounds
 
@@ -63,6 +63,26 @@ def test_slit_sqrt_rejects_cut():
         slit_sqrt_forward(-2.0 - 1j)
     with pytest.raises(DomainError):
         slit_sqrt_forward(complex(-2.0, -1.0 + 1e-14))
+
+
+def test_slit_cut_tolerance_is_absolute():
+    # a relative tolerance, 1e-12 max(1, |Re u|), refused 0 in this plane as
+    # lying on the slit, though the slit is at distance 1 from it
+    k = build_koenigs(SlitPlane(((1e12, 1.0),)))
+    assert math.isfinite(abs(k.w0)) and k.w0.real > 0.0
+    # within 1e-12 of the cut in units of b0 the branch could flip: refused
+    # however far left, while 2e-12 off it is a point of the domain
+    k = build_koenigs(SlitPlane(((3.0, 2.0),)))
+    for x in (-5.0, -1e6, -1e12):
+        with pytest.raises(DomainError):
+            k.to_h(complex(x, -2.0 + 2.0 * 0.5e-12))
+        assert k.to_h(complex(x, -2.0 + 2.0 * 2e-12))[1].real > 0.0
+
+
+def test_non_finite_w0_is_refused():
+    # sqrt((0 + 1e300)/1e-10 + i) overflows, and W0 read NaN
+    with pytest.raises(ConstructionError, match="W0"):
+        build_koenigs(SlitPlane(((-1e300, 1e-10),)))
 
 
 # ---------------------------------------------------------------------------

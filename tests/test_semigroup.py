@@ -19,6 +19,7 @@ from hypspeeds.semigroup import (
     make_model,
     monotonicity_scan,
     orbit,
+    orthogonal_rate,
     scan_values,
     slit_inequality_on_K,
     speeds,
@@ -107,10 +108,24 @@ def test_non_finite_points_and_times_raise(name):
             lambda: orbit(m, 0.3, t),
             lambda: speeds(m, t),
             lambda: generalized_speed(m, 0.3, t),
+            lambda: orthogonal_rate(m, 0.3, t),
             lambda: log_one_minus_pi_sq(m, t),
         ):
             with pytest.raises(DomainError):
                 call()
+
+
+@pytest.mark.parametrize(
+    "d, t",
+    [(StripDom(-1.0, 1.0), 1e308), (StripDom(-1e-300, 2e-300), 1e12)],
+    ids=["strip", "thin_strip"],
+)
+def test_orbit_whose_h_point_overflows_raises(d, t):
+    # log|W| overflowed to inf, and the pullback M^{-1} returned nan+nanj
+    m = make_model(d)
+    for z in (0j, 0.3 + 0j):
+        with pytest.raises(NumericError):
+            orbit(m, z, t)
 
 
 # ---------------------------------------------------------------------------
@@ -352,6 +367,15 @@ def test_speeds_match_mpmath_half_plane_route(name):
             assert value == pytest.approx(ref[key], rel=1e-12, abs=0.0), (t, key)
 
 
+def test_far_slit_plane_has_finite_speeds():
+    # 0 is at distance 1 from the slit, which a relative cut tolerance refused
+    m = make_model(SlitPlane(((1e12, 1.0),)))
+    for t in (0.0, 1.0, 1e6, 1e12, 1e13, 1e20):
+        s = speeds(m, t)
+        assert all(math.isfinite(x) for x in (s.v, s.v_o, s.v_T, s.pi_t)), t
+        assert s.v_o <= s.v and s.v_T <= s.v, t
+
+
 @pytest.mark.parametrize(
     "d",
     [SlitPlane(((0.0, 1e-300),)), HalfPlaneDom(-1e-300), HalfPlaneDom(-1e-10), StripDom(-1e-300, 1e-300)],
@@ -410,6 +434,31 @@ def test_symmetric_strip_generalized_speed_matches_mpmath(d):
                 w_t = w * mp.exp(mp.pi * t / width)
                 ref = float(abs(mp.log(abs(w_t - 1j * w.imag) / w.real)) / 2)
             assert generalized_speed(m, z, t) == pytest.approx(ref, rel=1e-9, abs=0.0), (z, t)
+
+
+@pytest.mark.parametrize("name", SMALL_T_MODELS)
+def test_orthogonal_rate_matches_mpmath(name):
+    # the t-derivative of (1/2) log|W_q - i Im W_p|, with W_p = M(z) and W_q
+    # the translate of W_p by t through the domain, taken by mpmath.  On the
+    # half-plane the rate is t / (2 (Re W_p^2 + t^2)), and near t = 0 a
+    # W_q - i Im W_p read from the rounded W_q kept few of its digits
+    d = SMALL_T_MODELS[name]
+    m = make_model(d)
+    for z in (0j, 0.3 + 0j, -0.4j, 0.2 + 0.5j):
+        for t in (10.0 ** (k / 2) for k in range(-24, 17)):
+            with mp.workdps(50):
+                w0, zz = _mp_to_h(d, mp.mpf(0)), mp.mpc(z)
+                w_p = 1j * w0.imag + w0.real * (1 + zz) / (1 - zz)
+                w = _mp_from_h(d, w_p)
+                ref = float(mp.diff(lambda tt: mp.log(abs(_mp_to_h(d, w + tt) - 1j * w_p.imag)) / 2, t))
+            assert orthogonal_rate(m, z, t) == pytest.approx(ref, rel=1e-12, abs=0.0), (z, t)
+
+
+def test_orthogonal_rate_at_zero_time():
+    # on the half-plane the orbit starts orthogonal to the ray Im W = Im W_p,
+    # so the foot does not move at t = 0; on the strip W' = (pi/width) W
+    assert orthogonal_rate(make_model(HalfPlaneDom(-1.0)), 0.3 + 0.2j, 0.0) == 0.0
+    assert orthogonal_rate(make_model(StripDom(-1.0, 1.0)), 0.3, 0.0) == pytest.approx(math.pi / 4, rel=1e-15)
 
 
 # ---------------------------------------------------------------------------
