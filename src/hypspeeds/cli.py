@@ -44,10 +44,10 @@ from .hyperbolic import (
 )
 from .quasihyperbolic import quasihyperbolic_axis, stage_ratio, theorem3_table
 from .semigroup import (
+    _minus_two_log_cosh,
     dip_search,
     make_model,
     orthogonal_rate,
-    scan_values,
     slit_inequality_on_K,
     speeds,
     theorem4_scan,
@@ -135,8 +135,9 @@ def _points(value, name: str, least: int = 0) -> list[complex]:
 
 
 def _base_label(z: complex) -> str:
-    """The name of thm1's check seeded at z."""
-    return f"generalized@{z.real:g}{z.imag:+g}j"
+    """The name of thm1's check seeded at z.  Adding 0.0 turns -0.0 into 0.0,
+    so that -0.4j, whose real part is -0.0, prints as [0, -0.4] does."""
+    return f"generalized@{z.real + 0.0:g}{z.imag + 0.0:+g}j"
 
 
 def _base_points(value, name: str) -> list[complex]:
@@ -209,6 +210,7 @@ class ExperimentConfig:
     n_samples: int = _key("n_samples", partial(_integer, least=1), 100_000)
     mc_chunk: int = _key("mc_chunk", partial(_integer, least=1), 8192)
     base_points: list[complex] = _key("base_points", _base_points, [0.3 + 0j, -0.4j, 0.2 + 0.5j])
+    # no check reads it; it is accepted because the benchmark's thm1_strip config sets it
     violation_slack: float = _key("tolerances.violation_slack", _finite, 1e-12)
     mc_sigma: float = _key("tolerances.mc_sigma", _positive, 3.0)
     table_n_lo: int = _key("table.n_lo", _integer, 2)
@@ -346,25 +348,30 @@ def _run_dist(cfg: ExperimentConfig) -> tuple:
 def _run_speeds(cfg: ExperimentConfig) -> tuple:
     model = make_model(cfg.domain)
     samples = [speeds(model, t) for t in cfg.t_grid.values()]
-    tol = 1e-12
-    ok = all(s.v_o <= s.v + tol and s.v_T <= s.v + tol and s.v <= s.v_o + s.v_T + tol for s in samples)
-    return _SPEEDS_SCHEMA, _speeds_rows(samples), ok, {"n_rows": len(samples), "invariants_ok": ok}
+    # hyperbolic Pythagoras, cosh 2v = cosh 2v_o cosh 2v_T, read in logs, which
+    # cannot overflow: with L(x) = -2 log cosh x, L(2v) - L(2v_o) - L(2v_T) = 0.
+    # The residual is taken relative to |L(2v)|, but to no less than the least
+    # normal float: below it (v under about 1e-154) L keeps subnormal digits only.
+    worst = 0.0
+    for s in samples:
+        big = _minus_two_log_cosh(2.0 * s.v)
+        residual = abs(big - _minus_two_log_cosh(2.0 * s.v_o) - _minus_two_log_cosh(2.0 * s.v_T))
+        worst = max(worst, residual / max(-big, sys.float_info.min))
+    ok = worst <= 1e-14
+    summary = {"n_rows": len(samples), "invariants_ok": ok, "pythagoras_residual": worst}
+    return _SPEEDS_SCHEMA, _speeds_rows(samples), ok, summary
 
 
 def _run_thm1(cfg: ExperimentConfig) -> tuple:
     model = make_model(cfg.domain)
     grid = cfg.t_grid.values()
-    slack = cfg.violation_slack
     samples = [speeds(model, t) for t in grid]
-    violations = {
-        "orthogonal": len(scan_values("orthogonal", grid, [s.v_o for s in samples], slack).violations),
-        "foot": len(scan_values("foot", grid, [s.pi_t for s in samples], slack).violations),
-    }
-    # each base point's speed is checked by the sign of its t-derivative, with no
-    # slack; at t = 0 the derivative may vanish (on the half-plane it is exactly 0)
-    least_rate = {}
-    for z in cfg.base_points:
-        label = _base_label(z)
+    # each orthogonal speed, the origin's first, is checked by the sign of its
+    # t-derivative, with no slack; at t = 0 the derivative may vanish (on the
+    # half-plane it is exactly 0).  The origin's pi_t = tanh(v_o) rises exactly
+    # where v_o does, so the one rate checks the foot too.
+    violations, least_rate = {}, {}
+    for label, z in [("orthogonal", 0j)] + [(_base_label(z), z) for z in cfg.base_points]:
         rates = [orthogonal_rate(model, z, t) for t in grid if t > 0.0]
         violations[label] = sum(not rate > 0.0 for rate in rates)
         least_rate[label] = min(rates)

@@ -229,15 +229,6 @@ def monotonicity_scan(
         if picker is None:
             raise ParameterError(f"unknown scan quantity {quantity!r}")
         values = [picker(speeds(m, t)) for t in grid]
-    return scan_values(quantity, grid, values, slack)
-
-
-def scan_values(quantity: str, t_grid: list[float], values: list[float], slack: float) -> ScanReport:
-    """The scan of values already taken on an increasing t_grid, one value per
-    time: flag adjacent pairs where the value drops by more than `slack`."""
-    grid = _increasing(t_grid)
-    if len(values) != len(grid):
-        raise ParameterError(f"need one value per time, got {len(values)} values for {len(grid)} times")
     report = ScanReport(quantity=quantity, t_grid=grid, values=values)
     for (t0, v0), (t1, v1) in zip(zip(grid[:-1], values[:-1]), zip(grid[1:], values[1:])):
         delta = v1 - v0

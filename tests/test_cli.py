@@ -1,5 +1,6 @@
 """Experiment runner: configs, CSV/JSON emission, exit codes, reproducibility."""
 
+import dataclasses
 import hashlib
 import json
 import math
@@ -176,7 +177,7 @@ def test_thm1_run_passes(tmp_path):
 
 
 def test_thm1_takes_speeds_once_per_grid_point(tmp_path, monkeypatch):
-    # both origin-orbit scans and thm1.csv read one list of samples
+    # thm1.csv reads one list of samples
     import hypspeeds.cli
     import hypspeeds.semigroup
 
@@ -197,7 +198,7 @@ def test_thm1_takes_speeds_once_per_grid_point(tmp_path, monkeypatch):
 
 def test_thm1_small_times_without_slack(tmp_path):
     # v_o is about t^2/4 here; read as the difference of two rounded points
-    # of H it was 0 on every row, and both origin-orbit scans flagged all 10 pairs
+    # of H it was 0 on every row, and the origin-orbit scans flagged all 10 pairs
     cfg = parse_config(
         {
             "experiment": "thm1",
@@ -208,7 +209,7 @@ def test_thm1_small_times_without_slack(tmp_path):
         }
     )
     report = run(cfg, tmp_path)
-    assert (report.summary["violations"]["orthogonal"], report.summary["violations"]["foot"]) == (0, 0)
+    assert report.summary["violations"]["orthogonal"] == 0
     # the base point's speed, read by a disk projection, went flat and flagged
     # 9 of 10 pairs; its rate is t / (2 (X^2 + t^2)) here, X = Re M(0.3) = 13/7
     assert report.passed
@@ -216,13 +217,20 @@ def test_thm1_small_times_without_slack(tmp_path):
 
 @pytest.mark.parametrize(
     "domain",
-    [{"kind": "half_plane", "boundary_height": -1}, {"kind": "strip", "y_low": -1, "y_high": 2}],
-    ids=["half_plane", "asymmetric_strip"],
+    [
+        {"kind": "half_plane", "boundary_height": -1},
+        {"kind": "strip", "y_low": -1, "y_high": 2},
+        {"kind": "strip", "y_low": -1, "y_high": 1},
+    ],
+    ids=["half_plane", "asymmetric_strip", "symmetric_strip"],
 )
 def test_thm1_far_out_passes(tmp_path, domain):
     # the disk projection of the base points' orbits rounded onto the unit
-    # circle, and the run exited 2; their rates are read in H
-    cfg_path = write_config(tmp_path, {"domain": domain, "t_grid": {"start": 0, "stop": 1e8, "step": 1e6}})
+    # circle, and the run exited 2; their rates are read in H.  On the
+    # symmetric strip pi_t rounds to just below 1 from t = 20 on, and the
+    # origin orbit's grid differences, read with no slack, flagged 99 pairs
+    config = {"domain": domain, "t_grid": {"start": 0, "stop": 1e8, "step": 1e6}, "tolerances": {"violation_slack": 0}}
+    cfg_path = write_config(tmp_path, config)
     assert main(["thm1", "--config", str(cfg_path), "--out", str(tmp_path)]) == 0
     summary = json.loads((tmp_path / "thm1_report.json").read_text(encoding="utf-8"))["summary"]
     assert set(summary["violations"].values()) == {0}
@@ -230,11 +238,14 @@ def test_thm1_far_out_passes(tmp_path, domain):
 
 
 def test_thm1_labels_each_base_point(tmp_path):
-    # the shipped configs' base points keep their labels
+    # the shipped configs' base points keep their labels, and the default
+    # -0.4j, whose real part is -0.0, prints as the shipped [0, -0.4]
     data = json.loads((CONFIGS / "thm1_slit.json").read_text(encoding="utf-8"))
-    cfg = parse_config(dict(data, experiment="thm1", t_grid={"start": 0.0, "stop": 1.0, "step": 0.5}))
-    labels = list(run(cfg, tmp_path).summary["violations"])
-    assert labels == ["orthogonal", "foot", "generalized@0.3+0j", "generalized@0-0.4j", "generalized@0.2+0.5j"]
+    grid = {"start": 0.0, "stop": 1.0, "step": 0.5}
+    labels = ["orthogonal", "generalized@0.3+0j", "generalized@0-0.4j", "generalized@0.2+0.5j"]
+    for spec in (data, {k: v for k, v in data.items() if k != "base_points"}):
+        summary = run(parse_config(dict(spec, experiment="thm1", t_grid=grid)), tmp_path).summary
+        assert list(summary["violations"]) == list(summary["least_rate"]) == labels
 
 
 # the shipped thm3 report's stage ratios, to the last bit; thm3.csv prints
@@ -278,6 +289,27 @@ def test_speeds_run_and_csv_schema(tmp_path):
     lines = (tmp_path / "speeds.csv").read_text().splitlines()
     assert lines[0] == "t,v,v_o,v_T,pi_t"
     assert len(lines) == 8
+
+
+def test_speeds_verdict_reads_the_pythagoras_identity(tmp_path, monkeypatch):
+    # hyperbolic Pythagoras holds to a few ulps, from times so small that
+    # cosh 2v - 1 is subnormal out to the shipped grid
+    import hypspeeds.cli
+
+    data = json.loads((CONFIGS / "speeds_slit.json").read_text(encoding="utf-8"))
+    for spec in (data, dict(data, t_grid={"start": 0.0, "stop": 1e-160, "step": 1e-162})):
+        report = run(parse_config(dict(spec, experiment="speeds")), tmp_path)
+        assert report.passed and report.summary["pythagoras_residual"] <= 2e-15
+    # v_T off by 1e-10 relative kept every triangle inequality within 1e-12
+    speeds = hypspeeds.cli.speeds
+
+    def skewed(m, t):
+        s = speeds(m, t)
+        return dataclasses.replace(s, v_T=s.v_T * (1.0 + 1e-10))
+
+    monkeypatch.setattr(hypspeeds.cli, "speeds", skewed)
+    report = run(parse_config(dict(data, experiment="speeds")), tmp_path)
+    assert not report.passed and report.summary["invariants_ok"] is False
 
 
 @pytest.mark.parametrize(
@@ -365,6 +397,8 @@ def test_main_exit_codes(tmp_path):
         ("thm2", {"dip": {"a0_count": MAX_GRID_ROWS + 1}}),
         # two base points printing to one label shared one scan entry
         ("thm1", {"domain": strip, "t_grid": grid, "base_points": [[0.1234567, 0], [0.1234568, 0], [0.2, 0.5]]}),
+        # one point twice: -0.0 printed as -0, so the two labels differed
+        ("thm1", {"domain": strip, "t_grid": grid, "base_points": [[-0.0, -0.4], [0, -0.4]]}),
         ("thm3", {"table": {"n_lo": 2.9}}),
         # a string where a number belongs
         ("dist", {"seed": "31"}),
@@ -647,3 +681,16 @@ def test_shipped_config_csv_is_pinned(stem, tmp_path):
     assert run(parse_config(data), tmp_path).passed
     digest = hashlib.sha256((tmp_path / f"{experiment}.csv").read_bytes()).hexdigest()
     assert digest == PINNED_CSVS[stem]
+
+
+BENCH_CONFIGS = ROOT / "bench" / "configs"
+
+
+@pytest.mark.parametrize("path", sorted(BENCH_CONFIGS.glob("*.json")), ids=lambda p: p.stem)
+def test_bench_config_parses_and_matches_the_shipped_one(path):
+    # the benchmark runs its own copies: a key they set must stay accepted,
+    # or the benchmark would exit 2 while every other test passes
+    assert path.read_bytes() == (CONFIGS / path.name).read_bytes()
+    experiment = path.stem.split("_")[0]
+    data = json.loads(path.read_text(encoding="utf-8"))
+    assert parse_config(dict(data, experiment=experiment)).experiment == experiment

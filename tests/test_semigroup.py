@@ -20,7 +20,6 @@ from hypspeeds.semigroup import (
     monotonicity_scan,
     orbit,
     orthogonal_rate,
-    scan_values,
     slit_inequality_on_K,
     speeds,
     theorem4_scan,
@@ -489,16 +488,6 @@ def test_total_speed_dips_on_far_slit_model():
     assert min(v.delta for v in report.violations) < -0.01
 
 
-def test_scan_of_taken_values_matches_monotonicity_scan():
-    # on the far slit model the total speed dips, so the reports hold violations
-    a0 = 2000.0
-    m = make_model(SlitPlane(((a0, 1.0),)))
-    grid = [a0 - 3.0 + 0.5 * k for k in range(13)]
-    samples = [speeds(m, t) for t in grid]
-    for quantity, values in (("total", [s.v for s in samples]), ("orthogonal", [s.v_o for s in samples])):
-        assert scan_values(quantity, grid, values, 1e-12) == monotonicity_scan(m, grid, quantity)
-
-
 def test_scan_validates_grid_and_quantity():
     m = make_model(StripDom(-1.0, 1.0))
     with pytest.raises(ParameterError):
@@ -507,11 +496,8 @@ def test_scan_validates_grid_and_quantity():
         monotonicity_scan(m, [0.0, 1.0], "sideways")
     with pytest.raises(ParameterError):
         monotonicity_scan(m, [0.0, 1.0], "generalized")
-    # values already taken: one per time, on an increasing grid
     with pytest.raises(ParameterError):
-        scan_values("x", [0.0, 1.0, 2.0], [1.0], 1e-12)
-    with pytest.raises(ParameterError):
-        scan_values("x", [2.0, 1.0, 0.0], [1.0, 0.0, -1.0], 1e-12)
+        monotonicity_scan(m, [2.0, 1.0, 0.0], "orthogonal")
 
 
 # ---------------------------------------------------------------------------
