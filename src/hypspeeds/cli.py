@@ -44,7 +44,7 @@ from .hyperbolic import (
 )
 from .quasihyperbolic import quasihyperbolic_axis, stage_ratio, theorem3_table
 from .semigroup import (
-    _minus_two_log_cosh,
+    _pythagoras_residual,
     dip_search,
     make_model,
     orthogonal_rate,
@@ -348,15 +348,8 @@ def _run_dist(cfg: ExperimentConfig) -> tuple:
 def _run_speeds(cfg: ExperimentConfig) -> tuple:
     model = make_model(cfg.domain)
     samples = [speeds(model, t) for t in cfg.t_grid.values()]
-    # hyperbolic Pythagoras, cosh 2v = cosh 2v_o cosh 2v_T, read in logs, which
-    # cannot overflow: with L(x) = -2 log cosh x, L(2v) - L(2v_o) - L(2v_T) = 0.
-    # The residual is taken relative to |L(2v)|, but to no less than the least
-    # normal float: below it (v under about 1e-154) L keeps subnormal digits only.
-    worst = 0.0
-    for s in samples:
-        big = _minus_two_log_cosh(2.0 * s.v)
-        residual = abs(big - _minus_two_log_cosh(2.0 * s.v_o) - _minus_two_log_cosh(2.0 * s.v_T))
-        worst = max(worst, residual / max(-big, sys.float_info.min))
+    # hyperbolic Pythagoras, cosh 2v = cosh 2v_o cosh 2v_T, at 1e-14 relative
+    worst = max((_pythagoras_residual(s) for s in samples), default=0.0)
     ok = worst <= 1e-14
     summary = {"n_rows": len(samples), "invariants_ok": ok, "pythagoras_residual": worst}
     return _SPEEDS_SCHEMA, _speeds_rows(samples), ok, summary

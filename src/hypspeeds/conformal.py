@@ -22,7 +22,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable
 
 from .domains import DomainDescriptor, HalfPlaneDom, SlitPlane, StripDom, contains, dist_to_boundary
 from .errors import ConstructionError, DomainError, UnsupportedDomainError
@@ -30,7 +30,6 @@ from .hyperbolic import require_disk_point
 
 #: A point W of H as (log|W|, W/|W|).
 HPoint = tuple[float, complex]
-_LOG2 = math.log(2.0)
 
 
 def slit_sqrt_forward(z: complex) -> complex:
@@ -57,16 +56,18 @@ class KoenigsMap:
 
     ``velocity(p)`` is dW/dw at the H point p in units of |W|, so that it stays
     finite wherever p does: the stretch that ``pullback_density`` reads, and
-    the t-derivative of W along ``advance``.  ``advance(p, t)`` is the H point
-    q of from_h(p) + t, with the step W_q - W_p free of cancellation while it
-    is at most |W_p| (else None).
+    the t-derivative of W along ``advance``.  ``advance(p, t)`` is
+    ``(q, ell, kappa)``: the H point q of from_h(p) + t, with
+    ell = log(Re W_q / Re W_p) and kappa = Im(W_q - W_p) / Re W_q, both formed
+    from the exact step before any rounding to log-polar form, so that
+    W_q - i Im W_p = Re W_q (1 + i kappa) carries every digit at every t.
     """
 
     domain: DomainDescriptor
     to_h: Callable[[complex], HPoint]
     from_h: Callable[[float, complex], complex]
     velocity: Callable[[HPoint], complex]
-    advance: Callable[[HPoint, float], tuple[HPoint, Optional[complex]]]
+    advance: Callable[[HPoint, float], tuple[HPoint, float, float]]
     w0: complex
 
 
@@ -74,11 +75,16 @@ def _half_plane_maps(d: HalfPlaneDom):
     # {Im w > c} or {Im w < c}: shift the boundary line to the real axis, then turn by a quarter
     rot = 1j if d.side == "above" else -1j
     shift = 1j * d.boundary_height
+
+    def advance(p: HPoint, t: float):
+        big_w, step = math.exp(p[0]) * p[1], t / rot  # W_q = W_p + step keeps Re W_q = Re W_p
+        return _polar(big_w + step), 0.0, step.imag / big_w.real
+
     return (
         lambda w: _polar((w - shift) / rot),
         lambda L, u: rot * math.exp(L) * u + shift,
         lambda p: math.exp(-p[0]) * rot.conjugate(),  # dW/dw = 1/rot
-        lambda p, t: (_polar(math.exp(p[0]) * p[1] + t / rot), t / rot if t <= math.exp(p[0]) else None),
+        advance,
     )
 
 
@@ -89,8 +95,8 @@ def _strip_maps(d: StripDom):
     scale = width / math.pi
 
     def advance(p: HPoint, t: float):
-        c = math.pi * t / width  # W_q = e^c W_p, a step within |W_p| while c <= log 2
-        return (p[0] + c, p[1]), (math.exp(p[0]) * p[1] * math.expm1(c) if c <= _LOG2 else None)
+        c = math.pi * t / width  # W_q = e^c W_p
+        return (p[0] + c, p[1]), c, -math.expm1(-c) * p[1].imag / p[1].real
 
     return (
         lambda w: (math.pi * w.real / width, cmath.rect(1.0, math.pi * (w.imag - mid) / width)),
@@ -108,8 +114,9 @@ def _slit_maps(d: SlitPlane):
     def advance(p: HPoint, t: float):
         big_w = math.exp(p[0]) * p[1]
         big_wq = cmath.sqrt(big_w * big_w + t / b0)  # W_q^2 = W_p^2 + t/b0
+        # the step, free of cancellation: Re W and Im W have the same signs at p and q
         step = (t / b0) / (big_wq + big_w)
-        return _polar(big_wq), (step if abs(step) <= math.exp(p[0]) else None)
+        return _polar(big_wq), math.log1p(step.real / big_w.real), step.imag / big_wq.real
 
     return (
         lambda w: _polar(slit_sqrt_forward((w - a0) / b0)),
@@ -195,20 +202,6 @@ def _h_distance(p: HPoint, q: HPoint) -> float:
     # sinh(rho) = |W1 - W2| / (2 sqrt(Re W1 Re W2)), divided through by sqrt(|W1| |W2|)
     chord = abs(math.sinh(d) * (u1 + u2) + math.cosh(d) * (u1 - u2))
     return math.asinh(chord / (2.0 * math.sqrt(u1.real * u2.real)))
-
-
-def _h_foot(p: HPoint, q: HPoint) -> tuple[float, float]:
-    """Foot of q on the geodesic of H from p to infinity, the ray Im W = Im W_p.
-
-    Returns ``(s, tangential)``.  The foot is i Im W_p + e^s Re W_p, so it lies
-    at signed distance s/2 from p along the ray, and ``tangential`` is the
-    distance from q to the foot.
-    """
-    (lp, up), (lq, uq) = p, q
-    # |W_q - i Im W_p| = |W_q| |u_q - i beta|, with beta = Im W_p / |W_q|
-    beta = math.exp(lp - lq) * up.imag
-    s = lq + 0.5 * math.log1p(beta * (beta - 2.0 * uq.imag)) - lp - math.log(up.real)
-    return s, 0.5 * math.asinh(abs(uq.imag - beta) / uq.real)
 
 
 def domain_distance(k: KoenigsMap, w1: complex, w2: complex) -> float:

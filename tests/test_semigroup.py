@@ -9,9 +9,10 @@ import pytest
 
 from hypspeeds.conformal import map_forward, map_inverse, slit_sqrt_forward
 from hypspeeds.domains import HalfPlaneDom, SlitPlane, StripDom, contains
-from hypspeeds.errors import DomainError, NumericError, ParameterError
+from hypspeeds.errors import DomainError, HypspeedsError, NumericError, ParameterError
 from hypspeeds.hyperbolic import RIGHT_HALF_PLANE, disk_distance, region_density, region_distance
 from hypspeeds.semigroup import (
+    _pythagoras_residual,
     _slit_gap,
     dip_search,
     generalized_speed,
@@ -253,16 +254,20 @@ def test_advance_is_the_translation(name):
         for t in (10.0 ** (k / 2) for k in range(0, 601)):
             (lq, uq), (lr, ur) = m.advance(p, t)[0], m.to_h(m.from_h(*p) + t)
             assert abs(lq - lr) <= 1e-13 * max(1.0, abs(lr)) and abs(uq - ur) <= 1e-13, (w, t)
-        # the step W_q - W_p, in full precision, and present exactly while |W_q - W_p| <= |W_p|
-        for t in (10.0 ** (k / 10) for k in range(-140, 31)):
-            step = m.advance(p, t)[1]
-            with mp.workdps(50):
+        # ell = log(Re W_q / Re W_p) and kappa = Im(W_q - W_p) / Re W_q, in full precision at
+        # every t; the reference keeps the digits of w that w + t would round away
+        for t in (10.0 ** (k / 4) for k in range(-56, 1201)):
+            _, ell, kappa = m.advance(p, t)
+            with mp.workdps(40 + max(0, int(math.log10(t)))):
                 big_w = mp.exp(p[0]) * mp.mpc(p[1])
-                ref = _mp_to_h(d, _mp_from_h(d, big_w) + t) - big_w
-                beyond = abs(ref) > abs(big_w)
-                err = None if step is None else float(abs(step - ref) / abs(ref))
-            assert (step is None) == beyond, (w, t)
-            assert step is None or err <= 1e-14, (w, t, err)
+                big_wq = _mp_to_h(d, _mp_from_h(d, big_w) + t)
+                ref_ell = float(mp.log(big_wq.real / big_w.real))
+                ref_kappa = float((big_wq - big_w).imag / big_wq.real)
+            if isinstance(d, HalfPlaneDom):
+                assert ell == 0.0, (w, t)
+            else:
+                assert ell == pytest.approx(ref_ell, rel=1e-15, abs=0.0), (w, t)
+            assert kappa == pytest.approx(ref_kappa, rel=1e-15, abs=0.0), (w, t)
 
 
 SMALL_T_MODELS = {
@@ -324,15 +329,19 @@ def test_speeds_scale_with_the_domain(d, d_scaled, lam):
     ids=["half_plane", "far_half_plane", "strip"],
 )
 def test_speeds_are_mirror_symmetric(d, d_mirror):
-    # w -> conj(w) maps the domain onto its mirror image and fixes the real
-    # orbit of 0, so the speeds agree exactly, with no oracle
+    # w -> conj(w) maps the domain onto its mirror image, fixes the real orbit
+    # of 0 and carries the orbit of z to that of conj(z), so the speeds and the
+    # rates agree exactly, with no oracle
     m, m_mirror = make_model(d), make_model(d_mirror)
     for t in (10.0 ** (k / 2) for k in range(-24, 601)):
         assert speeds(m_mirror, t) == speeds(m, t), t
+        for z in (0.3 + 0j, -0.4j, 0.2 + 0.5j):
+            assert orthogonal_rate(m_mirror, z.conjugate(), t) == orthogonal_rate(m, z, t), (z, t)
 
 
 FAR_MODELS = {
     "slit": SlitPlane(((0.0, 1.0),)),
+    "slit_deep": SlitPlane(((3.0, 2.0),)),
     "half_plane_above": HalfPlaneDom(-1.0, "above"),
     "half_plane_below": HalfPlaneDom(2.0, "below"),
     "asymmetric_strip": StripDom(-1.0, 2.0),
@@ -344,11 +353,12 @@ FAR_MODELS = {
 def test_speeds_match_mpmath_half_plane_route(name):
     # in H the diameter (-1, 1) is the ray Im W = Im W0 and the foot of W_t on
     # it is i Im W0 + |W_t - i Im W0|; pi_t is that foot pulled back by the
-    # Moebius map M^{-1}(W) = (W - W0)/(W + conj W0)
+    # Moebius map M^{-1}(W) = (W - W0)/(W + conj W0).  Far out on the slit,
+    # W_t - foot cancels in its real part, so the reference works at more digits
     d = FAR_MODELS[name]
     m = make_model(d)
-    for t in (0.1, 1.0, 10.0, 30.0, 1e2, 1e3, 1e4, 1e5, 1e6, 1e7, 1e8):
-        with mp.workdps(50):
+    for t in (0.1, 1.0, 10.0, 30.0, 1e2, 1e3, 1e4, 1e5, 1e6, 1e7, 1e8, 1e100, 1e200, 1e300):
+        with mp.workdps(50 + max(0, int(math.log10(t)))):
             w0, w_t = _mp_to_h(d, mp.mpf(0)), _mp_to_h(d, mp.mpf(t))
             r = abs(w_t - 1j * w0.imag)
             foot = mp.mpc(r, w0.imag)
@@ -363,7 +373,8 @@ def test_speeds_match_mpmath_half_plane_route(name):
         s = speeds(m, t)
         got = {"v": s.v, "v_o": s.v_o, "v_T": s.v_T, "pi_t": s.pi_t, "log_gap": log_one_minus_pi_sq(m, t)}
         for key, value in got.items():
-            assert value == pytest.approx(ref[key], rel=1e-12, abs=0.0), (t, key)
+            rel = 2e-15 if key in ("v", "v_o", "v_T") else 1e-12
+            assert value == pytest.approx(ref[key], rel=rel, abs=0.0), (t, key)
 
 
 def test_far_slit_plane_has_finite_speeds():
@@ -387,6 +398,41 @@ def test_speeds_whose_orbit_point_leaves_h_raise(d):
     # strip read v = inf
     with pytest.raises(NumericError):
         speeds(make_model(d), 1e300)
+
+
+# seven scales s from 1e-300 to 1e300, with slit tips from far left to far right
+SWEEP_DOMAINS = [
+    d
+    for s in (10.0**e for e in range(-300, 301, 100))
+    for d in [HalfPlaneDom(-s), HalfPlaneDom(s, "below"), StripDom(-s, 2.0 * s), StripDom(-s, s)]
+    + [SlitPlane(((a0, s),)) for a0 in (-1e300, -s, 0.0, s, 1e300)]
+]
+
+
+def test_speeds_and_rates_over_the_whole_range():
+    # every call returns finite numbers or raises a typed error, with no
+    # allowlist: speeds must satisfy hyperbolic Pythagoras, cosh 2v =
+    # cosh 2v_o cosh 2v_T, as the speeds experiment's verdict reads it,
+    # and a rate must be nonnegative, since the orthogonal speed increases
+    for d in SWEEP_DOMAINS:
+        try:
+            m = make_model(d)
+        except HypspeedsError:
+            continue
+        for t in [0.0] + [10.0**k for k in range(-300, 309, 8)]:
+            try:
+                s = speeds(m, t)
+            except HypspeedsError:
+                pass
+            else:
+                assert all(math.isfinite(x) for x in (s.v, s.v_o, s.v_T, s.pi_t)), (d, t)
+                assert _pythagoras_residual(s) <= 1e-14, (d, t)
+            for z in (0j, 0.3 + 0j, 0.2 + 0.5j, -0.4j):
+                try:
+                    rate = orthogonal_rate(m, z, t)
+                except HypspeedsError:
+                    continue
+                assert math.isfinite(rate) and rate >= 0.0, (d, z, t)
 
 
 # ---------------------------------------------------------------------------
@@ -450,6 +496,24 @@ def test_orthogonal_rate_matches_mpmath(name):
                 w_p = 1j * w0.imag + w0.real * (1 + zz) / (1 - zz)
                 w = _mp_from_h(d, w_p)
                 ref = float(mp.diff(lambda tt: mp.log(abs(_mp_to_h(d, w + tt) - 1j * w_p.imag)) / 2, t))
+            assert orthogonal_rate(m, z, t) == pytest.approx(ref, rel=1e-12, abs=0.0), (z, t)
+
+
+@pytest.mark.parametrize("b0", [1.0, 1e10])
+def test_orthogonal_rate_on_a_far_right_slit_matches_mpmath(b0):
+    # on the plane slit along {Re w <= 1e300, Im w = -b0}, Re W_p is about 1e-150
+    # and |W_p| about 1e150, so the step over Re W_p would overflow if squared.
+    # The reference is the closed form (1/2) Re(W_q' / (W_q - i Im W_p)), with
+    # W_q^2 = W_p^2 + t/b0 and W_q' = 1/(2 b0 W_q); W_p^2 + t/b0 cancels through
+    # 300 digits
+    m = make_model(SlitPlane(((1e300, b0),)))
+    for z in (0j, 0.3 + 0j, -0.4j, 0.2 + 0.5j):
+        for t in (1e-12, 1e-3, 1.0, 1e100, 1e154, 1e200, 1e250, 1e299, 1e304):
+            with mp.workdps(1400):
+                w0, zz = mp.sqrt(-mp.mpf(1e300) / b0 + 1j), mp.mpc(z)
+                w_p = 1j * w0.imag + w0.real * (1 + zz) / (1 - zz)
+                w_q = mp.sqrt(w_p * w_p + mp.mpf(t) / b0)
+                ref = float(mp.re(1 / (2 * b0 * w_q * (w_q - 1j * w_p.imag))) / 2)
             assert orthogonal_rate(m, z, t) == pytest.approx(ref, rel=1e-12, abs=0.0), (z, t)
 
 
