@@ -21,11 +21,12 @@ from __future__ import annotations
 
 import cmath
 import math
+import sys
 from dataclasses import dataclass
 from typing import Callable
 
 from .domains import DomainDescriptor, HalfPlaneDom, SlitPlane, StripDom, contains, dist_to_boundary
-from .errors import ConstructionError, DomainError, UnsupportedDomainError
+from .errors import ConstructionError, DomainError, NumericError, UnsupportedDomainError
 from .hyperbolic import require_disk_point
 
 #: A point W of H as (log|W|, W/|W|).
@@ -201,7 +202,10 @@ def _h_distance(p: HPoint, q: HPoint) -> float:
         return d + math.log(abs(u1 - math.exp(-2.0 * d) * u2)) - 0.5 * (math.log(u1.real) + math.log(u2.real))
     # sinh(rho) = |W1 - W2| / (2 sqrt(Re W1 Re W2)), divided through by sqrt(|W1| |W2|)
     chord = abs(math.sinh(d) * (u1 + u2) + math.cosh(d) * (u1 - u2))
-    return math.asinh(chord / (2.0 * math.sqrt(u1.real * u2.real)))
+    product = u1.real * u2.real
+    if product < sys.float_info.min:
+        raise NumericError(f"Re W/|W| of the two points multiply to {product:.3g}, under the normal range")
+    return math.asinh(chord / (2.0 * math.sqrt(product)))
 
 
 def domain_distance(k: KoenigsMap, w1: complex, w2: complex) -> float:

@@ -15,19 +15,20 @@ tail's comes from ``discretize_orbit_tail`` alone, within ``_TAIL_TOL`` =
 One walk loop, ``_walk``, serves every absorbing set: the caller passes a
 vectorized ``absorb(p) -> (radius, class)``.  For a polyline obstacle the
 radius is ``min(d_obs, d_bnd)`` with ``d_bnd = 1 - |p|``, and the class
-reads ``d_obs`` only through ``d_obs <= eps``.  Each block of consecutive
-segments has a bounding circle ``(c, r)``, and ``lb = min |p - c| - r`` is
-a lower bound on the computed ``d_obs``.  Where ``lb > max(d_bnd, eps)``
-the exact distance cannot change the step: the radius is exactly ``d_bnd``
-and the obstacle does not absorb.  Elsewhere the distance is exact, taken
-over the block of least bound and then over the blocks whose bound does not
-exceed that distance.
+reads ``d_obs`` only through ``d_obs <= eps``.  The whole polyline (the
+root) and each block of consecutive segments have a bounding circle
+``(c, r)``, and ``lb = |p - c| - r`` is a lower bound on the computed
+distance to the segments inside.  Where the root's ``lb``, or else the
+least block ``lb``, exceeds ``max(d_bnd, eps)``, the exact distance cannot
+change the step: the radius is exactly ``d_bnd`` and the obstacle does not
+absorb.  Elsewhere the distance is exact, taken over the block of least
+bound and then over the blocks whose bound does not exceed that distance.
 
 Why no skip changes a bit: points and vertices lie in the closed unit disk,
 so every computed distance here is within a few ulp(2) of the true one, far
-below the circles' inflation of 1e-9 relative plus 1e-14.  So a block's
-computed ``|p - c| - r`` is at most the computed distance to each of its
-segments, and a skipped block or point never holds a value the exact
+below the circles' inflation of 1e-9 relative plus 1e-14.  So a circle's
+computed ``|p - c| - r`` is at most the computed distance to each segment
+inside it, and a skipped block or point never holds a value the exact
 minimum would have taken.  Every estimate is the one the brute-force
 minimum over all segments gives.
 
@@ -43,10 +44,10 @@ where a distance lands within about 1e-15 of a threshold such as ``eps``.
 ``_walk`` runs ``min(chunk, n)`` lanes, allocated once per call: a lane
 whose walk ends restarts in place at the start point with the next sample,
 which draws from its own stream at its own step, and a walk cut off at
-``MAX_STEPS`` is counted as one more class.  The exact distances group the
-points by block and broadcast each group against that block's segments, so
-however long the obstacle and however many the walks, no temporary holds
-more than ``_PAIR_BLOCK`` point-segment pairs.
+``MAX_STEPS`` is counted as one more class.  Each exact stage gathers the
+segments of every (point, block) pair it needs in one pass, a slice of at
+most ``_PAIR_BLOCK`` point-segment pairs at a time, so however long the
+obstacle and however many the walks, no temporary holds more pairs.
 """
 
 from __future__ import annotations
@@ -186,8 +187,9 @@ class _Segments(NamedTuple):
     """Nonzero polyline segments in blocks of consecutive segments.
 
     Arrays are (blocks, size); the last block repeats the last segment to
-    fill it.  Each block has a bounding circle, inflated so that rounding in
-    the distances cannot cull the block holding the nearest segment.
+    fill it.  Each block has a bounding circle, and so has the whole
+    polyline (the root), inflated so that rounding in the distances cannot
+    cull the circle holding the nearest segment.
     """
 
     starts: np.ndarray
@@ -196,6 +198,17 @@ class _Segments(NamedTuple):
     norm2: np.ndarray
     centers: np.ndarray
     radii: np.ndarray
+    root_center: complex
+    root_radius: float
+
+
+def _circles(ends: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Inflated bounding circle of each row of segment ends."""
+    centers = 0.5 * (ends.real.min(axis=1) + ends.real.max(axis=1) + 1j * (ends.imag.min(axis=1) + ends.imag.max(axis=1)))
+    reach = np.abs(ends - centers[:, None]).max(axis=1)
+    # points and vertices lie in the closed unit disk, so every distance the
+    # culling compares is within a few ulp(2) of exact: 1e-14 covers them
+    return centers, reach * (1.0 + 1e-9) + 1e-14
 
 
 def _polyline_segments(verts: np.ndarray) -> _Segments:
@@ -214,16 +227,13 @@ def _polyline_segments(verts: np.ndarray) -> _Segments:
     take = np.minimum(np.arange(blocks * size), count - 1).reshape(blocks, size)
     starts, steps = starts[take], steps[take]
     ends = np.concatenate([starts, starts + steps], axis=1)
-    centers = 0.5 * (ends.real.min(axis=1) + ends.real.max(axis=1) + 1j * (ends.imag.min(axis=1) + ends.imag.max(axis=1)))
-    reach = np.abs(ends - centers[:, None]).max(axis=1)
-    # points and vertices lie in the closed unit disk, so every distance the
-    # culling compares is within a few ulp(2) of exact: 1e-14 covers them
-    return _Segments(starts, steps, np.conj(steps), np.abs(steps) ** 2, centers, reach * (1.0 + 1e-9) + 1e-14)
+    (root_center,), (root_radius,) = _circles(ends.reshape(1, -1))
+    return _Segments(starts, steps, np.conj(steps), np.abs(steps) ** 2, *_circles(ends), root_center, root_radius)
 
 
 #: Most point-segment pairs in one temporary of ``_dist_to_segments``, and
 #: most point-block pairs in one pass of its block bounds.
-_PAIR_BLOCK = 1 << 15
+_PAIR_BLOCK = 1 << 13
 
 
 def _exact(p: np.ndarray, starts, steps, conj_steps, norm2) -> np.ndarray:
@@ -236,13 +246,12 @@ def _exact(p: np.ndarray, starts, steps, conj_steps, norm2) -> np.ndarray:
     return np.abs(rel)
 
 
-def _block_min(q: np.ndarray, segments: _Segments, b: int) -> np.ndarray:
-    """Distance from each point of q to the nearest segment of block b."""
-    # starts, steps, conj_steps and norm2 of block b
-    block = [a[b] for a in segments[:4]]
-    rows = max(1, _PAIR_BLOCK // block[0].size)
+def _pair_min(q: np.ndarray, blocks: np.ndarray, segments: _Segments) -> np.ndarray:
+    """Distance from each point q[k] to the nearest segment of block blocks[k]."""
+    rows = max(1, _PAIR_BLOCK // segments.starts.shape[1])
     out = np.empty(q.size)
     for lo in range(0, q.size, rows):
+        block = [np.take(a, blocks[lo : lo + rows], axis=0) for a in segments[:4]]
         _exact(q[lo : lo + rows, None], *block).min(axis=1, out=out[lo : lo + rows])
     return out
 
@@ -269,38 +278,42 @@ def _dist_to_segments(p: np.ndarray, segments: _Segments, cap=np.inf) -> np.ndar
     """Distance from each point to the nearest segment where it is at most
     ``cap``; elsewhere a value above ``cap``.
 
-    With several blocks, ``|p - c| - r`` over a block's bounding circle is at
-    most the computed distance to each of its segments (the rounding
-    argument is in the module docstring).  A point whose least such bound
-    exceeds ``cap`` gets that bound, with no exact distance taken.  Every
-    other point gets the exact distance to the block of least bound, which
-    bounds its nearest distance from above, and then to the blocks whose
-    bound is at most that: they hold the nearest segment, so the result is
-    the minimum over all segments, bit for bit.  One-block obstacles skip
-    the bounds, which cost as much as the exact distance there.
+    A point whose root bound exceeds ``cap`` gets that bound, and one whose
+    least block bound exceeds it gets that one, with no exact distance taken
+    (the bounds and their rounding are in the module docstring).  Every
+    other point gets the exact distance to its block of least bound, then to
+    the blocks whose bound is at most that: they hold the nearest segment,
+    so the result is the minimum over all segments, bit for bit.  One
+    segment skips the bounds, which cost as much as its exact distance.
 
-    The points are grouped by block, never the segments copied per point:
-    each block broadcasts the points that need it against its own segments,
-    one block at a time.  So no temporary holds more than ``_PAIR_BLOCK``
-    point-segment or point-block pairs, apart from one row of bounds and
-    one of flags per point that needs an exact distance.
+    Each exact stage is one gathered pass over (point, block) pairs, at most
+    ``_PAIR_BLOCK`` point-segment pairs at a time; a point's extra blocks
+    form one run of pairs, folded in by ``np.minimum.reduceat``.
     """
-    if segments.centers.size == 1:
-        return _block_min(p, segments, 0)
-    out, first, lower = _least_bounds(p, segments, np.broadcast_to(cap, p.shape))
+    if segments.starts.size == 1:
+        return _exact(p, *(a[0, 0] for a in segments[:4]))
+    cap = np.broadcast_to(cap, p.shape)
+    out = np.abs(p - segments.root_center)
+    out -= segments.root_radius
     todo = np.flatnonzero(out <= cap)
     if not todo.size:
         return out
-    q, first = p[todo], first[todo]
-    d = np.empty(todo.size)
-    for b in np.flatnonzero(np.bincount(first)):
-        idx = np.flatnonzero(first == b)
-        d[idx] = _block_min(q[idx], segments, b)
+    out[todo], first, lower = _least_bounds(p[todo], segments, cap[todo])
+    keep = out[todo] <= cap[todo]
+    if not keep.any():
+        return out
+    todo, first = todo[keep], first[keep]
+    q = p[todo]
+    d = _pair_min(q, first, segments)
     near = lower <= d[:, None]
     near[np.arange(todo.size), first] = False
-    for b in np.flatnonzero(near.any(axis=0)):
-        idx = np.flatnonzero(near[:, b])
-        d[idx] = np.minimum(d[idx], _block_min(q[idx], segments, b))
+    # row-major: each point's extra blocks form one run of pairs
+    rows, blocks = np.nonzero(near)
+    if rows.size:
+        heads = np.flatnonzero(np.diff(rows, prepend=-1))
+        extra = np.minimum.reduceat(_pair_min(q[rows], blocks, segments), heads)
+        rows = rows[heads]
+        d[rows] = np.minimum(d[rows], extra)
     out[todo] = d
     return out
 
@@ -386,9 +399,12 @@ def _walk(absorb, z0: complex, n: int, seed: int, chunk: int, max_steps: int, cl
     pos = np.full(started, z0, dtype=complex)
     counters = sample_streams(seed, np.arange(started, dtype=np.uint64)) + np.uint64(GAMMA)
     steps = np.zeros(started, dtype=np.intp)
+    passes = 0
     while pos.size:
         radius, cls = absorb(pos)
-        cls[(cls == 0) & (steps == max_steps - 1)] = classes + 1
+        # no lane has taken more steps than there were passes
+        if passes >= max_steps - 1:
+            cls[(cls == 0) & (steps == max_steps - 1)] = classes + 1
         counts += np.bincount(cls, minlength=classes + 2)
         # every lane jumps; an ended lane's jump is overwritten by its restart or dropped with it
         jump = _directions(stream_bits(counters))
@@ -396,6 +412,7 @@ def _walk(absorb, z0: complex, n: int, seed: int, chunk: int, max_steps: int, cl
         pos += jump
         counters += np.uint64(GAMMA)
         steps += 1
+        passes += 1
         ended = np.flatnonzero(cls)
         new, gone = ended[: n - started], ended[n - started :]
         if new.size:

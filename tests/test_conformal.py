@@ -15,7 +15,7 @@ from hypspeeds.conformal import (
     slit_sqrt_forward,
 )
 from hypspeeds.domains import HalfPlaneDom, RectangleChain, SlitPlane, StripDom
-from hypspeeds.errors import ConstructionError, DomainError, UnsupportedDomainError
+from hypspeeds.errors import ConstructionError, DomainError, NumericError, UnsupportedDomainError
 from hypspeeds.hyperbolic import RIGHT_HALF_PLANE, integrate_density_along, region_distance
 from hypspeeds.quasihyperbolic import rho_bounds
 
@@ -158,6 +158,16 @@ def test_domain_must_contain_origin():
 def test_domain_distance_trivial():
     k = build_koenigs(StripDom(-1.0, 1.0))
     assert domain_distance(k, 0.5 + 0.1j, 0.5 + 0.1j) == 0.0
+
+
+@pytest.mark.parametrize("w", (1.0 + 0j, 0.5j, -1.0 + 0j))
+def test_domain_distance_near_the_boundary_of_h_is_refused(w):
+    # to_h sends 0 and w within about 5e-301 of the imaginary axis, where
+    # the root of Re W1 Re W2 underflowed and the distance divided by zero;
+    # mpmath gives 0.481, 0.203 and 0.481
+    k = build_koenigs(SlitPlane(((1e300, 1.0),)))
+    with pytest.raises(NumericError, match="under the normal range"):
+        domain_distance(k, 0j, w)
 
 
 def test_upper_half_plane_distance_value():

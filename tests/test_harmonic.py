@@ -381,6 +381,28 @@ def test_dist_to_orbit_tail_matches_brute_force_bitwise(t):
         assert np.array_equal(_dist_to_segments(p, segments), _brute_dist(p, tail))
 
 
+@pytest.mark.parametrize("shape, size", (("spiral", 116), ("spiral", 234), ("tail", 1.0), ("tail", 5.0)))
+def test_capped_dist_to_segments_matches_brute_force_bitwise(shape, size):
+    # the walk's cap: both culls run, and every distance at most the cap is exact
+    verts = _spiral(size) if shape == "spiral" else _slit_tail(size)
+    segments = _polyline_segments(verts)
+    rng = np.random.default_rng(verts.size)
+    far = 0.9999 * np.sqrt(rng.random(5000)) * np.exp(2j * math.pi * rng.random(5000))
+    on = verts[:-1] + rng.random(verts.size - 1) * np.diff(verts)
+    near = on + 1e-3 * rng.random(on.size) * np.exp(2j * math.pi * rng.random(on.size))
+    p = np.concatenate([far, near, verts])
+    cap = np.maximum(1.0 - np.abs(p), 1e-4)
+    d, ref = _dist_to_segments(p, segments, cap), _brute_dist(p, verts)
+    exact = ref <= cap
+    assert np.array_equal(d[exact], ref[exact])
+    assert (d[~exact] > cap[~exact]).all()
+    root = np.abs(p - segments.root_center) - segments.root_radius
+    least = (np.abs(p[:, None] - segments.centers) - segments.radii).min(axis=1)
+    assert (root > cap).any()
+    assert ((root <= cap) & (least > cap)).any()
+    assert exact.any()
+
+
 def _brute_absorb(p, verts, eps):
     # the absorb rule over every segment, 500 points at a time
     d_obs = np.concatenate([_brute_dist(p[i : i + 500], verts) for i in range(0, p.size, 500)])
@@ -443,14 +465,26 @@ def test_non_positive_chunk_rejected():
 
 
 def test_mc_first_hit_chunk_invariance_on_curved_tail():
-    tail = discretize_orbit_tail(make_model(SlitPlane(((0.0, 1.0),))), 5.0)
+    # 142 segments in 12 blocks at t = 5, 276 in 17 at t = 1
+    for t, seed in ((5.0, 21), (1.0, 22)):
+        tail = _slit_tail(t)
 
-    def run(n, chunk):
-        return mc_first_hit(tail, 0j, n, seed=21, chunk=chunk)
+        def run(n, chunk):
+            return mc_first_hit(tail, 0j, n, seed=seed, chunk=chunk)
 
-    for max_steps in (10_000, 3):
-        with _walk_constants(MAX_STEPS=max_steps):
-            _assert_chunk_invariant(run, 3_000, 300)
+        for max_steps in (10_000, 3):
+            with _walk_constants(MAX_STEPS=max_steps):
+                _assert_chunk_invariant(run, 3_000, 300)
+
+
+def test_walks_cut_off_before_their_first_jump():
+    # MAX_STEPS = 1: each walk is cut off at its step 0, also in the lanes
+    # that restart on later passes
+    with _walk_constants(MAX_STEPS=1):
+        tail = mc_first_hit(_slit_tail(1.0), 0j, 500, seed=3, chunk=64)
+        left, right = semidisk_bisection_check(0.5, 500, seed=3, chunk=64)
+    for est in (tail, left, right):
+        assert (est.value, est.truncated) == (0.0, 500)
 
 
 def test_walks_cut_off_at_max_steps_are_counted():
