@@ -38,14 +38,7 @@ from .hyperbolic import (
     region_density,
     region_distance,
 )
-from .conformal import (
-    KoenigsMap,
-    build_koenigs,
-    domain_distance,
-    map_forward,
-    map_inverse,
-    slit_sqrt_forward,
-)
+from .conformal import KoenigsMap, build_koenigs, slit_sqrt_forward
 from .quasihyperbolic import RhoBounds, quasihyperbolic_axis, rho_bounds, theorem3_table
 from .semigroup import (
     SpeedSample,

@@ -54,6 +54,8 @@ from .semigroup import (
 )
 
 LOG2 = math.log(2.0)
+#: log10 of the largest float: 10.0 ** x overflows from here on.
+LOG10_FLOAT_MAX = math.log10(sys.float_info.max)
 
 #: A grid is built whole: a time grid must span fewer steps than this, and
 #: ``dip.a0_count`` may not exceed it.  The largest shipped grid spans 1000.
@@ -88,16 +90,18 @@ class TGrid:
 # parsed value or raises ConfigError.
 
 
-def _finite(value, name: str) -> float:
-    """A config number as a float.  NaN and infinities are refused: compared
-    against them, a threshold or slack switches its check off.  So are
-    booleans, which Python would read as 1 and 0."""
+def _finite(value, name: str, below: float = math.inf) -> float:
+    """A config number as a float, below ``below``.  NaN and infinities are
+    refused: compared against them, a threshold or slack switches its check
+    off.  So are booleans, which Python would read as 1 and 0."""
     try:
         x = float(value) if isinstance(value, (int, float)) and not isinstance(value, bool) else math.nan
     except OverflowError:  # an integer beyond the largest float
         x = math.inf
     if not math.isfinite(x):
         raise ConfigError(f"{name} must be a finite number, got {value!r}")
+    if not x < below:
+        raise ConfigError(f"{name} must be below {below!r}, got {value!r}")
     return x
 
 
@@ -217,8 +221,8 @@ class ExperimentConfig:
     table_n_hi: int = _key("table.n_hi", _integer, 6)
     table_alpha: float = _key("table.alpha", _finite, 7.0 / 12.0)
     dip_R: float = _key("dip.R", _finite, 100.0)
-    dip_a0_log10_start: float = _key("dip.a0_log10_start", _finite, 3.0)
-    dip_a0_log10_stop: float = _key("dip.a0_log10_stop", _finite, 5.0)
+    dip_a0_log10_start: float = _key("dip.a0_log10_start", partial(_finite, below=LOG10_FLOAT_MAX), 3.0)
+    dip_a0_log10_stop: float = _key("dip.a0_log10_stop", partial(_finite, below=LOG10_FLOAT_MAX), 5.0)
     dip_a0_count: int = _key("dip.a0_count", partial(_integer, least=2, most=MAX_GRID_ROWS), 41)
     k_radii: list[float] = _key("dip.k_radii", partial(_numbers, least=1), [10.0, 100.0, 1000.0])
     k_samples: int = _key("dip.k_samples", _integer, 1000)

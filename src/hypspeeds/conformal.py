@@ -25,9 +25,8 @@ import sys
 from dataclasses import dataclass
 from typing import Callable
 
-from .domains import DomainDescriptor, HalfPlaneDom, SlitPlane, StripDom, contains, dist_to_boundary
+from .domains import DomainDescriptor, HalfPlaneDom, SlitPlane, StripDom, contains
 from .errors import ConstructionError, DomainError, NumericError, UnsupportedDomainError
-from .hyperbolic import require_disk_point
 
 #: A point W of H as (log|W|, W/|W|).
 HPoint = tuple[float, complex]
@@ -56,8 +55,8 @@ class KoenigsMap:
     """Normalized Riemann map h = from_h o M: disk -> domain, h(0) = 0, h(1) = P_inf.
 
     ``velocity(p)`` is dW/dw at the H point p in units of |W|, so that it stays
-    finite wherever p does: the stretch that ``pullback_density`` reads, and
-    the t-derivative of W along ``advance``.  ``advance(p, t)`` is
+    finite wherever p does: the t-derivative of W along ``advance``, which
+    ``orthogonal_rate`` reads.  ``advance(p, t)`` is
     ``(q, ell, kappa)``: the H point q of from_h(p) + t, with
     ell = log(Re W_q / Re W_p) and kappa = Im(W_q - W_p) / Re W_q, both formed
     from the exact step before any rounding to log-polar form, so that
@@ -172,27 +171,6 @@ def _h_to_disk(k: KoenigsMap, p: HPoint) -> complex:
     return (big_w - s * k.w0) / (big_w + s * k.w0.conjugate())
 
 
-def map_forward(k: KoenigsMap, z: complex) -> complex:
-    """Evaluate h(z) for z strictly inside the disk."""
-    return k.from_h(*_disk_to_h(k, require_disk_point(z)))
-
-
-def _checked_to_h(k: KoenigsMap, w: complex) -> HPoint:
-    # dist_to_boundary raises DomainError outside the domain
-    if dist_to_boundary(k.domain, w) < 1e-12:
-        raise DomainError(f"w={w} within 1e-12 of the domain boundary")
-    return k.to_h(w)
-
-
-def map_inverse(k: KoenigsMap, w: complex) -> complex:
-    """Evaluate h^{-1}(w) = M^{-1}(to_h(w)) in closed form.
-
-    Far along the orbit the result may round onto the unit circle; it is
-    returned as is, since the domain-side distances do not need it.
-    """
-    return _h_to_disk(k, _checked_to_h(k, w))
-
-
 def _h_distance(p: HPoint, q: HPoint) -> float:
     """Hyperbolic distance of H (density 1/(2 Re W)) between two points."""
     (l1, u1), (l2, u2) = (p, q) if p[0] >= q[0] else (q, p)
@@ -206,14 +184,3 @@ def _h_distance(p: HPoint, q: HPoint) -> float:
     if product < sys.float_info.min:
         raise NumericError(f"Re W/|W| of the two points multiply to {product:.3g}, under the normal range")
     return math.asinh(chord / (2.0 * math.sqrt(product)))
-
-
-def domain_distance(k: KoenigsMap, w1: complex, w2: complex) -> float:
-    """Hyperbolic distance of the domain, evaluated in H."""
-    return _h_distance(_checked_to_h(k, w1), _checked_to_h(k, w2))
-
-
-def pullback_density(k: KoenigsMap, w: complex) -> float:
-    """Hyperbolic density of the domain at w: |dW/dw| / (2 Re W)."""
-    p = _checked_to_h(k, w)
-    return abs(k.velocity(p)) / (2.0 * p[1].real)

@@ -102,6 +102,13 @@ class HMEstimate:
     seed: int
     truncated: int = 0
 
+    def upper_limit(self, sigma: float) -> float:
+        """value + sigma std errors; at 0 hits, where that error vanishes, the exact
+        one-sided limit 1 - alpha^(1/n), alpha the normal tail beyond sigma."""
+        if self.value > 0.0:
+            return self.value + sigma * self.std_error
+        return -math.expm1(math.log(0.5 * math.erfc(sigma / math.sqrt(2.0))) / self.n_samples)
+
 
 def _binomial_estimate(hits: int, n: int, seed: int, truncated: int = 0) -> HMEstimate:
     value = hits / n
@@ -576,9 +583,10 @@ def projection_bound_check(
     """Check the projection lower bound for the orbit-tail hitting probability.
 
     The first-hit probability of the obstacle h^{-1}([t, inf)) from 0 must be
-    at least (1/(2 pi)) atan((1 - pi_t^2)/(2 pi_t)) less ``sigma`` std errors.
+    at least (1/(2 pi)) atan((1 - pi_t^2)/(2 pi_t)): the check fails where the
+    estimate's upper limit at ``sigma`` lies below that bound.
     """
     obstacle = discretize_orbit_tail(m, t)
     est = mc_first_hit(obstacle, 0j, n, seed=seed, chunk=chunk)
     rhs = 0.5 * geodesic_cut_measure(speeds(m, t).pi_t)[1]
-    return ProjectionBoundResult(t=t, estimate=est, lower_bound=rhs, passed=est.value >= rhs - sigma * est.std_error)
+    return ProjectionBoundResult(t=t, estimate=est, lower_bound=rhs, passed=est.upper_limit(sigma) >= rhs)

@@ -146,6 +146,13 @@ def orthogonal_rate(m: KoenigsMap, z: complex, t: float) -> float:
     5.7e-14 on ``HalfPlaneDom(-1)`` (at t = 5.6e270) and 1.1e-13 on the slit
     [[0, 1]] (at t = 3.2e297).  NumericError where q overflows H or rounds
     onto its boundary.
+
+    The float rate reads 0.0 where the true rate is positive, by two routes.
+    The factor e^(-log|W_q|) of ``velocity(q)`` times kappa leaves the float
+    range: on ``HalfPlaneDom(-1e200)`` both are about 1e-200, every rate at
+    t = 1, 5 and 10 reads 0.0 (the true rate is t / (2 (1e400 + t^2))), and
+    ``thm1`` prints FAIL.  Or kappa itself underflows with t / Re W_p: on
+    ``HalfPlaneDom(-1e100)`` at t = 1e-300.
     """
     z = require_disk_point(z)
     _require_time(t)
@@ -172,11 +179,6 @@ def _pythagoras_residual(s: SpeedSample) -> float:
     """
     big = _log_sech(2.0 * s.v)
     return abs(big - _log_sech(2.0 * s.v_o) - _log_sech(2.0 * s.v_T)) / max(-big, sys.float_info.min)
-
-
-def log_one_minus_pi_sq(m: KoenigsMap, t: float) -> float:
-    """log(1 - pi_t^2) = -2 log cosh(v_o), stable even where pi_t rounds to 1."""
-    return 2.0 * _log_sech(speeds(m, t).v_o)
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """Experiment runner: configs, CSV/JSON emission, exit codes, reproducibility."""
 
 import dataclasses
+import csv
 import hashlib
 import json
 import math
@@ -566,6 +567,19 @@ def test_hm_report_counts_truncated_walks(tmp_path, monkeypatch):
     assert report.summary["truncated_walks"] == payload["summary"]["truncated_walks"] == sum(cut)
 
 
+@pytest.mark.parametrize("n", (1000, 2000, 5000))
+def test_hm_passes_a_tail_with_zero_hits(tmp_path, capsys, n):
+    # the t = 20 row drew 0 hits, its std_error read 0, and its bound of
+    # 2.2e-10 failed the run
+    strip = {"kind": "strip", "y_low": -1, "y_high": 2}
+    cfg_path = write_config(tmp_path, {"domain": strip, "seed": 1, "n_samples": n, "hm": {"projection_ts": [1, 20]}})
+    assert main(["hm", "--config", str(cfg_path), "--out", str(tmp_path)]) == 0
+    assert capsys.readouterr().out == "hm: PASS\n"
+    with (tmp_path / "hm.csv").open(encoding="utf-8") as fh:
+        (row,) = [r for r in csv.DictReader(fh) if r["check"] == "projection_bound" and r["param"] == "20"]
+    assert float(row["value"]) == float(row["std_error"]) == 0.0 and row["passed"] == "true"
+
+
 def test_mc_sigma_reaches_the_projection_rows(tmp_path, monkeypatch):
     import hypspeeds.harmonic as harmonic
 
@@ -603,25 +617,26 @@ def test_mc_sigma_must_be_positive(tmp_path):
 
 
 @pytest.mark.parametrize(
-    "experiment, data",
+    "experiment, data, named",
     [
-        # 10.0 ** 400 for the last dip abscissa
-        ("thm2", {"dip": {"a0_log10_stop": 400}}),
+        # 10.0 ** 400 for the last dip abscissa; the bare OverflowError named no key
+        ("thm2", {"dip": {"a0_log10_stop": 400}}, "dip.a0_log10_stop"),
         # 2.0 ** (2^n * 1e300) for the table's upper bound
-        ("thm3", {"table": {"alpha": -1e300}}),
+        ("thm3", {"table": {"alpha": -1e300}}, ""),
         # t/b0 overflows in the slit's H step
-        ("speeds", {"domain": {"kind": "slit_plane", "slits": [[0, 1e-300]]}, "t_grid": HUGE_T_GRID}),
+        ("speeds", {"domain": {"kind": "slit_plane", "slits": [[0, 1e-300]]}, "t_grid": HUGE_T_GRID}, ""),
         # Re u_t underflows to 0 in the half-plane's H step
-        ("speeds", {"domain": {"kind": "half_plane", "boundary_height": -1e-300}, "t_grid": HUGE_T_GRID}),
+        ("speeds", {"domain": {"kind": "half_plane", "boundary_height": -1e-300}, "t_grid": HUGE_T_GRID}, ""),
     ],
     ids=["thm2", "thm3", "speeds_slit", "speeds_half_plane"],
 )
-def test_finite_config_past_float_range_exits_two(tmp_path, capsys, experiment, data):
+def test_finite_config_past_float_range_exits_two(tmp_path, capsys, experiment, data, named):
     # an OverflowError or ZeroDivisionError traceback exited 1, the code of a
     # failed assertion, and the slit wrote NaN rows and printed FAIL
     cfg_path = write_config(tmp_path, data)
     assert main([experiment, "--config", str(cfg_path), "--out", str(tmp_path)]) == 2
-    assert capsys.readouterr().err.startswith("hypspeeds: error:")
+    err = capsys.readouterr().err
+    assert err.startswith("hypspeeds: error:") and named in err
     assert not (tmp_path / f"{experiment}.csv").exists()
 
 

@@ -1,4 +1,9 @@
-"""Riemann map chains: normalization, round trips, distance routes."""
+"""Riemann map chains: normalization, round trips, distance routes.
+
+Each check reads the map through the primitives the package runs: h is
+from_h o M, h^{-1} is M^{-1} o to_h, and the domain's distances and density
+are those of H.
+"""
 
 import cmath
 import math
@@ -6,18 +11,12 @@ import math
 import numpy as np
 import pytest
 
-from hypspeeds.conformal import (
-    build_koenigs,
-    domain_distance,
-    map_forward,
-    map_inverse,
-    pullback_density,
-    slit_sqrt_forward,
-)
+from hypspeeds.conformal import _disk_to_h, _h_distance, _h_to_disk, build_koenigs, slit_sqrt_forward
 from hypspeeds.domains import HalfPlaneDom, RectangleChain, SlitPlane, StripDom
 from hypspeeds.errors import ConstructionError, DomainError, NumericError, UnsupportedDomainError
 from hypspeeds.hyperbolic import RIGHT_HALF_PLANE, integrate_density_along, region_distance
 from hypspeeds.quasihyperbolic import rho_bounds
+from hypspeeds.semigroup import orbit
 
 SUPPORTED = (
     HalfPlaneDom(-1.0, "above"),
@@ -27,6 +26,27 @@ SUPPORTED = (
     SlitPlane(((0.0, 1.0),)),
     SlitPlane(((3.0, 2.0),)),
 )
+
+
+def h(k, z):
+    """The Koenigs map h = from_h o M."""
+    return k.from_h(*_disk_to_h(k, complex(z)))
+
+
+def h_inv(k, w):
+    """Its inverse M^{-1} o to_h."""
+    return _h_to_disk(k, k.to_h(complex(w)))
+
+
+def rho(k, w1, w2):
+    """The hyperbolic distance of the domain, read in H."""
+    return _h_distance(k.to_h(w1), k.to_h(w2))
+
+
+def density(k, w):
+    """The hyperbolic density of the domain, |dW/dw| / (2 Re W) = |velocity(p)| / (2 Re u_p)."""
+    p = k.to_h(w)
+    return abs(k.velocity(p)) / (2.0 * p[1].real)
 
 
 def random_disk_points(rng, n, rmax=0.9):
@@ -92,7 +112,7 @@ def test_non_finite_w0_is_refused():
 @pytest.mark.parametrize("dom", SUPPORTED, ids=lambda d: f"{type(d).__name__}")
 def test_normalization_origin(dom):
     k = build_koenigs(dom)
-    assert abs(map_forward(k, 0j)) <= 1e-10
+    assert abs(h(k, 0j)) <= 1e-10
 
 
 @pytest.mark.parametrize("dom", SUPPORTED, ids=lambda d: f"{type(d).__name__}")
@@ -100,8 +120,8 @@ def test_round_trip(dom):
     k = build_koenigs(dom)
     rng = np.random.default_rng(11)
     for z in random_disk_points(rng, 300):
-        w = map_forward(k, z)
-        assert abs(map_inverse(k, w) - z) <= 1e-10
+        w = h(k, z)
+        assert abs(h_inv(k, w) - z) <= 1e-10
 
 
 @pytest.mark.parametrize("dom", SUPPORTED, ids=lambda d: f"{type(d).__name__}")
@@ -109,8 +129,8 @@ def test_round_trip_from_domain_side(dom):
     k = build_koenigs(dom)
     rng = np.random.default_rng(13)
     for _ in range(100):
-        w = map_forward(k, 0.85 * math.sqrt(rng.random()) * np.exp(2j * math.pi * rng.random()))
-        assert abs(map_forward(k, map_inverse(k, w)) - w) <= 1e-10 * max(1.0, abs(w))
+        w = h(k, 0.85 * math.sqrt(rng.random()) * np.exp(2j * math.pi * rng.random()))
+        assert abs(h(k, h_inv(k, w)) - w) <= 1e-10 * max(1.0, abs(w))
 
 
 @pytest.mark.parametrize("dom", SUPPORTED, ids=lambda d: f"{type(d).__name__}")
@@ -119,7 +139,7 @@ def test_denjoy_wolff_pullbacks_approach_one(dom):
     k = build_koenigs(dom)
     mods, args = [], []
     for x in (10.0, 100.0, 1000.0):
-        z = map_inverse(k, complex(x))
+        z = h_inv(k, complex(x))
         mods.append(abs(z))
         args.append(abs(cmath.phase(z)))
     assert mods[0] <= mods[1] <= mods[2] <= 1.0 + 1e-12
@@ -132,7 +152,7 @@ def test_denjoy_wolff_pullbacks_approach_one(dom):
 def test_strip_orbit_is_real():
     k = build_koenigs(StripDom(-1.0, 1.0))
     for t in (0.5, 2.0, 10.0):
-        z = map_inverse(k, complex(t))
+        z = h_inv(k, complex(t))
         assert abs(z.imag) <= 1e-12
         assert 0.0 < z.real < 1.0
 
@@ -157,7 +177,7 @@ def test_domain_must_contain_origin():
 
 def test_domain_distance_trivial():
     k = build_koenigs(StripDom(-1.0, 1.0))
-    assert domain_distance(k, 0.5 + 0.1j, 0.5 + 0.1j) == 0.0
+    assert rho(k, 0.5 + 0.1j, 0.5 + 0.1j) == 0.0
 
 
 @pytest.mark.parametrize("w", (1.0 + 0j, 0.5j, -1.0 + 0j))
@@ -167,7 +187,7 @@ def test_domain_distance_near_the_boundary_of_h_is_refused(w):
     # mpmath gives 0.481, 0.203 and 0.481
     k = build_koenigs(SlitPlane(((1e300, 1.0),)))
     with pytest.raises(NumericError, match="under the normal range"):
-        domain_distance(k, 0j, w)
+        rho(k, 0j, w)
 
 
 def test_upper_half_plane_distance_value():
@@ -177,7 +197,7 @@ def test_upper_half_plane_distance_value():
     assert region_distance(HalfPlane(0j, 1j), 1j, 2j) == pytest.approx(0.5 * math.log(2.0), abs=1e-14)
     # same configuration reached through the Koenigs handle of {Im > -1}
     k = build_koenigs(HalfPlaneDom(-1.0, "above"))
-    val = domain_distance(k, 0j, 1.0j)
+    val = rho(k, 0j, 1.0j)
     lam0 = 1.0 / (2.0 * 1.0)
     lam1 = 1.0 / (2.0 * 2.0)
     assert val == pytest.approx(math.asinh(math.sqrt(1.0 * lam0 * lam1)), abs=1e-10)
@@ -187,11 +207,11 @@ def test_slit_distance_two_routes():
     a0, b0 = 3.0, 2.0
     k = build_koenigs(SlitPlane(((a0, b0),)))
     for x in (1.0, 5.0, 20.0):
-        route_disk = domain_distance(k, 0j, complex(x))
+        route_model = rho(k, 0j, complex(x))
         u0 = slit_sqrt_forward((0.0 - a0) / b0)
         ux = slit_sqrt_forward((x - a0) / b0)
         route_half_plane = region_distance(RIGHT_HALF_PLANE, u0, ux)
-        assert route_disk == pytest.approx(route_half_plane, abs=1e-9)
+        assert route_model == pytest.approx(route_half_plane, abs=1e-9)
 
 
 def test_strip_distance_matches_segment_quadrature():
@@ -199,8 +219,8 @@ def test_strip_distance_matches_segment_quadrature():
     # segment carries the distance
     k = build_koenigs(StripDom(-1.0, 1.0))
     for x1, x2 in ((0.0, 1.0), (1.0, 3.0)):
-        ref = integrate_density_along([complex(x1), complex(x2)], lambda w: pullback_density(k, w))
-        assert domain_distance(k, complex(x1), complex(x2)) == pytest.approx(ref, abs=1e-8)
+        ref = integrate_density_along([complex(x1), complex(x2)], lambda w: density(k, w))
+        assert rho(k, complex(x1), complex(x2)) == pytest.approx(ref, abs=1e-8)
 
 
 def test_half_plane_distance_matches_arc_quadrature():
@@ -215,18 +235,18 @@ def test_half_plane_distance_matches_arc_quadrature():
 
         def integrand(theta):
             p = center + radius * cmath.exp(1j * theta)
-            return pullback_density(k, p) * radius
+            return density(k, p) * radius
 
         th1 = cmath.phase(complex(x2) - center)
         th2 = cmath.phase(complex(x1) - center)
         ref, _ = quad(integrand, min(th1, th2), max(th1, th2), epsabs=1e-12, limit=200)
-        assert domain_distance(k, complex(x1), complex(x2)) == pytest.approx(ref, abs=1e-8)
+        assert rho(k, complex(x1), complex(x2)) == pytest.approx(ref, abs=1e-8)
 
 
 def test_axis_distance_strip_large_t_linear_growth():
     k = build_koenigs(StripDom(-1.0, 1.0))
-    v1 = domain_distance(k, 0j, complex(400.0))
-    v2 = domain_distance(k, 0j, complex(800.0))
+    v1 = rho(k, 0j, complex(400.0))
+    v2 = rho(k, 0j, complex(800.0))
     assert v2 - 2.0 * v1 == pytest.approx(0.0, abs=1e-9)
 
 
@@ -237,7 +257,7 @@ def test_domain_monotonicity_of_distance():
     for _ in range(20):
         x1 = rng.uniform(-2.0, 2.0)
         x2 = x1 + rng.uniform(0.5, 4.0)
-        vals = [domain_distance(k, complex(x1), complex(x2)) for k in ks]
+        vals = [rho(k, complex(x1), complex(x2)) for k in ks]
         assert vals[0] >= vals[1] >= vals[2]
 
 
@@ -248,22 +268,22 @@ def test_quasihyperbolic_sandwich_symmetric_strip():
     for _ in range(50):
         x1 = rng.uniform(-3.0, 3.0)
         x2 = x1 + 10.0 ** rng.uniform(-2.0, 5.0)
-        rho = domain_distance(k, complex(x1), complex(x2))
+        dist = rho(k, complex(x1), complex(x2))
         bounds = rho_bounds(d, x1, x2)
-        assert bounds.lower - 1e-12 <= rho <= bounds.upper + 1e-12
+        assert bounds.lower - 1e-12 <= dist <= bounds.upper + 1e-12
 
 
 def test_quasihyperbolic_upper_bound_half_plane_and_slit():
     for dom in (HalfPlaneDom(-1.0, "above"), SlitPlane(((0.0, 1.0),))):
         k = build_koenigs(dom)
         for x1, x2 in ((0.0, 2.0), (1.0, 30.0)):
-            rho = domain_distance(k, complex(x1), complex(x2))
-            assert rho <= rho_bounds(dom, x1, x2).upper + 1e-12
+            assert rho(k, complex(x1), complex(x2)) <= rho_bounds(dom, x1, x2).upper + 1e-12
 
 
 def test_inverse_rejects_boundary_proximity():
+    # to_h refuses the slit's neighbourhood; the orbit refuses the unit circle's
     k = build_koenigs(SlitPlane(((0.0, 1.0),)))
     with pytest.raises(DomainError):
-        map_inverse(k, complex(-5.0, -1.0 + 1e-13))
+        h_inv(k, complex(-5.0, -1.0 + 1e-13))
     with pytest.raises(DomainError):
-        map_forward(k, complex(1.0 - 1e-14, 0.0))
+        orbit(k, complex(1.0 - 1e-14, 0.0), 1.0)

@@ -12,7 +12,7 @@ from mpmath.libmp import from_int, mpf_cos_sin_pi, mpf_shift, to_float
 from scipy.integrate import quad
 
 import hypspeeds.harmonic as harmonic
-from hypspeeds.conformal import map_inverse
+from hypspeeds.conformal import _h_to_disk
 from hypspeeds.domains import HalfPlaneDom, SlitPlane, StripDom
 from hypspeeds.errors import DomainError, ParameterError
 from hypspeeds.harmonic import (
@@ -559,20 +559,25 @@ def test_discretize_orbit_tail_structure():
     assert abs(obst[0] - math.tanh(math.pi / 4.0)) <= 1e-9  # pullback of t = 1
 
 
+def _pullback(m, tau):
+    """h^{-1}(tau) = M^{-1}(to_h(tau))."""
+    return _h_to_disk(m, m.to_h(complex(tau)))
+
+
 def _tail_sample(m, t, count=20_000):
     """Tail points at ``count`` log-spaced times from t to where the tail
     comes within ``_TAIL_STOP_RADIUS`` of 1, beyond which it closes straight."""
     lo, hi = math.log(t), math.log(t)
-    while abs(map_inverse(m, complex(math.exp(hi))) - 1.0) > _TAIL_STOP_RADIUS:
+    while abs(_pullback(m, math.exp(hi)) - 1.0) > _TAIL_STOP_RADIUS:
         hi += 1.0
     for _ in range(60):
         mid = 0.5 * (lo + hi)
-        if abs(map_inverse(m, complex(math.exp(mid))) - 1.0) > _TAIL_STOP_RADIUS:
+        if abs(_pullback(m, math.exp(mid)) - 1.0) > _TAIL_STOP_RADIUS:
             lo = mid
         else:
             hi = mid
     taus = np.exp(np.linspace(math.log(t), hi, count))
-    return np.asarray([map_inverse(m, complex(tau)) for tau in taus])
+    return np.asarray([_pullback(m, tau) for tau in taus])
 
 
 @pytest.mark.parametrize(
@@ -589,7 +594,7 @@ def test_discretize_orbit_tail_follows_the_tail(domain, t):
     # _TAIL_TOL = 1e-6 of the polyline, not only the points it was built from
     m = make_model(domain)
     tail = discretize_orbit_tail(m, t)
-    assert tail[0] == map_inverse(m, complex(t))
+    assert tail[0] == _pullback(m, t)
     assert tail[-1] == 1.0 + 0j
     gaps = _dist_to_segments(_tail_sample(m, t), _polyline_segments(tail))
     assert gaps.max() <= 1.05e-6
@@ -617,6 +622,25 @@ def test_projection_bound_reads_sigma():
     # the same walks: only the allowance moves
     assert projection_bound_check(m, 1.0, 2000, seed=9, sigma=1.0 - margin).passed
     assert not projection_bound_check(m, 1.0, 2000, seed=9, sigma=-1.0 - margin).passed
+
+
+def test_projection_bound_at_zero_hits_reads_the_exact_limit():
+    # this tail drew 0 hits in 1000 walks, and its plug-in error of 0 failed a
+    # bound of 2.2e-10 that 0 hits cannot refute
+    res = projection_bound_check(make_model(StripDom(-1.0, 2.0)), 20.0, 1000, seed=1)
+    assert res.estimate.value == res.estimate.std_error == 0.0
+    assert 0.0 < res.lower_bound < 1e-9
+    assert res.passed
+
+
+def test_zero_hits_still_refute_a_bound_above_the_exact_limit():
+    # 0 of 2000 puts the rate below 1 - alpha^(1/2000) = 3.3e-3 at 3 sigma
+    est = HMEstimate(0.0, 0.0, 2000, 1)
+    alpha = 0.5 * math.erfc(3.0 / math.sqrt(2.0))
+    assert est.upper_limit(3.0) == pytest.approx(1.0 - alpha ** (1.0 / 2000), rel=1e-12, abs=0.0)
+    assert est.upper_limit(3.0) < 0.01
+    # past 0 hits the limit is value + sigma std errors, as before
+    assert HMEstimate(0.1, 0.02, 2000, 1).upper_limit(3.0) == 0.1 + 3.0 * 0.02
 
 
 def test_projection_bound_near_zero_time():

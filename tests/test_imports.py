@@ -212,11 +212,6 @@ def test_every_private_name_is_referenced():
 #: The public functions and classes that no code in src/ reads, each with
 #: its reason.  A name here that gains a reference fails the test too.
 UNREFERENCED_PUBLIC_NAMES = {
-    "domain_distance": "read by the tests",
-    "pullback_density": "read by the tests",
-    "log_one_minus_pi_sq": "read by the tests",
-    "map_forward": "the Koenigs map h itself, read by the tests; orbits translate in H",
-    "map_inverse": "h⁻¹ itself, read by the tests",
     "geodesic_through": "API of the acceptance gate",
     "monotonicity_scan": "API of the acceptance gate",
     "slit_plane": "public constructor of SlitPlane",

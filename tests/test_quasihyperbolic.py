@@ -259,7 +259,7 @@ def test_growth_table_refuses_non_integer_stages(monkeypatch):
 
 def test_bounds_bracket_strip_distance():
     # rho is exactly computable for the strip; check Q/4 <= rho <= Q
-    from hypspeeds.conformal import build_koenigs, domain_distance
+    from hypspeeds.conformal import _h_distance, build_koenigs
 
     d = StripDom(-1.5, 1.5)
     k = build_koenigs(d)
@@ -267,13 +267,13 @@ def test_bounds_bracket_strip_distance():
     for _ in range(50):
         x1 = rng.uniform(-4.0, 4.0)
         x2 = x1 + rng.uniform(0.2, 6.0)
-        rho = domain_distance(k, complex(x1), complex(x2))
+        rho = _h_distance(k.to_h(complex(x1)), k.to_h(complex(x2)))
         b = rho_bounds(d, x1, x2)
         assert b.lower - 1e-12 <= rho <= b.upper + 1e-12
 
 
 def test_bounds_bracket_half_plane_moderate_separation():
-    from hypspeeds.conformal import build_koenigs, domain_distance
+    from hypspeeds.conformal import _h_distance, build_koenigs
 
     d = HalfPlaneDom(-1.0, "above")
     k = build_koenigs(d)
@@ -281,7 +281,7 @@ def test_bounds_bracket_half_plane_moderate_separation():
     for _ in range(50):
         x1 = rng.uniform(-3.0, 3.0)
         x2 = x1 + 10.0 ** rng.uniform(-2.0, 5.0)
-        rho = domain_distance(k, complex(x1), complex(x2))
+        rho = _h_distance(k.to_h(complex(x1)), k.to_h(complex(x2)))
         b = rho_bounds(d, x1, x2)
         assert b.lower - 1e-12 <= rho <= b.upper + 1e-12
 
@@ -301,13 +301,13 @@ def test_bounds_bracket_half_plane_moderate_separation():
 def test_bounds_bracket_exact_distance_far_apart(d):
     # off the geodesic axis Q/4 bounds nothing: on HalfPlaneDom(-1) it read
     # 5.0 at (0, 20), where rho = asinh(10) = 2.998
-    from hypspeeds.conformal import build_koenigs, domain_distance
+    from hypspeeds.conformal import _h_distance, build_koenigs
 
     k = build_koenigs(d)
     rng = np.random.default_rng(61)
     for _ in range(2000):
         x1 = rng.uniform(-5.0, 5.0)
         x2 = x1 + 10.0 ** rng.uniform(-2.0, 5.0)
-        rho = domain_distance(k, complex(x1), complex(x2))
+        rho = _h_distance(k.to_h(complex(x1)), k.to_h(complex(x2)))
         b = rho_bounds(d, x1, x2)
         assert b.lower <= rho <= b.upper, (x1, x2, rho, b)

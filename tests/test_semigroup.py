@@ -7,16 +7,16 @@ import mpmath as mp
 import numpy as np
 import pytest
 
-from hypspeeds.conformal import map_forward, map_inverse, slit_sqrt_forward
-from hypspeeds.domains import HalfPlaneDom, SlitPlane, StripDom, contains
+from hypspeeds.conformal import _disk_to_h, _h_distance, _h_to_disk, slit_sqrt_forward
+from hypspeeds.domains import HalfPlaneDom, SlitPlane, StripDom, contains, dist_to_boundary
 from hypspeeds.errors import DomainError, HypspeedsError, NumericError, ParameterError
 from hypspeeds.hyperbolic import RIGHT_HALF_PLANE, disk_distance, region_density, region_distance
 from hypspeeds.semigroup import (
+    _log_sech,
     _pythagoras_residual,
     _slit_gap,
     dip_search,
     generalized_speed,
-    log_one_minus_pi_sq,
     make_model,
     monotonicity_scan,
     orbit,
@@ -59,8 +59,9 @@ def test_orbit_linearizes(name):
     rng = np.random.default_rng(5)
     for z in random_disk_points(rng, 100):
         t = float(rng.uniform(0.0, 5.0))
-        w0 = map_forward(m, z)
-        w1 = map_forward(m, orbit(m, z, t))
+        # h = from_h o M
+        w0 = m.from_h(*_disk_to_h(m, z))
+        w1 = m.from_h(*_disk_to_h(m, orbit(m, z, t)))
         assert abs(w1 - w0 - t) <= 1e-9 * max(1.0, abs(w0) + t)
 
 
@@ -100,16 +101,15 @@ def test_non_finite_points_and_times_raise(name):
     for w in (complex(math.nan, 0.0), complex(0.0, math.nan), complex(0.0, math.inf), complex(-math.inf, 0.0)):
         assert not contains(d, w)
         with pytest.raises(DomainError):
-            map_inverse(m, w)
+            dist_to_boundary(d, w)
     with pytest.raises(DomainError):
-        map_forward(m, complex(math.nan, 0.0))
+        orbit(m, complex(math.nan, 0.0), 1.0)
     for t in (math.nan, math.inf):
         for call in (
             lambda: orbit(m, 0.3, t),
             lambda: speeds(m, t),
             lambda: generalized_speed(m, 0.3, t),
             lambda: orthogonal_rate(m, 0.3, t),
-            lambda: log_one_minus_pi_sq(m, t),
         ):
             with pytest.raises(DomainError):
                 call()
@@ -171,7 +171,7 @@ def test_strip_speed_matches_disk_route():
 
     for t in (0.5, 2.0, 6.0):
         s = speeds(m, t)
-        z_t = map_inverse(m, complex(t))
+        z_t = _h_to_disk(m, m.to_h(complex(t)))
         assert s.v == pytest.approx(disk_distance(0j, z_t), abs=1e-9)
         assert s.pi_t == pytest.approx(foot_on_diameter(z_t), abs=1e-9)
 
@@ -371,7 +371,8 @@ def test_speeds_match_mpmath_half_plane_route(name):
             }
             ref = {key: float(value) for key, value in ref.items()}
         s = speeds(m, t)
-        got = {"v": s.v, "v_o": s.v_o, "v_T": s.v_T, "pi_t": s.pi_t, "log_gap": log_one_minus_pi_sq(m, t)}
+        # log(1 - pi_t^2) = -2 log cosh(v_o), stable where pi_t rounds to 1
+        got = {"v": s.v, "v_o": s.v_o, "v_T": s.v_T, "pi_t": s.pi_t, "log_gap": 2.0 * _log_sech(s.v_o)}
         for key, value in got.items():
             rel = 2e-15 if key in ("v", "v_o", "v_T") else 1e-12
             assert value == pytest.approx(ref[key], rel=rel, abs=0.0), (t, key)
@@ -499,6 +500,24 @@ def test_orthogonal_rate_matches_mpmath(name):
             assert orthogonal_rate(m, z, t) == pytest.approx(ref, rel=1e-12, abs=0.0), (z, t)
 
 
+@pytest.mark.parametrize("name", SMALL_T_MODELS)
+def test_velocity_matches_the_mpmath_derivative_of_from_h(name):
+    # velocity(p) is dW/dw over |W|, that is u / (W from_h'(W)); the
+    # derivative is taken along W (1 + s) at s = 0, so that its step scales
+    # with W however far out the point lies.  On a strip from_h is about log W,
+    # and its step cancels against it in as many digits as log|W| has.
+    # orthogonal_rate reads velocity, and this checks it apart from the rate
+    d = SMALL_T_MODELS[name]
+    m = make_model(d)
+    for w in (0j, 0.7 + 0.4j, -3.0 + 0.5j):
+        p = m.to_h(w)
+        for q in [p] + [m.advance(p, 10.0**k)[0] for k in (-6, 0, 6, 100, 300)]:
+            with mp.workdps(50 + int(math.log10(1.0 + abs(q[0])))):
+                big_w = mp.exp(q[0]) * mp.mpc(q[1])
+                ref = complex(mp.mpc(q[1]) / mp.diff(lambda s: _mp_from_h(d, big_w * (1 + s)), 0))
+            assert abs(m.velocity(q) - ref) <= 1e-12 * abs(ref), (w, q)
+
+
 @pytest.mark.parametrize("b0", [1.0, 1e10])
 def test_orthogonal_rate_on_a_far_right_slit_matches_mpmath(b0):
     # on the plane slit along {Re w <= 1e300, Im w = -b0}, Re W_p is about 1e-150
@@ -587,7 +606,7 @@ def test_theorem4_rows_read_one_foot_per_point(d, d_tilde):
     for row in theorem4_scan(m, mt, grid).rows:
         assert row.v_o == speeds(m, row.t).v_o
         assert row.v_o_tilde == speeds(mt, row.t).v_o
-        arg = log_one_minus_pi_sq(mt, row.t) - log_one_minus_pi_sq(m, row.t)
+        arg = 2.0 * (_log_sech(speeds(mt, row.t).v_o) - _log_sech(speeds(m, row.t).v_o))
         assert row.ratio == (math.inf if arg > 700.0 else math.exp(arg))
 
 
@@ -729,10 +748,9 @@ def test_reflection_identity_for_mirrored_slit():
 
 def test_dip_matches_koenigs_route():
     # the half-plane route and the Koenigs-model route must agree
-    from hypspeeds.conformal import build_koenigs, domain_distance
-
     a0 = 1500.0
-    k = build_koenigs(SlitPlane(((a0, 1.0),)))
+    m = make_model(SlitPlane(((a0, 1.0),)))
     dip_direct = _slit_gap(complex(-a0))
-    dip_model = domain_distance(k, 0j, complex(a0 - 1.0)) - domain_distance(k, 0j, complex(a0 + 1.0))
+    p = m.to_h(0j)
+    dip_model = _h_distance(p, m.to_h(complex(a0 - 1.0))) - _h_distance(p, m.to_h(complex(a0 + 1.0)))
     assert dip_model == pytest.approx(dip_direct, abs=1e-9)
