@@ -54,21 +54,31 @@ def _polar(big_w: complex) -> HPoint:
 class KoenigsMap:
     """Normalized Riemann map h = from_h o M: disk -> domain, h(0) = 0, h(1) = P_inf.
 
-    ``velocity(p)`` is dW/dw at the H point p in units of |W|, so that it stays
-    finite wherever p does: the t-derivative of W along ``advance``, which
-    ``orthogonal_rate`` reads.  ``advance(p, t)`` is
-    ``(q, ell, kappa)``: the H point q of from_h(p) + t, with
-    ell = log(Re W_q / Re W_p) and kappa = Im(W_q - W_p) / Re W_q, both formed
-    from the exact step before any rounding to log-polar form, so that
-    W_q - i Im W_p = Re W_q (1 + i kappa) carries every digit at every t.
+    ``advance(z, t)``, the one way from the disk into H, is ``(q, ell, kappa)``:
+    the H point q of h(z) + t, with ell = log(Re W_q / Re W_p) and
+    kappa = Im(W_q - W_p) / Re W_q for W_p = M(z), both formed from the exact
+    step before any rounding to log-polar form, so that
+    W_q - i Im W_p = Re W_q (1 + i kappa) carries every digit at every t.  Each
+    kind's ``step(W0, offset, t)`` starts from the complex W0 = to_h(0) and the
+    offset M(z) - W0 = 2 Re W0 z/(1 - z), exactly 0 at the origin.
+    NumericError, for every caller, where q overflows H or Re W_q/|W_q| is 0
+    or subnormal.  ``velocity(q)`` is dW/dw at q in units of |W|, finite
+    wherever q is: the t-derivative of W along ``advance``.
     """
 
     domain: DomainDescriptor
     to_h: Callable[[complex], HPoint]
     from_h: Callable[[float, complex], complex]
     velocity: Callable[[HPoint], complex]
-    advance: Callable[[HPoint, float], tuple[HPoint, float, float]]
+    step: Callable[[complex, complex, float], tuple[HPoint, float, float]]
     w0: complex
+
+    def advance(self, z: complex, t: float) -> tuple[HPoint, float, float]:
+        q, ell, kappa = self.step(self.w0, 2.0 * self.w0.real * z / (1.0 - z), t)
+        # 2^-1022 is the smallest normal float: a subnormal Re u_q has lost digits, and a zero one divides by 0
+        if not (all(map(math.isfinite, (q[0], ell, kappa))) and q[1].real >= 2.0**-1022):
+            raise NumericError(f"the orbit point at t={t} overflows H or rounds onto its boundary")
+        return q, ell, kappa
 
 
 def _half_plane_maps(d: HalfPlaneDom):
@@ -76,15 +86,16 @@ def _half_plane_maps(d: HalfPlaneDom):
     rot = 1j if d.side == "above" else -1j
     shift = 1j * d.boundary_height
 
-    def advance(p: HPoint, t: float):
-        big_w, step = math.exp(p[0]) * p[1], t / rot  # W_q = W_p + step keeps Re W_q = Re W_p
-        return _polar(big_w + step), 0.0, step.imag / big_w.real
+    def step(w0: complex, off: complex, t: float):
+        big_w, dw = w0 + off, t / rot  # W_q = W_p + t/rot keeps Re W_q = Re W_p
+        return _polar(big_w + dw), 0.0, dw.imag / big_w.real
 
     return (
         lambda w: _polar((w - shift) / rot),
         lambda L, u: rot * math.exp(L) * u + shift,
         lambda p: math.exp(-p[0]) * rot.conjugate(),  # dW/dw = 1/rot
-        advance,
+        step,
+        -shift / rot,
     )
 
 
@@ -94,15 +105,16 @@ def _strip_maps(d: StripDom):
     mid = 0.5 * (d.y_low + d.y_high)
     scale = width / math.pi
 
-    def advance(p: HPoint, t: float):
-        c = math.pi * t / width  # W_q = e^c W_p
-        return (p[0] + c, p[1]), c, -math.expm1(-c) * p[1].imag / p[1].real
+    def step(w0: complex, off: complex, t: float):
+        c, (log_r, u) = math.pi * t / width, _polar(w0 + off)  # W_q = e^c W_p
+        return (log_r + c, u), c, -math.expm1(-c) * u.imag / u.real
 
     return (
         lambda w: (math.pi * w.real / width, cmath.rect(1.0, math.pi * (w.imag - mid) / width)),
         lambda L, u: complex(scale * L, scale * cmath.phase(u) + mid),
         lambda p: p[1] / scale,  # dW/dw = W pi/width
-        advance,
+        step,
+        cmath.rect(1.0, -math.pi * mid / width),
     )
 
 
@@ -111,19 +123,21 @@ def _slit_maps(d: SlitPlane):
     ((a0, b0),) = d.slits
     log_2b0 = math.log(2.0 * b0)
 
-    def advance(p: HPoint, t: float):
-        big_w = math.exp(p[0]) * p[1]
-        big_wq = cmath.sqrt(big_w * big_w + t / b0)  # W_q^2 = W_p^2 + t/b0
-        # the step, free of cancellation: Re W and Im W have the same signs at p and q
-        step = (t / b0) / (big_wq + big_w)
-        return _polar(big_wq), math.log1p(step.real / big_w.real), step.imag / big_wq.real
+    def step(w0: complex, off: complex, t: float):
+        big_w = w0 + off
+        # W_q^2 = W_p^2 + t/b0 = off (W_p + W0) + (t - a0)/b0 + i: no a0/b0 to cancel at the tip t = a0
+        big_wq = cmath.sqrt(off * (big_w + w0) + complex((t - a0) / b0, 1.0))
+        # W_q - W_p, free of cancellation: Re W and Im W have the same signs at p and q
+        dw = (t / b0) / (big_wq + big_w)
+        return _polar(big_wq), math.log1p(dw.real / big_w.real), dw.imag / big_wq.real
 
     return (
         lambda w: _polar(slit_sqrt_forward((w - a0) / b0)),
         lambda L, u: b0 * (math.exp(2.0 * L) * u * u - 1j) + a0,
         # dW/dw = 1/(2 b0 W), and 1/u = conj(u); one exp keeps a small b0 from underflowing early
         lambda p: math.exp(-2.0 * p[0] - log_2b0) * p[1].conjugate(),
-        advance,
+        step,
+        slit_sqrt_forward(-a0 / b0),
     )
 
 
@@ -148,17 +162,10 @@ def build_koenigs(d: DomainDescriptor) -> KoenigsMap:
         raise UnsupportedDomainError(
             f"no explicit Riemann map for {type(d).__name__}; distances there are bounded via quasihyperbolic estimates"
         )
-    to_h, from_h, velocity, advance = maps
-    log_r, u = to_h(0j)
-    w0 = math.exp(log_r) * u
+    to_h, from_h, velocity, step, w0 = maps
     if not cmath.isfinite(w0):
         raise ConstructionError(f"W0 = to_h(0) is not finite for {d}: got {w0}")
-    return KoenigsMap(domain=d, to_h=to_h, from_h=from_h, velocity=velocity, advance=advance, w0=w0)
-
-
-def _disk_to_h(k: KoenigsMap, z: complex) -> HPoint:
-    """M(z) = i Im W0 + Re W0 (1 + z)/(1 - z)."""
-    return _polar(1j * k.w0.imag + k.w0.real * (1.0 + z) / (1.0 - z))
+    return KoenigsMap(domain=d, to_h=to_h, from_h=from_h, velocity=velocity, step=step, w0=w0)
 
 
 def _h_to_disk(k: KoenigsMap, p: HPoint) -> complex:

@@ -9,11 +9,11 @@ time-t map is h^{-1}(h(z) + t).  Speeds of the origin orbit:
     tangential  v_T(t) = rho(phi_t(0), pi_t)
 
 All three are read in the right half-plane H, where the Koenigs map sends 0
-to W0 = to_h(0), phi_t(0) to W_t = advance(W0, t) and the diameter (-1, 1) to
-the horizontal ray Im W = Im W0.  The foot of W_t on that ray is explicit, so
-every supported domain takes the same closed-form route, and nothing passes
-through the disk, where far orbit points crowd against the unit circle.  Every
-speed is read from the exact step that ``advance`` returns alongside W_t:
+to W0 = to_h(0), phi_t(0) to W_t from ``advance(0, t)`` and the diameter
+(-1, 1) to the horizontal ray Im W = Im W0.  The foot of W_t on that ray is
+explicit, so every kind takes one closed-form route, and nothing passes
+through the disk, where far orbit points crowd against the unit circle.
+Every speed is read from the exact step that ``advance`` returns with W_t:
 ell = log(Re W_t / Re W0) and kappa, with W_t - i Im W0 = Re W_t (1 + i kappa),
 never from two rounded points, so one closed form holds at every t.
 """
@@ -25,9 +25,9 @@ import sys
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .conformal import HPoint, KoenigsMap, _disk_to_h, _h_distance, _h_to_disk, build_koenigs
+from .conformal import KoenigsMap, _h_distance, _h_to_disk, build_koenigs
 from .domains import DomainDescriptor, SlitPlane, StripDom, includes
-from .errors import DomainError, NumericError, ParameterError, _positive_int
+from .errors import DomainError, ParameterError, _positive_int
 from .hyperbolic import Diameter, OrthoCircle, disk_distance, project_to_geodesic, require_disk_point
 
 _PREV_ONE = math.nextafter(1.0, 0.0)
@@ -61,30 +61,19 @@ def _require_time(t: float) -> None:
 
 
 def orbit(m: KoenigsMap, z: complex, t: float) -> complex:
-    """phi_t(z) = h^{-1}(h(z) + t), translated in H: M^{-1}(advance(M(z), t))."""
+    """phi_t(z) = h^{-1}(h(z) + t), translated in H: M^{-1}(q) for q from
+    ``advance(z, t)``, which raises NumericError where q has lost its digits."""
     _require_time(t)
     z = require_disk_point(z)
     if t == 0.0:
         return z
-    q = m.advance(_disk_to_h(m, z), t)[0]
-    if not math.isfinite(q[0]):
-        raise NumericError(f"the orbit point at t={t} overflows H")
-    return _h_to_disk(m, q)
+    return _h_to_disk(m, m.advance(z, t)[0])
 
 
-def _advance_in_h(m: KoenigsMap, p: HPoint, t: float) -> tuple[HPoint, float, float]:
-    """``m.advance(p, t)``, refused with NumericError where q has lost its digits."""
-    q, ell, kappa = m.advance(p, t)
-    # 2^-1022 is the smallest normal float: a subnormal Re u_q has lost digits, and a zero one divides by 0
-    if not (all(map(math.isfinite, (q[0], ell, kappa))) and q[1].real >= 2.0**-1022):
-        raise NumericError(f"the orbit point at t={t} overflows H or rounds onto its boundary")
-    return q, ell, kappa
-
-
-def _speeds_in_h(m: KoenigsMap, p: HPoint, t: float) -> tuple[float, float, float]:
-    """(s, v, v_T) for p and q = advance(p, t): s/2 the signed H distance from p to
-    the foot of q on the ray Im W = Im W_p, v that from p to q, v_T from q to the foot."""
-    _, ell, kappa = _advance_in_h(m, p, t)
+def _speeds_in_h(m: KoenigsMap, z: complex, t: float) -> tuple[float, float, float]:
+    """(s, v, v_T) for p = M(z) and q from advance(z, t): s/2 the signed H distance from
+    p to the foot of q on the ray Im W = Im W_p, v that from p to q, v_T from q to the foot."""
+    _, ell, kappa = m.advance(z, t)
     # W_q - i Im W_p = Re W_q (1 + i kappa) and Re W_q = e^ell Re W_p, so the foot is
     # e^s Re W_p with s = ell + log|1 + i kappa|, taken as log1p(h - 1) with h = |1 + i kappa|
     k = abs(kappa)
@@ -101,12 +90,14 @@ def speeds(m: KoenigsMap, t: float) -> SpeedSample:
     With s/2 the signed H distance from W0 to the foot of W_t on the ray
     Im W = Im W0: v_o = |s|/2, pi_t = tanh(s/2) (below 1 even where it
     rounds to 1), v_T the H distance from W_t to that foot, and v the H
-    distance from W0 to W_t.  NumericError where log|W_t| overflows or the
-    real part of W_t/|W_t| is 0 or subnormal: the speeds have lost their
+    distance from W0 to W_t, all from ``advance(0, t)``.  Against mpmath on
+    slits whose tip lies 1e3 to 1e300 depths out, at t from a0/2 to 10 a0, the
+    worst relative error is 3.4e-16.  NumericError where log|W_t| overflows or
+    the real part of W_t/|W_t| is 0 or subnormal: the speeds have lost their
     digits there.
     """
     _require_time(t)
-    s, v, v_T = _speeds_in_h(m, m.to_h(0j), t)
+    s, v, v_T = _speeds_in_h(m, 0j, t)
     return SpeedSample(t, v, 0.5 * abs(s), v_T, min(math.tanh(0.5 * s), _PREV_ONE))
 
 
@@ -127,7 +118,7 @@ def generalized_speed(m: KoenigsMap, z: complex, t: float) -> float:
     if t == 0.0:
         return 0.0
     if _symmetric_strip(m) is not None:
-        return 0.5 * abs(_speeds_in_h(m, _disk_to_h(m, z), t)[0])
+        return 0.5 * abs(_speeds_in_h(m, z, t)[0])
     phi = orbit(m, z, t)
     p = project_to_geodesic(phi, _geodesic_to_one(z))
     return disk_distance(z, p)
@@ -136,7 +127,7 @@ def generalized_speed(m: KoenigsMap, z: complex, t: float) -> float:
 def orthogonal_rate(m: KoenigsMap, z: complex, t: float) -> float:
     """d/dt of the orthogonal speed seeded at z, in closed form in H.
 
-    With p = M(z), q = advance(p, t) and b = Im W_p, the foot of W_q on the
+    With p = M(z), q from advance(z, t) and b = Im W_p, the foot of W_q on the
     ray Im W = b lies at signed distance (1/2) log(|W_q - i b| / Re W_p) from
     p, whose absolute value is ``generalized_speed``.  Its rate is
     (1/2) Re(W_q' / (W_q - i b)), where W_q' is dW/dw at q, the t-derivative
@@ -144,8 +135,10 @@ def orthogonal_rate(m: KoenigsMap, z: complex, t: float) -> float:
     the factor e^(-log|W_q|) of ``velocity(q)`` costs about |log|W_q|| ulps:
     against mpmath over t = 1e-14 to 1e304, the worst relative errors are
     5.7e-14 on ``HalfPlaneDom(-1)`` (at t = 5.6e270) and 1.1e-13 on the slit
-    [[0, 1]] (at t = 3.2e297).  NumericError where q overflows H or rounds
-    onto its boundary.
+    [[0, 1]] (at t = 3.2e297).  On a slit the factor is e^(-2 log|W_q| -
+    log 2 b0): across the tip, at t from a0/2 to 10 a0 on tips from 1e3 to 1e300
+    times the depth b0 in {1e-100, 1, 1e100}, the worst is 9.0e-14.
+    NumericError where q overflows H or rounds onto its boundary.
 
     The float rate reads 0.0 where the true rate is positive, by two routes.
     The factor e^(-log|W_q|) of ``velocity(q)`` times kappa leaves the float
@@ -156,7 +149,7 @@ def orthogonal_rate(m: KoenigsMap, z: complex, t: float) -> float:
     """
     z = require_disk_point(z)
     _require_time(t)
-    q, _, kappa = _advance_in_h(m, _disk_to_h(m, z), t)
+    q, _, kappa = m.advance(z, t)
     # divided by Re u_q first: 1 + i kappa is large exactly where Re u_q is small
     return 0.5 * (m.velocity(q) / q[1].real / complex(1.0, kappa)).real
 

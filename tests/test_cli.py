@@ -7,6 +7,7 @@ import json
 import math
 from pathlib import Path
 
+import mpmath as mp
 import pytest
 
 from hypspeeds.cli import (
@@ -327,6 +328,56 @@ def test_speeds_far_out_exits_zero(tmp_path, domain, stop):
     # 1.4e-4 (slit), 2e-8 (half-plane) or below the spacing of doubles (strip)
     cfg_path = write_config(tmp_path, {"domain": domain, "t_grid": {"start": 0.0, "stop": stop, "step": stop / 10}})
     assert main(["speeds", "--config", str(cfg_path), "--out", str(tmp_path)]) == 0
+
+
+# the orbit passes the tip of the slit at t = 1e15, where the total speed dips
+TIP_CONFIG = {
+    "domain": {"kind": "slit_plane", "slits": [[1e15, 1]]},
+    "t_grid": {"start": 0.99e15, "stop": 1.01e15, "step": 1e12},
+    "base_points": [[0.3, 0.0], [0.0, -0.4], [0.2, 0.5]],
+}
+
+
+def _tip_mpmath(z, t):
+    """(v, v_o, v_T, rate) at time t on the plane slit at (1e15, 1), seeded at z,
+    read in W = sqrt(w - 1e15 + i) by mpmath."""
+    with mp.workdps(60):
+        w0, zz = mp.sqrt(mp.mpc(-1e15, 1)), mp.mpc(z)
+        w_p = 1j * w0.imag + w0.real * (1 + zz) / (1 - zz)
+        w_q = mp.sqrt(w_p * w_p + mp.mpf(t))
+        foot = mp.mpc(abs(w_q - 1j * w_p.imag), w_p.imag)
+        h_dist = lambda p, q: mp.asinh(abs(p - q) / (2 * mp.sqrt(p.real * q.real)))
+        rate = mp.re(1 / (2 * w_q * (w_q - 1j * w_p.imag))) / 2
+        return tuple(float(x) for x in (h_dist(w_p, w_q), h_dist(w_p, foot), h_dist(w_q, foot), rate))
+
+
+def test_speeds_across_a_far_slit_tip_print_the_mpmath_values(tmp_path):
+    # W_t^2 formed as W0^2 + t cancelled a0 = 1e15 at the tip: the run printed
+    # v_T = 8.89265622436 at t = 1e15, and PASS
+    cfg_path = write_config(tmp_path, TIP_CONFIG)
+    assert main(["speeds", "--config", str(cfg_path), "--out", str(tmp_path)]) == 0
+    with (tmp_path / "speeds.csv").open(encoding="utf-8") as fh:
+        rows = list(csv.DictReader(fh))
+    assert len(rows) == 21
+    for row in rows:
+        ref = _tip_mpmath(0j, float(row["t"]))
+        for key, value in zip(("v", "v_o", "v_T"), ref):
+            # twelve significant digits printed: within half a unit of the last
+            assert float(row[key]) == pytest.approx(value, rel=5e-12, abs=0.0), (row["t"], key)
+    assert next(row for row in rows if float(row["t"]) == 1e15)["v_T"] == "9.15455447297"
+
+
+def test_thm1_across_a_far_slit_tip_reads_the_mpmath_rates(tmp_path):
+    # the least rate of each label is the least over the grid of the closed
+    # form in W = sqrt(w - 1e15 + i).  The rates peak within a few units of the
+    # tip, where the cancelling W_t^2 put them up to 0.72 off
+    t_grid = {"start": 1e15 - 2.0, "stop": 1e15 + 2.0, "step": 0.5}
+    report = run(parse_config(dict(TIP_CONFIG, experiment="thm1", t_grid=t_grid)), tmp_path)
+    assert report.passed
+    grid = TGrid(**t_grid).values()
+    for label, z in zip(report.summary["least_rate"], (0j, 0.3 + 0j, -0.4j, 0.2 + 0.5j)):
+        ref = min(_tip_mpmath(z, t)[3] for t in grid)
+        assert report.summary["least_rate"][label] == pytest.approx(ref, rel=2e-13, abs=0.0), label
 
 
 def test_main_exit_codes(tmp_path):

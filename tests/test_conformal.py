@@ -11,7 +11,7 @@ import math
 import numpy as np
 import pytest
 
-from hypspeeds.conformal import _disk_to_h, _h_distance, _h_to_disk, build_koenigs, slit_sqrt_forward
+from hypspeeds.conformal import _h_distance, _h_to_disk, build_koenigs, slit_sqrt_forward
 from hypspeeds.domains import HalfPlaneDom, RectangleChain, SlitPlane, StripDom
 from hypspeeds.errors import ConstructionError, DomainError, NumericError, UnsupportedDomainError
 from hypspeeds.hyperbolic import RIGHT_HALF_PLANE, integrate_density_along, region_distance
@@ -28,9 +28,15 @@ SUPPORTED = (
 )
 
 
+def M(k, z):
+    """The Moebius map M(z) = i Im W0 + Re W0 (1 + z)/(1 - z), as an H point (log|W|, W/|W|)."""
+    big_w = 1j * k.w0.imag + k.w0.real * (1.0 + z) / (1.0 - z)
+    return math.log(abs(big_w)), big_w / abs(big_w)
+
+
 def h(k, z):
     """The Koenigs map h = from_h o M."""
-    return k.from_h(*_disk_to_h(k, complex(z)))
+    return k.from_h(*M(k, complex(z)))
 
 
 def h_inv(k, w):

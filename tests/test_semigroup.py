@@ -7,7 +7,7 @@ import mpmath as mp
 import numpy as np
 import pytest
 
-from hypspeeds.conformal import _disk_to_h, _h_distance, _h_to_disk, slit_sqrt_forward
+from hypspeeds.conformal import _h_distance, _h_to_disk, slit_sqrt_forward
 from hypspeeds.domains import HalfPlaneDom, SlitPlane, StripDom, contains, dist_to_boundary
 from hypspeeds.errors import DomainError, HypspeedsError, NumericError, ParameterError
 from hypspeeds.hyperbolic import RIGHT_HALF_PLANE, disk_distance, region_density, region_distance
@@ -35,6 +35,12 @@ MODELS = {
 }
 
 
+def M(m, z):
+    """The Moebius map M(z) = i Im W0 + Re W0 (1 + z)/(1 - z), as an H point (log|W|, W/|W|)."""
+    big_w = 1j * m.w0.imag + m.w0.real * (1.0 + z) / (1.0 - z)
+    return math.log(abs(big_w)), big_w / abs(big_w)
+
+
 def random_disk_points(rng, n, rmax=0.85):
     r = rmax * np.sqrt(rng.random(n))
     ang = 2.0 * math.pi * rng.random(n)
@@ -60,8 +66,8 @@ def test_orbit_linearizes(name):
     for z in random_disk_points(rng, 100):
         t = float(rng.uniform(0.0, 5.0))
         # h = from_h o M
-        w0 = m.from_h(*_disk_to_h(m, z))
-        w1 = m.from_h(*_disk_to_h(m, orbit(m, z, t)))
+        w0 = m.from_h(*M(m, z))
+        w1 = m.from_h(*M(m, orbit(m, z, t)))
         assert abs(w1 - w0 - t) <= 1e-9 * max(1.0, abs(w0) + t)
 
 
@@ -126,6 +132,16 @@ def test_orbit_whose_h_point_overflows_raises(d, t):
     for z in (0j, 0.3 + 0j):
         with pytest.raises(NumericError):
             orbit(m, z, t)
+
+
+def test_orbit_whose_h_point_rounds_onto_the_boundary_raises():
+    # Re W_t / |W_t| is subnormal at these times, the rule every speed and rate
+    # refuses by; orbit checked log|W_t| only and returned 1 - 5e-308j, whose
+    # modulus rounds to 1
+    m = make_model(HalfPlaneDom(-1.0))
+    for t in (4e307, 1e308):
+        with pytest.raises(NumericError):
+            orbit(m, 0.3j, t)
 
 
 # ---------------------------------------------------------------------------
@@ -248,26 +264,31 @@ ADVANCE_MODELS = {
 def test_advance_is_the_translation(name):
     d = ADVANCE_MODELS[name]
     m = make_model(d)
-    for w in (0j, 0.7 + 0.4j, -3.0 + 0.5j, -3.0 - 0.9j):
-        p = m.to_h(w)
+    # the origin, and the disk points of four domain points
+    for z in [0j] + [_h_to_disk(m, m.to_h(w)) for w in (0j, 0.7 + 0.4j, -3.0 + 0.5j, -3.0 - 0.9j)]:
+        # the float start W_p = W0 + d that advance forms, with d = M(z) - W0
+        start = m.w0 + 2.0 * m.w0.real * z / (1.0 - z)
+        p = (math.log(abs(start)), start / abs(start))
         # far enough out nothing cancels, and the round trip through the domain is the reference
         for t in (10.0 ** (k / 2) for k in range(0, 601)):
-            (lq, uq), (lr, ur) = m.advance(p, t)[0], m.to_h(m.from_h(*p) + t)
-            assert abs(lq - lr) <= 1e-13 * max(1.0, abs(lr)) and abs(uq - ur) <= 1e-13, (w, t)
+            (lq, uq), (lr, ur) = m.advance(z, t)[0], m.to_h(m.from_h(*p) + t)
+            assert abs(lq - lr) <= 1e-13 * max(1.0, abs(lr)) and abs(uq - ur) <= 1e-13, (z, t)
         # ell = log(Re W_q / Re W_p) and kappa = Im(W_q - W_p) / Re W_q, in full precision at
-        # every t; the reference keeps the digits of w that w + t would round away
+        # every t; the reference keeps the digits of w that w + t would round away.  It starts
+        # from the float W_p itself: M(z) in mpmath can differ from it where the float rounds
+        # Im W_p to 0, as on the asymmetric strip at w = -3 + 0.5i
         for t in (10.0 ** (k / 4) for k in range(-56, 1201)):
-            _, ell, kappa = m.advance(p, t)
+            _, ell, kappa = m.advance(z, t)
             with mp.workdps(40 + max(0, int(math.log10(t)))):
-                big_w = mp.exp(p[0]) * mp.mpc(p[1])
+                big_w = mp.mpc(start)
                 big_wq = _mp_to_h(d, _mp_from_h(d, big_w) + t)
                 ref_ell = float(mp.log(big_wq.real / big_w.real))
                 ref_kappa = float((big_wq - big_w).imag / big_wq.real)
             if isinstance(d, HalfPlaneDom):
-                assert ell == 0.0, (w, t)
+                assert ell == 0.0, (z, t)
             else:
-                assert ell == pytest.approx(ref_ell, rel=1e-15, abs=0.0), (w, t)
-            assert kappa == pytest.approx(ref_kappa, rel=1e-15, abs=0.0), (w, t)
+                assert ell == pytest.approx(ref_ell, rel=1e-15, abs=0.0), (z, t)
+            assert kappa == pytest.approx(ref_kappa, rel=1e-15, abs=0.0), (z, t)
 
 
 SMALL_T_MODELS = {
@@ -376,6 +397,58 @@ def test_speeds_match_mpmath_half_plane_route(name):
         for key, value in got.items():
             rel = 2e-15 if key in ("v", "v_o", "v_T") else 1e-12
             assert value == pytest.approx(ref[key], rel=rel, abs=0.0), (t, key)
+
+
+# slits whose tip lies from 1e3 to 1e300 times its depth down the axis
+TIP_SLITS = [
+    (ratio * b0, b0)
+    for ratio in (1e3, 1e6, 1e9, 1e12, 1e15, 1e50, 1e100, 1e200, 1e300)
+    for b0 in (1e-100, 1.0, 1e100)
+    if ratio * b0 < math.inf
+]
+TIP_TIMES = (0.5, 0.9, 0.99, 1.0, 1.01, 1.1, 2.0, 10.0)
+
+
+@pytest.mark.parametrize("a0, b0", TIP_SLITS)
+def test_slit_speeds_are_the_canonical_distance_translated(a0, b0):
+    # w -> (w - a0)/b0 maps the plane slit at (a0, b0) onto the canonical slit
+    # plane, 0 onto -a0/b0 and the orbit point t onto (t - a0)/b0, so v(t) is a
+    # distance between two points there, each rounded once by to_h.  Forming
+    # W_t^2 as W0^2 + t/b0 cancelled a0/b0 where the orbit passes the tip, and
+    # v was off by up to 0.32
+    canonical, m = make_model(SlitPlane(((0.0, 1.0),))), make_model(SlitPlane(((a0, b0),)))
+    for t in (f * a0 for f in TIP_TIMES):
+        try:
+            ref = _h_distance(canonical.to_h(complex(-a0 / b0)), canonical.to_h(complex((t - a0) / b0)))
+        except NumericError:
+            continue
+        assert speeds(m, t).v == pytest.approx(ref, rel=1e-15, abs=0.0), t
+
+
+@pytest.mark.parametrize("a0, b0", TIP_SLITS)
+def test_slit_speeds_and_rates_across_the_tip_match_mpmath(a0, b0):
+    # the orbit passes the tip at t = a0, where the paper's total speed dips.
+    # The speeds hold 2e-15 (the worst is 3.4e-16); a rate carries the factor
+    # e^(-2 log|W_t| - log 2 b0) of velocity, which costs that many ulps: the
+    # worst is 9.0e-14, on b0 = 1e100 with a0/b0 = 1e200
+    d = SlitPlane(((a0, b0),))
+    m = make_model(d)
+    for t in (f * a0 for f in TIP_TIMES):
+        with mp.workdps(60 + int(math.log10(a0 / b0))):
+            w0, w_t = _mp_to_h(d, mp.mpf(0)), _mp_to_h(d, mp.mpf(t))
+            foot = mp.mpc(abs(w_t - 1j * w0.imag), w0.imag)
+            ref = {"v": _mp_h_distance(w0, w_t), "v_o": _mp_h_distance(w0, foot), "v_T": _mp_h_distance(w_t, foot)}
+            rates = {}
+            for z in (0j, 0.3 + 0j, -0.4j, 0.2 + 0.5j):
+                zz = mp.mpc(z)
+                w_p = 1j * w0.imag + w0.real * (1 + zz) / (1 - zz)
+                w_q = mp.sqrt(w_p * w_p + mp.mpf(t) / b0)
+                rates[z] = float(mp.re(1 / (2 * b0 * w_q * (w_q - 1j * w_p.imag))) / 2)
+        s = speeds(m, t)
+        for key, value in ref.items():
+            assert getattr(s, key) == pytest.approx(float(value), rel=2e-15, abs=0.0), (t, key)
+        for z, rate in rates.items():
+            assert orthogonal_rate(m, z, t) == pytest.approx(rate, rel=2e-13, abs=0.0), (t, z)
 
 
 def test_far_slit_plane_has_finite_speeds():
@@ -509,13 +582,12 @@ def test_velocity_matches_the_mpmath_derivative_of_from_h(name):
     # orthogonal_rate reads velocity, and this checks it apart from the rate
     d = SMALL_T_MODELS[name]
     m = make_model(d)
-    for w in (0j, 0.7 + 0.4j, -3.0 + 0.5j):
-        p = m.to_h(w)
-        for q in [p] + [m.advance(p, 10.0**k)[0] for k in (-6, 0, 6, 100, 300)]:
+    for z in [0j] + [_h_to_disk(m, m.to_h(w)) for w in (0.7 + 0.4j, -3.0 + 0.5j)]:
+        for q in [m.advance(z, t)[0] for t in (0.0, 1e-6, 1.0, 1e6, 1e100, 1e300)]:
             with mp.workdps(50 + int(math.log10(1.0 + abs(q[0])))):
                 big_w = mp.exp(q[0]) * mp.mpc(q[1])
                 ref = complex(mp.mpc(q[1]) / mp.diff(lambda s: _mp_from_h(d, big_w * (1 + s)), 0))
-            assert abs(m.velocity(q) - ref) <= 1e-12 * abs(ref), (w, q)
+            assert abs(m.velocity(q) - ref) <= 1e-12 * abs(ref), (z, q)
 
 
 @pytest.mark.parametrize("b0", [1.0, 1e10])
@@ -527,7 +599,7 @@ def test_orthogonal_rate_on_a_far_right_slit_matches_mpmath(b0):
     # 300 digits
     m = make_model(SlitPlane(((1e300, b0),)))
     for z in (0j, 0.3 + 0j, -0.4j, 0.2 + 0.5j):
-        for t in (1e-12, 1e-3, 1.0, 1e100, 1e154, 1e200, 1e250, 1e299, 1e304):
+        for t in (1e-12, 1e-3, 1.0, 1e100, 1e154, 1e200, 1e250, 1e299, 1e304, 5e299, 9.9e299, 1e300, 1.01e300, 2e300):
             with mp.workdps(1400):
                 w0, zz = mp.sqrt(-mp.mpf(1e300) / b0 + 1j), mp.mpc(z)
                 w_p = 1j * w0.imag + w0.real * (1 + zz) / (1 - zz)
@@ -754,3 +826,14 @@ def test_dip_matches_koenigs_route():
     p = m.to_h(0j)
     dip_model = _h_distance(p, m.to_h(complex(a0 - 1.0))) - _h_distance(p, m.to_h(complex(a0 + 1.0)))
     assert dip_model == pytest.approx(dip_direct, abs=1e-9)
+
+
+def test_dip_is_the_drop_of_the_total_speed_across_the_tip():
+    # translated by a0, rho(-a0, -1) - rho(-a0, 1) in the canonical slit plane
+    # is v(a0 - 1) - v(a0 + 1) on the plane slit at (a0, 1), and a0 -+ 1 are
+    # exact here.  Forming W_t^2 as W0^2 + t cancelled a0 at the tip: the two
+    # differed by 8.4e-8 at a0 = 1e12 and by 0.115 at 1e15
+    for a0 in (10.0 ** (k / 2) for k in range(6, 31)):
+        m = make_model(SlitPlane(((a0, 1.0),)))
+        drop = speeds(m, a0 - 1.0).v - speeds(m, a0 + 1.0).v
+        assert drop == pytest.approx(dip_search(100.0, [a0]).dip, rel=0.0, abs=1e-14), a0
