@@ -17,20 +17,22 @@ vectorized ``absorb(p) -> (radius, class)``.  For a polyline obstacle the
 radius is ``min(d_obs, d_bnd)`` with ``d_bnd = 1 - |p|``, and the class
 reads ``d_obs`` only through ``d_obs <= eps``.  The whole polyline (the
 root) and each block of consecutive segments have a bounding circle
-``(c, r)``, and ``lb = |p - c| - r`` is a lower bound on the computed
-distance to the segments inside.  Where the root's ``lb``, or else the
-least block ``lb``, exceeds ``max(d_bnd, eps)``, the exact distance cannot
-change the step: the radius is exactly ``d_bnd`` and the obstacle does not
-absorb.  Elsewhere the distance is exact, taken over the block of least
-bound and then over the blocks whose bound does not exceed that distance.
+``(c, r)``, and ``|p - c| - r`` bounds the distance to the segments inside
+from below.  Where the root's bound exceeds ``max(d_bnd, eps)``, the exact
+distance cannot change the step: the radius is exactly ``d_bnd`` and the
+obstacle does not absorb.  Elsewhere the distance d to the block of least
+bound is exact, and so is the distance to each other block whose circle
+bound and chord capsule are both at most d.
+A block's capsule is the distance to its end-to-end chord less its sag, the
+largest distance of its vertices from that chord: each of its segments lies
+within the sag of the chord.
 
 Why no skip changes a bit: points and vertices lie in the closed unit disk,
 so every computed distance here is within a few ulp(2) of the true one, far
-below the circles' inflation of 1e-9 relative plus 1e-14.  So a circle's
-computed ``|p - c| - r`` is at most the computed distance to each segment
-inside it, and a skipped block or point never holds a value the exact
-minimum would have taken.  Every estimate is the one the brute-force
-minimum over all segments gives.
+below the inflation of the radii and sags by 1e-9 relative plus 1e-14.  So
+a computed circle bound or capsule is at most the computed distance to each
+segment it holds, no skipped block or point holds a value the exact minimum
+would take, and every estimate is the brute-force minimum's.
 
 A step calls no transcendental function.  Each walk carries its stream
 counter (``seeding``) and the jump direction exp(2 pi i u) comes from the
@@ -44,10 +46,11 @@ where a distance lands within about 1e-15 of a threshold such as ``eps``.
 ``_walk`` runs ``min(chunk, n)`` lanes, allocated once per call: a lane
 whose walk ends restarts in place at the start point with the next sample,
 which draws from its own stream at its own step, and a walk cut off at
-``MAX_STEPS`` is counted as one more class.  Each exact stage gathers the
-segments of every (point, block) pair it needs in one pass, a slice of at
-most ``_PAIR_BLOCK`` point-segment pairs at a time, so however long the
-obstacle and however many the walks, no temporary holds more pairs.
+``MAX_STEPS`` is counted as one more class.  Each block of segments is a
+column of one packed array: an exact stage takes one ``np.take`` per slice
+of at most ``_PAIR_BLOCK`` point-segment pairs, and the block bounds form a
+(blocks, points) matrix filled as many pairs at a time, so however long the
+obstacle and however many the walks, no temporary holds more of them.
 """
 
 from __future__ import annotations
@@ -62,7 +65,7 @@ import numpy as np
 from .conformal import KoenigsMap
 from .errors import DomainError, ParameterError, _positive_int
 from .hyperbolic import require_disk_point
-from .seeding import GAMMA, sample_streams, sample_uniforms, stream_bits
+from .seeding import GAMMA, sample_streams, stream_bits
 from .semigroup import orbit, speeds
 
 TWO_PI = 2.0 * math.pi
@@ -155,7 +158,7 @@ _ARC_CHUNK = 1 << 13
 
 
 def _arc_preimage(z: complex, arc: ArcOnCircle) -> tuple[float, float]:
-    """Start in [0, 1) and length, in turns, of the boundary arc that
+    """Start in [0, 1] and length, in turns, of the boundary arc that
     w -> (w + z)/(1 + conj(z) w) maps onto ``arc``.
 
     That map's inverse sends exp(i theta) to exp(i a(theta)) with
@@ -171,6 +174,22 @@ def _arc_preimage(z: complex, arc: ArcOnCircle) -> tuple[float, float]:
     return (start / TWO_PI) % 1.0, (a(arc.theta2) - start) / TWO_PI
 
 
+def _arc_runs(start: float, length: float) -> tuple[int, int, int]:
+    """(low, cut, up): the draw k passes the arc's float test
+    ``mod(k 2^-53 - start, 1) <= length`` exactly where k < low or cut <= k < up."""
+    cut = min(math.ceil(start * 2.0**53), 1 << 53)
+    ends = []
+    for lo, hi in ((0, cut), (cut, 1 << 53)):
+        # the test holds on a prefix of [lo, hi): bisect for its end
+        while lo < hi:
+            mid = (lo + hi) // 2
+            u = np.asarray([mid], dtype=np.uint64) * 2.0**-53
+            u -= start
+            lo, hi = (mid + 1, hi) if np.mod(u, 1.0, out=u)[0] <= length else (lo, mid)
+        ends.append(lo)
+    return ends[0], cut, ends[1]
+
+
 def mc_disk_arc(z: complex, arc: ArcOnCircle, n: int, seed: int = 0) -> HMEstimate:
     """Estimate the arc measure from z by sampling the exact exit law.
 
@@ -178,51 +197,56 @@ def mc_disk_arc(z: complex, arc: ArcOnCircle, n: int, seed: int = 0) -> HMEstima
     boundary point exp(2 pi i u) under the disk automorphism sending 0 to z,
     so a sample hits the arc when u lies on the arc's preimage in turns:
     ``mod(u - start, 1) <= length``, with no map applied per sample.
+
+    For u = k 2^-53, k the draw's top 53 bits, that test reads u - start + 1
+    below ``cut``, the least k with u >= start, and u - start from it on, each
+    rounded monotonically in k: its hits are the runs k < low, cut <= k < up.
+    ``_arc_runs`` bisects once for their ends with that float test, and the
+    draws are counted against them as integers: every count is the test's.
     """
     z = require_disk_point(z)
     _check_sample_count(n)
-    start, length = _arc_preimage(z, arc)
+    low, cut, up = (np.uint64(k) for k in _arc_runs(*_arc_preimage(z, arc)))
     hits = 0
     for lo in range(0, n, _ARC_CHUNK):
-        u = sample_uniforms(seed, np.arange(lo, min(n, lo + _ARC_CHUNK), dtype=np.uint64), 0)
-        u -= start
-        hits += int(np.count_nonzero(np.mod(u, 1.0, out=u) <= length))
+        keys = sample_streams(seed, np.arange(lo, min(n, lo + _ARC_CHUNK), dtype=np.uint64))
+        k = stream_bits(keys + np.uint64(GAMMA)) >> np.uint64(11)
+        hits += int(np.count_nonzero(k < low)) + int(np.count_nonzero(k < up)) - int(np.count_nonzero(k < cut))
     return _binomial_estimate(hits, n, seed)
 
 
 class _Segments(NamedTuple):
     """Nonzero polyline segments in blocks of consecutive segments.
 
-    Arrays are (blocks, size); the last block repeats the last segment to
-    fill it.  Each block has a bounding circle, and so has the whole
-    polyline (the root), inflated so that rounding in the distances cannot
-    cull the circle holding the nearest segment.
+    ``packed`` is (4 size, blocks): column b holds block b's starts, steps,
+    conjugate steps and squared lengths, and the last block repeats the last
+    segment to fill it.  ``chords`` holds each block's end-to-end chord as a
+    block of one segment, squared length 1 where it is 0.
     """
 
-    starts: np.ndarray
-    steps: np.ndarray
-    conj_steps: np.ndarray
-    norm2: np.ndarray
+    packed: np.ndarray
     centers: np.ndarray
     radii: np.ndarray
+    chords: np.ndarray
+    sags: np.ndarray
     root_center: complex
     root_radius: float
 
 
+def _inflate(reach: np.ndarray) -> np.ndarray:
+    """``reach`` widened past the few ulp(2) by which a distance here is off."""
+    return reach * (1.0 + 1e-9) + 1e-14
+
+
 def _circles(ends: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Inflated bounding circle of each row of segment ends."""
-    centers = 0.5 * (ends.real.min(axis=1) + ends.real.max(axis=1) + 1j * (ends.imag.min(axis=1) + ends.imag.max(axis=1)))
-    reach = np.abs(ends - centers[:, None]).max(axis=1)
-    # points and vertices lie in the closed unit disk, so every distance the
-    # culling compares is within a few ulp(2) of exact: 1e-14 covers them
-    return centers, reach * (1.0 + 1e-9) + 1e-14
+    """Inflated bounding circle of each column of segment ends."""
+    centers = 0.5 * (ends.real.min(0) + ends.real.max(0) + 1j * (ends.imag.min(0) + ends.imag.max(0)))
+    return centers, _inflate(np.abs(ends - centers).max(axis=0))
 
 
 def _polyline_segments(verts: np.ndarray) -> _Segments:
-    """Blocks of ceil(sqrt(count)) segments with their bounding circles.
-
-    Computed once per obstacle: the walk queries the distance at every step.
-    """
+    """Blocks of ceil(sqrt(count)) segments with their circles and chords,
+    built once per obstacle: the walk queries the distance at every step."""
     starts, steps = verts[:-1], np.diff(verts)
     keep = np.abs(steps) > 0.0
     if not keep.any():
@@ -231,11 +255,16 @@ def _polyline_segments(verts: np.ndarray) -> _Segments:
     count = starts.size
     size = math.isqrt(count - 1) + 1
     blocks = -(-count // size)
-    take = np.minimum(np.arange(blocks * size), count - 1).reshape(blocks, size)
+    take = np.minimum(np.arange(blocks * size), count - 1).reshape(blocks, size).T
     starts, steps = starts[take], steps[take]
-    ends = np.concatenate([starts, starts + steps], axis=1)
-    (root_center,), (root_radius,) = _circles(ends.reshape(1, -1))
-    return _Segments(starts, steps, np.conj(steps), np.abs(steps) ** 2, *_circles(ends), root_center, root_radius)
+    ends = np.concatenate([starts, starts + steps])
+    chord = ends[-1] - starts[0]
+    norm2 = np.abs(chord) ** 2
+    chords = np.stack([starts[0], chord, np.conj(chord), np.where(norm2 > 0.0, norm2, 1.0)])
+    sags = _inflate(_exact(ends, *chords).max(axis=0))
+    (root_center,), (root_radius,) = _circles(ends.reshape(-1, 1))
+    packed = np.concatenate([starts, steps, np.conj(steps), np.abs(steps) ** 2])
+    return _Segments(packed, *_circles(ends), chords, sags, root_center, root_radius)
 
 
 #: Most point-segment pairs in one temporary of ``_dist_to_segments``, and
@@ -244,83 +273,52 @@ _PAIR_BLOCK = 1 << 13
 
 
 def _exact(p: np.ndarray, starts, steps, conj_steps, norm2) -> np.ndarray:
-    """Distance from p to each segment, elementwise over broadcast shapes."""
+    """Distance from p to each segment over broadcast shapes; ``norm2`` is read as its real part."""
     rel = p - starts
     buf = rel * conj_steps
-    t = np.clip(buf.real / norm2, 0.0, 1.0)
+    t = np.clip(buf.real / norm2.real, 0.0, 1.0)
     # in place: fewer large temporaries per step, the same arithmetic
     rel -= np.multiply(t, steps, out=buf)
     return np.abs(rel)
 
 
-def _pair_min(q: np.ndarray, blocks: np.ndarray, segments: _Segments) -> np.ndarray:
-    """Distance from each point q[k] to the nearest segment of block blocks[k]."""
-    rows = max(1, _PAIR_BLOCK // segments.starts.shape[1])
+def _pair_min(q: np.ndarray, blocks: np.ndarray, packed: np.ndarray) -> np.ndarray:
+    """Distance from each point q[k] to the nearest segment of packed block blocks[k]."""
+    size = packed.shape[0] // 4
+    cols = max(1, _PAIR_BLOCK // size)
     out = np.empty(q.size)
-    for lo in range(0, q.size, rows):
-        block = [np.take(a, blocks[lo : lo + rows], axis=0) for a in segments[:4]]
-        _exact(q[lo : lo + rows, None], *block).min(axis=1, out=out[lo : lo + rows])
+    for lo in range(0, q.size, cols):
+        # every index is a block number: "clip" only skips the bounds check
+        block = np.take(packed, blocks[lo : lo + cols], axis=1, mode="clip").reshape(4, size, -1)
+        _exact(q[lo : lo + cols], *block).min(axis=0, out=out[lo : lo + cols])
     return out
 
 
-def _least_bounds(p: np.ndarray, segments: _Segments, cap: np.ndarray):
-    """Each point's least block bound and the block that has it, and the
-    bound rows of the points whose least bound is at most ``cap``."""
-    centers, radii = segments.centers, segments.radii
-    least = np.empty(p.size)
-    first = np.empty(p.size, dtype=np.intp)
-    kept = []
-    rows = max(1, _PAIR_BLOCK // centers.size)
-    for lo in range(0, p.size, rows):
-        lower = np.abs(p[lo : lo + rows, None] - centers)
-        lower -= radii
-        lower.argmin(axis=1, out=first[lo : lo + rows])
-        best = np.take_along_axis(lower, first[lo : lo + rows, None], axis=1)[:, 0]
-        least[lo : lo + rows] = best
-        kept.append(lower[best <= cap[lo : lo + rows]])
-    return least, first, np.concatenate(kept)
-
-
 def _dist_to_segments(p: np.ndarray, segments: _Segments, cap=np.inf) -> np.ndarray:
-    """Distance from each point to the nearest segment where it is at most
-    ``cap``; elsewhere a value above ``cap``.
-
-    A point whose root bound exceeds ``cap`` gets that bound, and one whose
-    least block bound exceeds it gets that one, with no exact distance taken
-    (the bounds and their rounding are in the module docstring).  Every
-    other point gets the exact distance to its block of least bound, then to
-    the blocks whose bound is at most that: they hold the nearest segment,
-    so the result is the minimum over all segments, bit for bit.  One
-    segment skips the bounds, which cost as much as its exact distance.
-
-    Each exact stage is one gathered pass over (point, block) pairs, at most
-    ``_PAIR_BLOCK`` point-segment pairs at a time; a point's extra blocks
-    form one run of pairs, folded in by ``np.minimum.reduceat``.
-    """
-    if segments.starts.size == 1:
-        return _exact(p, *(a[0, 0] for a in segments[:4]))
+    """Distance from each point to the nearest segment, the minimum over all
+    segments bit for bit, where the root bound is at most ``cap``; elsewhere
+    that bound, which exceeds ``cap`` (see the module docstring)."""
     cap = np.broadcast_to(cap, p.shape)
     out = np.abs(p - segments.root_center)
     out -= segments.root_radius
     todo = np.flatnonzero(out <= cap)
-    if not todo.size:
-        return out
-    out[todo], first, lower = _least_bounds(p[todo], segments, cap[todo])
-    keep = out[todo] <= cap[todo]
-    if not keep.any():
-        return out
-    todo, first = todo[keep], first[keep]
     q = p[todo]
-    d = _pair_min(q, first, segments)
-    near = lower <= d[:, None]
-    near[np.arange(todo.size), first] = False
-    # row-major: each point's extra blocks form one run of pairs
-    rows, blocks = np.nonzero(near)
-    if rows.size:
-        heads = np.flatnonzero(np.diff(rows, prepend=-1))
-        extra = np.minimum.reduceat(_pair_min(q[rows], blocks, segments), heads)
-        rows = rows[heads]
-        d[rows] = np.minimum(d[rows], extra)
+    centers = segments.centers[:, None]
+    lower = np.empty((centers.size, q.size))
+    cols = max(1, _PAIR_BLOCK // centers.size)
+    for lo in range(0, q.size, cols):
+        np.abs(q[lo : lo + cols] - centers, out=lower[:, lo : lo + cols])
+    lower -= segments.radii[:, None]
+    # the last block of least bound; argmin along axis 0 is several times slower
+    rows = np.arange(centers.size, dtype=np.min_scalar_type(centers.size))[:, None]
+    first = ((lower == lower.min(axis=0)) * rows).max(axis=0)
+    d = _pair_min(q, first, segments.packed)
+    near = lower <= d
+    near[first, np.arange(q.size)] = False
+    blocks, points = np.divmod(np.flatnonzero(near), q.size)
+    keep = _pair_min(q[points], blocks, segments.chords) - segments.sags[blocks] <= d[points]
+    blocks, points = blocks[keep], points[keep]
+    np.minimum.at(d, points, _pair_min(q[points], blocks, segments.packed))
     out[todo] = d
     return out
 
@@ -434,15 +432,14 @@ def _walk(absorb, z0: complex, n: int, seed: int, chunk: int, max_steps: int, cl
 def _obstacle_absorb(segments: _Segments, eps: float):
     """``absorb`` of ``mc_first_hit``: class 1 within ``eps`` of the obstacle,
     else class 2 within ``eps`` of the unit circle; the radius is the smaller
-    distance.
-
-    A capped obstacle distance above ``max(d_bnd, eps)`` changes neither, so
-    the exact distance is taken only where it is at most that.
-    """
+    distance.  An obstacle distance above ``max(d_bnd, eps)`` changes
+    neither, so it is capped there; one segment takes its exact distance,
+    which costs as much as the bounds that would skip it."""
+    one = segments.packed[:, 0] if segments.packed.size == 4 else None
 
     def absorb(p):
         d_bnd = 1.0 - np.abs(p)
-        d_obs = _dist_to_segments(p, segments, np.maximum(d_bnd, eps))
+        d_obs = _exact(p, *one) if one is not None else _dist_to_segments(p, segments, np.maximum(d_bnd, eps))
         return np.minimum(d_obs, d_bnd), np.where(d_obs <= eps, 1, 2 * (d_bnd <= eps))
 
     return absorb

@@ -197,6 +197,40 @@ def test_mc_disk_arc_preimage_matches_the_mapped_samples(arc):
         assert est == _disk_arc_unchunked(z, arc, 20_000, 41)
 
 
+def _arc_float_test(start, length, k):
+    # the float test that defines a hit, on the draws u = k 2^-53
+    u = np.asarray(k, dtype=np.uint64) * 2.0**-53
+    u -= start
+    return np.mod(u, 1.0, out=u) <= length
+
+
+ARC_RUN_CASES = {
+    "1e-12": (0.3 + 0.2j, ArcOnCircle(0.5, 0.5 + 1e-12)),
+    "full": (0.3 + 0.2j, ArcOnCircle(0.0, 2.0 * math.pi)),
+    "wraps": (0.3 + 0.2j, ArcOnCircle(-0.7, 0.4)),
+    # Python's % rounds the start -1.6e-19 turns up to exactly 1.0
+    "start=1": (0j, ArcOnCircle(-1e-18, 1.0)),
+}
+
+
+@pytest.mark.parametrize("case", ARC_RUN_CASES)
+def test_arc_runs_are_the_float_test(case):
+    z, arc = ARC_RUN_CASES[case]
+    start, length = harmonic._arc_preimage(z, arc)
+    assert (start + length > 1.0) == (case != "1e-12")
+    assert (start == 1.0) == (case == "start=1")
+    low, cut, up = harmonic._arc_runs(start, length)
+    assert 0 <= low <= cut <= up <= 1 << 53
+    # at the ends of both runs the integer rule reads what the float test reads
+    ends = sorted({k for k in (cut - 1, cut, up - 1, up, low - 1, low) if 0 <= k < 1 << 53})
+    assert list(_arc_float_test(start, length, ends)) == [k < low or cut <= k < up for k in ends]
+    # and every total is the float test's count over the same draws
+    n = 300_000
+    draws = sample_uniforms(8, np.arange(n, dtype=np.uint64), 0) * 2.0**53
+    hits = int(np.count_nonzero(_arc_float_test(start, length, draws)))
+    assert mc_disk_arc(z, arc, n, seed=8).value == hits / n
+
+
 # ---------------------------------------------------------------------------
 # the walk's jump directions
 
@@ -275,7 +309,8 @@ def test_non_positive_sample_count_rejected(monkeypatch):
         raise AssertionError("a walk or a draw ran before the count was checked")
 
     monkeypatch.setattr(harmonic, "_walk", no_draws)
-    monkeypatch.setattr(harmonic, "sample_uniforms", no_draws)
+    # the arc draws its 53-bit words from its stream keys, as the walks do
+    monkeypatch.setattr(harmonic, "sample_streams", no_draws)
     for n in (0, -3, math.nan, 2.5, True):
         for estimate in (
             lambda: mc_first_hit([0.5 + 0j, 1.0 + 0j], 0j, n, seed=1),
@@ -354,17 +389,62 @@ def _spiral(count):
     return (0.1 + 0.85 * s) * np.exp(4.0j * s) - 0.05j
 
 
-@pytest.mark.parametrize("count", (1, 2, 3, 7, 116, 234))
-def test_dist_to_segments_matches_brute_force_bitwise(count):
-    verts = _spiral(count)
+#: Centre of ``_circle_arc``, where every one of its segments lies within
+#: ulps of one distance: no circle or chord capsule culls a block there.
+_ARC_CENTRE = 0.1 - 0.2j
+
+
+def _circle_arc():
+    # 200 segments in 14 blocks
+    return _ARC_CENTRE + 0.6 * np.exp(1j * np.linspace(0.3, 5.5, 201))
+
+
+def _closed_squares():
+    # four times round a square: 16 segments in 4 blocks, each block closed,
+    # so each chord has zero length
+    corners = 0.25 * (1 + 1j) * np.asarray([1, 1j, -1, -1j])
+    return np.append(np.tile(corners, 4), corners[0])
+
+
+def _staircase():
+    # 64 dyadic segments in 8 blocks, each block 8 collinear segments of one
+    # side, so every computed sag is 0 before its inflation
+    sides = [(8 - j) * 2.0**-7 * (1, 1j, -1, -1j)[j % 4] for j in range(8)]
+    return -0.5 - 0.5j + np.concatenate([[0.0], np.cumsum(np.repeat(sides, 8))])
+
+
+def _obstacle(shape, size=None):
+    make = {"spiral": _spiral, "tail": _slit_tail, "arc": _circle_arc, "squares": _closed_squares, "staircase": _staircase}
+    return make[shape]() if size is None else make[shape](size)
+
+
+def _pruning_cases(segments, shape):
+    # what each shape is for: the capsule's worst case, a zero chord, zero sags
+    if shape == "arc":
+        return [_ARC_CENTRE + 1e-9 * np.exp(2j * math.pi * np.linspace(0.0, 1.0, 500)), np.asarray([_ARC_CENTRE])]
+    if shape == "squares":
+        assert (segments.chords[1] == 0).all() and (segments.chords[3] == 1).all()
+    if shape == "staircase":
+        assert (segments.sags == 1e-14).all()
+    return []
+
+
+@pytest.mark.parametrize(
+    "shape, count",
+    [pytest.param("spiral", c, id=str(c)) for c in (1, 2, 3, 7, 116, 234)]
+    + [pytest.param(shape, c, id=shape) for shape, c in (("arc", 200), ("squares", 16), ("staircase", 64))],
+)
+def test_dist_to_segments_matches_brute_force_bitwise(shape, count):
+    verts = _obstacle(shape, count if shape == "spiral" else None)
     segments = _polyline_segments(verts)
-    assert segments.starts.size >= count
+    # the packed layout holds blocks x size >= count segments, 4 rows each
+    assert segments.packed.size // 4 >= count
     rng = np.random.default_rng(count)
     far = 0.99 * np.sqrt(rng.random(2000)) * np.exp(2j * math.pi * rng.random(2000))
     on = verts[:-1] + rng.random(verts.size - 1) * np.diff(verts)
     offsets = np.concatenate([rng.random(on.size) * 1e-4, np.full(on.size, 1e-13), np.zeros(on.size)])
     near = np.concatenate([on, on, on]) + offsets * np.exp(2j * math.pi * rng.random(offsets.size))
-    for p in (far, near, verts):
+    for p in (far, near, verts, *_pruning_cases(segments, shape)):
         assert np.array_equal(_dist_to_segments(p, segments), _brute_dist(p, verts))
 
 
@@ -381,16 +461,21 @@ def test_dist_to_orbit_tail_matches_brute_force_bitwise(t):
         assert np.array_equal(_dist_to_segments(p, segments), _brute_dist(p, tail))
 
 
-@pytest.mark.parametrize("shape, size", (("spiral", 116), ("spiral", 234), ("tail", 1.0), ("tail", 5.0)))
+@pytest.mark.parametrize(
+    "shape, size",
+    [("spiral", 116), ("spiral", 234), ("tail", 1.0), ("tail", 5.0)]
+    + [(shape, None) for shape in ("arc", "squares", "staircase")],
+)
 def test_capped_dist_to_segments_matches_brute_force_bitwise(shape, size):
-    # the walk's cap: both culls run, and every distance at most the cap is exact
-    verts = _spiral(size) if shape == "spiral" else _slit_tail(size)
+    # the walk's cap: every distance at most the cap is exact and every other value
+    # exceeds it, where the root circle culls and where only the block circles would
+    verts = _obstacle(shape, size)
     segments = _polyline_segments(verts)
     rng = np.random.default_rng(verts.size)
     far = 0.9999 * np.sqrt(rng.random(5000)) * np.exp(2j * math.pi * rng.random(5000))
     on = verts[:-1] + rng.random(verts.size - 1) * np.diff(verts)
     near = on + 1e-3 * rng.random(on.size) * np.exp(2j * math.pi * rng.random(on.size))
-    p = np.concatenate([far, near, verts])
+    p = np.concatenate([far, near, verts, *_pruning_cases(segments, shape)])
     cap = np.maximum(1.0 - np.abs(p), 1e-4)
     d, ref = _dist_to_segments(p, segments, cap), _brute_dist(p, verts)
     exact = ref <= cap
@@ -399,7 +484,8 @@ def test_capped_dist_to_segments_matches_brute_force_bitwise(shape, size):
     root = np.abs(p - segments.root_center) - segments.root_radius
     least = (np.abs(p[:, None] - segments.centers) - segments.radii).min(axis=1)
     assert (root > cap).any()
-    assert ((root <= cap) & (least > cap)).any()
+    # each closed square has the root's circle, so no block circle culls there
+    assert ((root <= cap) & (least > cap)).any() != (shape == "squares")
     assert exact.any()
 
 

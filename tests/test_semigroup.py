@@ -319,25 +319,43 @@ def test_small_t_speeds_match_mpmath(name):
             assert getattr(s, key) == pytest.approx(value, rel=1e-13, abs=0.0), (t, key)
 
 
+def _scaled(d, lam):
+    if isinstance(d, HalfPlaneDom):
+        return HalfPlaneDom(lam * d.boundary_height, d.side)
+    if isinstance(d, StripDom):
+        return StripDom(lam * d.y_low, lam * d.y_high)
+    return SlitPlane(tuple((lam * a, lam * b) for a, b in d.slits))
+
+
+SCALED_DOMAINS = {
+    "half_plane": HalfPlaneDom(-1.0),
+    "strip": StripDom(-1.0, 2.0),
+    "slit": SlitPlane(((2.0, 1.0),)),
+    "symmetric_strip": StripDom(-1.0, 1.0),
+}
+
+
 @pytest.mark.parametrize(
-    "d, d_scaled, lam",
-    [
-        (HalfPlaneDom(-1.0), HalfPlaneDom(-1e4), 1e4),
-        (StripDom(-1.0, 2.0), StripDom(-1e-3, 2e-3), 1e-3),
-        (SlitPlane(((2.0, 1.0),)), SlitPlane(((2e3, 1e3),)), 1e3),
-    ],
-    ids=["half_plane", "strip", "slit"],
+    "name, lam",
+    [pytest.param(name, lam, id=name) for name, lam in (("half_plane", 1e4), ("strip", 1e-3), ("slit", 1e3))]
+    + [pytest.param(name, lam, id=f"{name}-{lam:g}") for name in SCALED_DOMAINS for lam in (1e100, 1e-100)],
 )
-def test_speeds_scale_with_the_domain(d, d_scaled, lam):
+def test_speeds_scale_with_the_domain(name, lam):
     # w -> lam w maps the domain onto the scaled one and its orbit at time t onto
-    # the scaled orbit at time lam t, so no oracle is needed
-    m, m_scaled = make_model(d), make_model(d_scaled)
+    # the scaled orbit at time lam t, so no oracle is needed; the orthogonal
+    # rate, a derivative in t, scales by 1/lam
+    d = SCALED_DOMAINS[name]
+    m, m_scaled = make_model(d), make_model(_scaled(d, lam))
     for t in (10.0**k for k in range(-12, 301)):
         if lam * t > 1e300:
             break
         s, s_scaled = speeds(m, t), speeds(m_scaled, lam * t)
         for key, rel in (("v", 1e-14), ("v_o", 1e-14), ("v_T", 5e-14)):
             assert getattr(s_scaled, key) == pytest.approx(getattr(s, key), rel=rel, abs=0.0), (t, key)
+        for z in (0j, 0.3 + 0j, -0.4j, 0.2 + 0.5j):
+            rate = orthogonal_rate(m, z, t)
+            assert rate > 0.0, (t, z)
+            assert lam * orthogonal_rate(m_scaled, z, lam * t) == pytest.approx(rate, rel=2e-13, abs=0.0), (t, z)
 
 
 @pytest.mark.parametrize(
