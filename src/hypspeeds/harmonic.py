@@ -51,6 +51,15 @@ column of one packed array: an exact stage takes one ``np.take`` per slice
 of at most ``_PAIR_BLOCK`` point-segment pairs, and the block bounds form a
 (blocks, points) matrix filled as many pairs at a time, so however long the
 obstacle and however many the walks, no temporary holds more of them.
+Where the points left after the root cull times the packed slots fit in one
+such temporary, as in the last passes of a walk when few lanes remain, one
+``_exact`` call takes the minimum over every slot.  That is the brute-force
+minimum, which the pruned path equals bit for bit, so either gives every bit.
+
+A pass does only the array work whose result is read.  A lane holds the
+pass at which its walk started, not a step count, and the cut-off reads it
+only from pass ``MAX_STEPS - 1`` on.  The absorbing classes are int8, built
+in place from the boundary test, and the counts add up the ended lanes alone.
 """
 
 from __future__ import annotations
@@ -63,7 +72,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .conformal import KoenigsMap
-from .errors import DomainError, ParameterError, _positive_int
+from .errors import DomainError, NumericError, ParameterError, _positive_int
 from .hyperbolic import require_disk_point
 from .seeding import GAMMA, sample_streams, stream_bits
 from .semigroup import orbit, speeds
@@ -106,11 +115,24 @@ class HMEstimate:
     truncated: int = 0
 
     def upper_limit(self, sigma: float) -> float:
-        """value + sigma std errors; at 0 hits, where that error vanishes, the exact
-        one-sided limit 1 - alpha^(1/n), alpha the normal tail beyond sigma."""
-        if self.value > 0.0:
-            return self.value + sigma * self.std_error
-        return -math.expm1(math.log(0.5 * math.erfc(sigma / math.sqrt(2.0))) / self.n_samples)
+        """Exact one-sided (Clopper-Pearson) upper limit: the p at which
+        P(X <= k | n, p) = alpha, for k = value n hits of n and alpha the
+        normal tail beyond ``sigma``.  It rises with k, and at 0 hits it is
+        1 - alpha^(1/n).  Bisected on p until the midpoint rounds onto an end;
+        below a negative sigma, where alpha rounds toward 1, it reads the
+        upper tail P(X > k) = 1 - alpha instead."""
+        n = self.n_samples
+        k = round(self.value * n)
+        if k >= n:
+            return 1.0
+        tail = 0.5 * math.erfc(abs(sigma) / math.sqrt(2.0))
+        lo, hi = 0.0, 1.0
+        while lo < (mid := 0.5 * (lo + hi)) < hi:
+            low, high = _binomial_tails(k, n, mid)
+            # P(X <= k) > alpha, read on the tail that keeps its digits
+            below = low > tail if sigma >= 0.0 else high < tail
+            lo, hi = (mid, hi) if below else (lo, mid)
+        return hi
 
 
 def _binomial_estimate(hits: int, n: int, seed: int, truncated: int = 0) -> HMEstimate:
@@ -118,6 +140,75 @@ def _binomial_estimate(hits: int, n: int, seed: int, truncated: int = 0) -> HMEs
     return HMEstimate(
         value=value, std_error=math.sqrt(value * (1.0 - value) / n), n_samples=n, seed=seed, truncated=truncated
     )
+
+
+def _stirling_error(n: int) -> float:
+    """log n! - log(sqrt(2 pi n) (n/e)^n), for n >= 1."""
+    if n <= 15:
+        return math.lgamma(n + 1.0) - (n + 0.5) * math.log(n) + n - 0.5 * math.log(TWO_PI)
+    nn = float(n) * n
+    return (1 / 12 - (1 / 360 - (1 / 1260 - (1 / 1680 - 1 / (1188 * nn)) / nn) / nn) / nn) / n
+
+
+def _deviance(x: float, m: float) -> float:
+    """x log(x/m) + m - x, summed as a series where x is near m, which the
+    direct form would cancel away."""
+    if abs(x - m) >= 0.1 * (x + m):
+        return x * math.log(x / m) + m - x
+    v = (x - m) / (x + m)
+    total, term, j = (x - m) * v, 2.0 * x * v, 1
+    while True:
+        term *= v * v
+        grown = total + term / (2 * j + 1)
+        if grown == total:
+            return total
+        total, j = grown, j + 1
+
+
+def _binomial_pmf(k: int, n: int, p: float) -> float:
+    """P(X = k) for X ~ Binomial(n, p), 0 <= k < n, in Loader's saddle-point
+    form: every term is small, where lgamma(n + 1) alone holds ulps of n log n."""
+    if k == 0:
+        return math.exp(n * math.log1p(-p))
+    log_c = _stirling_error(n) - _stirling_error(k) - _stirling_error(n - k)
+    log_c -= _deviance(k, n * p) + _deviance(n - k, n * (1.0 - p))
+    return math.exp(log_c) * math.sqrt(n / (TWO_PI * k * (n - k)))
+
+
+def _beta_fraction(x: float, a: float, b: float) -> float:
+    """Continued fraction of I_x(a, b), by the modified Lentz method; it
+    converges where x < (a + 1)/(a + b + 2)."""
+    tiny = 1e-300
+    c, d = 1.0, 1.0 - (a + b) * x / (a + 1.0)
+    d = 1.0 / (d if abs(d) > tiny else tiny)
+    fraction = d
+    for m in range(1, 1 << 20):
+        for coef in (
+            m * (b - m) * x / ((a + 2 * m - 1.0) * (a + 2 * m)),
+            -(a + m) * (a + b + m) * x / ((a + 2 * m) * (a + 2 * m + 1.0)),
+        ):
+            d = 1.0 + coef * d
+            d = 1.0 / (d if abs(d) > tiny else tiny)
+            c = 1.0 + coef / c
+            c = c if abs(c) > tiny else tiny
+            fraction *= d * c
+        if abs(d * c - 1.0) <= 2.0**-52:
+            return fraction
+    raise NumericError(f"incomplete beta fraction at x={x}, a={a}, b={b} did not converge")
+
+
+def _binomial_tails(k: int, n: int, p: float) -> tuple[float, float]:
+    """P(X <= k) and P(X > k) for X ~ Binomial(n, p), 0 <= k < n, 0 < p < 1.
+
+    The lower tail is the regularized incomplete beta I_(1-p)(n - k, k + 1),
+    whose prefactor is p P(X = k).  The fraction that converges gives the
+    smaller tail to working precision, and the other is 1 minus it."""
+    head = p * _binomial_pmf(k, n, p)
+    if 1.0 - p < (n - k + 1.0) / (n + 3.0):
+        low = head * _beta_fraction(1.0 - p, n - k, k + 1.0)
+        return low, 1.0 - low
+    high = (n - k) / (k + 1.0) * head * _beta_fraction(p, k + 1.0, n - k)
+    return 1.0 - high, high
 
 
 # ---------------------------------------------------------------------------
@@ -276,8 +367,9 @@ def _exact(p: np.ndarray, starts, steps, conj_steps, norm2) -> np.ndarray:
     """Distance from p to each segment over broadcast shapes; ``norm2`` is read as its real part."""
     rel = p - starts
     buf = rel * conj_steps
-    t = np.clip(buf.real / norm2.real, 0.0, 1.0)
     # in place: fewer large temporaries per step, the same arithmetic
+    t = buf.real / norm2.real
+    np.clip(t, 0.0, 1.0, out=t)
     rel -= np.multiply(t, steps, out=buf)
     return np.abs(rel)
 
@@ -303,6 +395,10 @@ def _dist_to_segments(p: np.ndarray, segments: _Segments, cap=np.inf) -> np.ndar
     out -= segments.root_radius
     todo = np.flatnonzero(out <= cap)
     q = p[todo]
+    if q.size * segments.packed.size <= 4 * _PAIR_BLOCK:
+        # few points: every segment in one temporary of at most _PAIR_BLOCK pairs
+        out[todo] = _exact(q, *segments.packed.reshape(4, -1, 1)).min(axis=0)
+        return out
     centers = segments.centers[:, None]
     lower = np.empty((centers.size, q.size))
     cols = max(1, _PAIR_BLOCK // centers.size)
@@ -350,18 +446,18 @@ _TURN_BITS = 41
 def _directions(bits: np.ndarray) -> np.ndarray:
     """exp(2 pi i u) for the uniform u = (bits >> 11) 2^-53 of each word.
 
-    The top 12 bits of u pick a root of ``_ROOTS`` and the low 41 turn it by
-    delta = low 2 pi 2^-53 < 1.6e-3, through Taylor polynomials of cos and
-    sin whose first dropped terms are below 1e-20.  Against a 30-digit
-    exp(2 pi i u) the error is at most 2e-15, and so is ``| |dir| - 1 |``;
-    measured, both stay below 4e-16.
+    The top 12 bits of the word pick a root of ``_ROOTS``, one shift.  The
+    low 41 bits of u are masked where they sit, 11 bits up, and scaled by
+    2 pi 2^-64: that is low 2 pi 2^-53 moved by an exact power of two, so
+    delta < 1.6e-3 is the same float.  It turns the root through Taylor
+    polynomials of cos and sin whose first dropped terms are below 1e-20.
+    Against a 30-digit exp(2 pi i u) the error is at most 2e-15, and so is
+    ``| |dir| - 1 |``; measured, both stay below 4e-16.
     """
     # in place where the arithmetic allows: fewer large temporaries per step
-    u = (bits >> np.uint64(11)).view(np.int64)
-    root = np.take(_ROOTS, u >> _TURN_BITS)
-    u &= (1 << _TURN_BITS) - 1
-    delta = u.astype(float)
-    delta *= 2.0 * math.pi * 2.0**-53
+    root = np.take(_ROOTS, (bits >> np.uint64(52)).view(np.int64))
+    delta = (bits & np.uint64(((1 << _TURN_BITS) - 1) << 11)).astype(float)
+    delta *= 2.0 * math.pi * 2.0**-64
     d2 = delta * delta
     # cos delta = 1 - d2 (1/2 - d2/24), sin delta = delta (1 - d2 (1/6 - d2/120))
     cos = d2 * (1.0 / 24.0)
@@ -373,7 +469,7 @@ def _directions(bits: np.ndarray) -> np.ndarray:
     sin *= d2
     sin += 1.0
     sin *= delta
-    turn = np.empty(u.size, dtype=complex)
+    turn = np.empty(bits.size, dtype=complex)
     turn.real = cos
     turn.imag = sin
     turn *= root
@@ -391,9 +487,10 @@ def _walk(absorb, z0: complex, n: int, seed: int, chunk: int, max_steps: int, cl
     walks cut off.
 
     The lanes are allocated once: each holds a position, a stream counter
-    and a step count.  A lane whose walk ends restarts in place at z0 with
-    the next sample, and lanes are dropped only once no sample is left to
-    start.  Sample i draws from stream (seed, i) at its own step, so neither
+    and the pass at which its walk started, so a walk started at pass b is
+    at its step ``passes - b``.  A lane whose walk ends restarts in place at
+    z0 with the next sample, and lanes are dropped only once no sample is
+    left to start.  Sample i draws from stream (seed, i) at its own step, so neither
     ``chunk`` nor which lane a sample takes can change the result.  Each
     counter starts at ``key + GAMMA`` and adds ``GAMMA`` after each jump:
     the chain of ``stream_uniforms``, with no multiply by the step.
@@ -403,29 +500,28 @@ def _walk(absorb, z0: complex, n: int, seed: int, chunk: int, max_steps: int, cl
     started = min(chunk, n)
     pos = np.full(started, z0, dtype=complex)
     counters = sample_streams(seed, np.arange(started, dtype=np.uint64)) + np.uint64(GAMMA)
-    steps = np.zeros(started, dtype=np.intp)
+    born = np.zeros(started, dtype=np.intp)
     passes = 0
     while pos.size:
         radius, cls = absorb(pos)
-        # no lane has taken more steps than there were passes
+        # a walk is at its step passes - born <= passes: none is cut off before this pass
         if passes >= max_steps - 1:
-            cls[(cls == 0) & (steps == max_steps - 1)] = classes + 1
-        counts += np.bincount(cls, minlength=classes + 2)
+            cls[(cls == 0) & (born == passes - (max_steps - 1))] = classes + 1
+        ended = np.flatnonzero(cls)
+        counts += np.bincount(cls[ended], minlength=classes + 2)
         # every lane jumps; an ended lane's jump is overwritten by its restart or dropped with it
         jump = _directions(stream_bits(counters))
         jump *= radius
         pos += jump
         counters += np.uint64(GAMMA)
-        steps += 1
         passes += 1
-        ended = np.flatnonzero(cls)
         new, gone = ended[: n - started], ended[n - started :]
         if new.size:
             keys = sample_streams(seed, np.arange(started, started + new.size, dtype=np.uint64))
-            pos[new], counters[new], steps[new] = z0, keys + np.uint64(GAMMA), 0
+            pos[new], counters[new], born[new] = z0, keys + np.uint64(GAMMA), passes
             started += new.size
         if gone.size:
-            pos, counters, steps = (np.delete(lane, gone) for lane in (pos, counters, steps))
+            pos, counters, born = (np.delete(lane, gone) for lane in (pos, counters, born))
     return [int(c) for c in counts[1:-1]], int(counts[-1])
 
 
@@ -438,9 +534,12 @@ def _obstacle_absorb(segments: _Segments, eps: float):
     one = segments.packed[:, 0] if segments.packed.size == 4 else None
 
     def absorb(p):
-        d_bnd = 1.0 - np.abs(p)
+        d_bnd = np.abs(p)
+        np.subtract(1.0, d_bnd, out=d_bnd)
         d_obs = _exact(p, *one) if one is not None else _dist_to_segments(p, segments, np.maximum(d_bnd, eps))
-        return np.minimum(d_obs, d_bnd), np.where(d_obs <= eps, 1, 2 * (d_bnd <= eps))
+        cls = (d_bnd <= eps) * np.int8(2)
+        cls[d_obs <= eps] = 1
+        return np.minimum(d_obs, d_bnd, out=d_obs), cls
 
     return absorb
 
@@ -494,9 +593,13 @@ def semidisk_bisection_check(t0: float, n: int, seed: int = 0, chunk: int = 8192
 
     def absorb(p):
         d_diam = np.abs(p.imag)
-        d_arc = 1.0 - np.abs(p)
+        d_arc = np.abs(p)
+        np.subtract(1.0, d_arc, out=d_arc)
         # 1: the left half of the diameter, 2: the right half, 3: the arc
-        return np.minimum(d_diam, d_arc), np.where(d_diam <= eps, 1 + (p.real >= 0.0), 3 * (d_arc <= eps))
+        cls = (d_arc <= eps) * np.int8(3)
+        hit = d_diam <= eps
+        cls[hit] = 1 + (p.real[hit] >= 0.0)
+        return np.minimum(d_diam, d_arc, out=d_diam), cls
 
     (left, right, _), truncated = _walk(absorb, -1j * t0, n, seed, chunk, MAX_STEPS, classes=3)
     return _binomial_estimate(left, n, seed, truncated), _binomial_estimate(right, n, seed, truncated)
