@@ -51,10 +51,6 @@ column of one packed array: an exact stage takes one ``np.take`` per slice
 of at most ``_PAIR_BLOCK`` point-segment pairs, and the block bounds form a
 (blocks, points) matrix filled as many pairs at a time, so however long the
 obstacle and however many the walks, no temporary holds more of them.
-Where the points left after the root cull times the packed slots fit in one
-such temporary, as in the last passes of a walk when few lanes remain, one
-``_exact`` call takes the minimum over every slot.  That is the brute-force
-minimum, which the pruned path equals bit for bit, so either gives every bit.
 
 A pass does only the array work whose result is read.  A lane holds the
 pass at which its walk started, not a step count, and the cut-off reads it
@@ -118,20 +114,18 @@ class HMEstimate:
         """Exact one-sided (Clopper-Pearson) upper limit: the p at which
         P(X <= k | n, p) = alpha, for k = value n hits of n and alpha the
         normal tail beyond ``sigma``.  It rises with k, and at 0 hits it is
-        1 - alpha^(1/n).  Bisected on p until the midpoint rounds onto an end;
-        below a negative sigma, where alpha rounds toward 1, it reads the
-        upper tail P(X > k) = 1 - alpha instead."""
+        1 - alpha^(1/n).  Bisected on p until the midpoint rounds onto an end.
+        ParameterError unless sigma >= 0."""
+        if not sigma >= 0.0:
+            raise ParameterError(f"sigma must be >= 0, got {sigma!r}")
         n = self.n_samples
         k = round(self.value * n)
         if k >= n:
             return 1.0
-        tail = 0.5 * math.erfc(abs(sigma) / math.sqrt(2.0))
+        alpha = 0.5 * math.erfc(sigma / math.sqrt(2.0))
         lo, hi = 0.0, 1.0
         while lo < (mid := 0.5 * (lo + hi)) < hi:
-            low, high = _binomial_tails(k, n, mid)
-            # P(X <= k) > alpha, read on the tail that keeps its digits
-            below = low > tail if sigma >= 0.0 else high < tail
-            lo, hi = (mid, hi) if below else (lo, mid)
+            lo, hi = (mid, hi) if _binomial_cdf(k, n, mid) > alpha else (lo, mid)
         return hi
 
 
@@ -197,18 +191,16 @@ def _beta_fraction(x: float, a: float, b: float) -> float:
     raise NumericError(f"incomplete beta fraction at x={x}, a={a}, b={b} did not converge")
 
 
-def _binomial_tails(k: int, n: int, p: float) -> tuple[float, float]:
-    """P(X <= k) and P(X > k) for X ~ Binomial(n, p), 0 <= k < n, 0 < p < 1.
+def _binomial_cdf(k: int, n: int, p: float) -> float:
+    """P(X <= k) for X ~ Binomial(n, p), 0 <= k < n, 0 < p < 1.
 
-    The lower tail is the regularized incomplete beta I_(1-p)(n - k, k + 1),
-    whose prefactor is p P(X = k).  The fraction that converges gives the
-    smaller tail to working precision, and the other is 1 minus it."""
+    That is the regularized incomplete beta I_(1-p)(n - k, k + 1), whose
+    prefactor is p P(X = k).  Where its fraction does not converge, the
+    fraction of the upper tail P(X > k) does, and this is 1 minus that."""
     head = p * _binomial_pmf(k, n, p)
     if 1.0 - p < (n - k + 1.0) / (n + 3.0):
-        low = head * _beta_fraction(1.0 - p, n - k, k + 1.0)
-        return low, 1.0 - low
-    high = (n - k) / (k + 1.0) * head * _beta_fraction(p, k + 1.0, n - k)
-    return 1.0 - high, high
+        return head * _beta_fraction(1.0 - p, n - k, k + 1.0)
+    return 1.0 - (n - k) / (k + 1.0) * head * _beta_fraction(p, k + 1.0, n - k)
 
 
 # ---------------------------------------------------------------------------
@@ -395,10 +387,6 @@ def _dist_to_segments(p: np.ndarray, segments: _Segments, cap=np.inf) -> np.ndar
     out -= segments.root_radius
     todo = np.flatnonzero(out <= cap)
     q = p[todo]
-    if q.size * segments.packed.size <= 4 * _PAIR_BLOCK:
-        # few points: every segment in one temporary of at most _PAIR_BLOCK pairs
-        out[todo] = _exact(q, *segments.packed.reshape(4, -1, 1)).min(axis=0)
-        return out
     centers = segments.centers[:, None]
     lower = np.empty((centers.size, q.size))
     cols = max(1, _PAIR_BLOCK // centers.size)

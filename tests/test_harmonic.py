@@ -418,30 +418,6 @@ def _obstacle(shape, size=None):
     return make[shape]() if size is None else make[shape](size)
 
 
-def _dist_by_both_branches(p, segments, cap=np.inf):
-    # _dist_to_segments through its block path, with _PAIR_BLOCK below the
-    # slots of one point, and through its one-call branch, 500 points a call
-    # with room for all of their pairs; a spy on _pair_min tells which ran
-    slots = segments.packed.size // 4
-    cap = np.broadcast_to(cap, p.shape)
-    pair_min, calls = harmonic._pair_min, []
-
-    def spy(*args):
-        calls.append(args)
-        return pair_min(*args)
-
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(harmonic, "_pair_min", spy)
-        with _walk_constants(_PAIR_BLOCK=slots - 1):
-            blocks = _dist_to_segments(p, segments, cap)
-        assert calls
-        calls.clear()
-        with _walk_constants(_PAIR_BLOCK=500 * slots):
-            one_call = [_dist_to_segments(p[i : i + 500], segments, cap[i : i + 500]) for i in range(0, p.size, 500)]
-        assert not calls
-    return blocks, np.concatenate(one_call)
-
-
 def _pruning_cases(segments, shape):
     # what each shape is for: the capsule's worst case, a zero chord, zero sags
     if shape == "arc":
@@ -469,9 +445,7 @@ def test_dist_to_segments_matches_brute_force_bitwise(shape, count):
     offsets = np.concatenate([rng.random(on.size) * 1e-4, np.full(on.size, 1e-13), np.zeros(on.size)])
     near = np.concatenate([on, on, on]) + offsets * np.exp(2j * math.pi * rng.random(offsets.size))
     for p in (far, near, verts, *_pruning_cases(segments, shape)):
-        ref = _brute_dist(p, verts)
-        for d in _dist_by_both_branches(p, segments):
-            assert np.array_equal(d, ref)
+        assert np.array_equal(_dist_to_segments(p, segments), _brute_dist(p, verts))
 
 
 @pytest.mark.parametrize("t", (1.0, 5.0))
@@ -503,11 +477,10 @@ def test_capped_dist_to_segments_matches_brute_force_bitwise(shape, size):
     near = on + 1e-3 * rng.random(on.size) * np.exp(2j * math.pi * rng.random(on.size))
     p = np.concatenate([far, near, verts, *_pruning_cases(segments, shape)])
     cap = np.maximum(1.0 - np.abs(p), 1e-4)
-    ref = _brute_dist(p, verts)
+    d, ref = _dist_to_segments(p, segments, cap), _brute_dist(p, verts)
     exact = ref <= cap
-    for d in _dist_by_both_branches(p, segments, cap):
-        assert np.array_equal(d[exact], ref[exact])
-        assert (d[~exact] > cap[~exact]).all()
+    assert np.array_equal(d[exact], ref[exact])
+    assert (d[~exact] > cap[~exact]).all()
     root = np.abs(p - segments.root_center) - segments.root_radius
     least = (np.abs(p[:, None] - segments.centers) - segments.radii).min(axis=1)
     assert (root > cap).any()
@@ -728,20 +701,15 @@ def test_projection_bound_strip_small_n():
 
 
 def test_projection_bound_reads_sigma():
+    # 1 hit of 50 walks: the bound lies between the limits at 1 and 3 sigma
     m = make_model(StripDom(-1.0, 1.0))
-    res = projection_bound_check(m, 1.0, 2000, seed=9)
+    res = projection_bound_check(m, 1.0, 50, seed=62)
     est = res.estimate
-    assert (est.value - res.lower_bound) / est.std_error > 3.0
-    # the exact limit meets the bound at the allowance whose normal tail is
-    # P(X > k | n, bound), 12.9 sigmas below 0 here; 50-digit sums
-    hits = round(est.value * 2000)
-    with mpmath.workdps(50):
-        above = mpmath.fsum(_binomial_terms(2000, res.lower_bound)[hits + 1 :])
-        crossing = -float(mpmath.sqrt(2) * mpmath.erfinv(1 - 2 * above))
-    assert -14.0 < crossing < -12.0
+    assert est.value == 1 / 50
+    assert est.upper_limit(1.0) < res.lower_bound <= est.upper_limit(3.0)
     # the same walks: only the allowance moves
-    assert projection_bound_check(m, 1.0, 2000, seed=9, sigma=crossing + 0.5).passed
-    assert not projection_bound_check(m, 1.0, 2000, seed=9, sigma=crossing - 0.5).passed
+    assert res.passed
+    assert not projection_bound_check(m, 1.0, 50, seed=62, sigma=1.0).passed
 
 
 def test_projection_bound_at_zero_hits_reads_the_exact_limit():
@@ -799,7 +767,7 @@ def test_upper_limit_rises_with_the_hits(n):
 @pytest.mark.parametrize(
     "hits, n, sigma",
     [(0, 1000, 3.0), (1, 1000, 3.0), (2, 1000, 3.0), (3, 1000, 3.0), (20, 1000, 3.0), (500, 1000, 3.0)]
-    + [(998, 1000, 3.0), (999, 1000, 3.0), (0, 1, 3.0), (1, 2, 3.0), (17, 35, 1.0), (40, 1000, -2.0)]
+    + [(998, 1000, 3.0), (999, 1000, 3.0), (0, 1, 3.0), (1, 2, 3.0), (17, 35, 1.0), (40, 1000, 0.0)]
     + [(1, 100_000, 3.0), (2, 100_000, 3.0), (30, 100_000, 3.0), (13_330, 100_000, 3.0)],
 )
 def test_upper_limit_matches_mpmath(hits, n, sigma):
@@ -809,14 +777,10 @@ def test_upper_limit_matches_mpmath(hits, n, sigma):
     assert limit == pytest.approx(float(_exact_upper_limit(hits, n, sigma, limit)), rel=1e-12, abs=0.0)
 
 
-def test_upper_limit_reads_the_upper_tail_below_a_negative_sigma():
-    # 40 of 1000 at 12 sigmas below: alpha = 1 - 1.8e-33 rounds to 1.0, and
-    # the lower tail read as is would bisect down to 5e-324
-    limit = HMEstimate(0.04, 0.0, 1000, 0).upper_limit(-12.0)
-    with mpmath.workdps(50):
-        above = mpmath.fsum(_binomial_terms(1000, limit)[41:])
-        assert above == pytest.approx(mpmath.erfc(12 / mpmath.sqrt(2)) / 2, rel=1e-9)
-    assert 0.0 < limit < HMEstimate(0.04, 0.0, 1000, 0).upper_limit(-11.0)
+@pytest.mark.parametrize("sigma", (-1.0, -1e-300, math.nan))
+def test_upper_limit_refuses_a_negative_sigma(sigma):
+    with pytest.raises(ParameterError, match="sigma"):
+        HMEstimate(0.04, 0.0, 1000, 0).upper_limit(sigma)
 
 
 def test_projection_bound_near_zero_time():
