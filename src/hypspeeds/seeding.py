@@ -3,12 +3,15 @@
 Every sample owns a deterministic stream addressed by (seed, sample index,
 step counter), so estimates are bit-identical under any chunking or parallel
 schedule.  The generator is a double splitmix64 finalizer chain (Steele, Lea
-and Flood, OOPSLA 2014) written with Python-int constants and the operations
-``^ >> * + & _MASK`` alone, so one definition runs on Python ints and on
-numpy uint64 arrays, where the mask changes nothing; this module does not
-import numpy.  Indices and steps are Python ints or uint64 arrays, and an int
-draws the same float as the array entry holding it.  ``sample_streams`` runs
-the first link once per sample.
+and Flood, OOPSLA 2014) written with the operations ``^ >> * + &`` alone, so
+it runs on Python ints and on numpy uint64 arrays; this module does not
+import numpy.  Its finalizer ``_mix`` has a path for each.  On an int it
+masks each product to 64 bits.  On an array, whose arithmetic already wraps
+mod 2^64, it drops the masks and multiplies by constants of the array's own
+type (``x.dtype.type(_M1)``), which numpy would otherwise convert from Python
+ints on every call.  Indices and steps are Python ints or uint64 arrays, and
+an int draws the same float as the array entry holding it.
+``sample_streams`` runs the first link once per sample.
 
 The second link reads a counter ``key + GAMMA * (step + 1)`` (mod 2^64), so
 the counters of one stream step by ``GAMMA``.  A walk keeps its counter and
@@ -28,14 +31,24 @@ _MASK = 0xFFFFFFFFFFFFFFFF
 
 def _mix(x):
     # the first step copies, so the argument is never modified; the rest run in place
-    x = x & _MASK
-    x ^= x >> 30
-    x *= _M1
-    x &= _MASK
-    x ^= x >> 27
-    x *= _M2
-    x &= _MASK
-    x ^= x >> 31
+    if isinstance(x, int):
+        x = x & _MASK
+        x ^= x >> 30
+        x *= _M1
+        x &= _MASK
+        x ^= x >> 27
+        x *= _M2
+        x &= _MASK
+        x ^= x >> 31
+        return x
+    # uint64 arithmetic is already mod 2^64, and constants of the array's own
+    # type are not converted from Python ints on every call
+    word = x.dtype.type
+    x = x ^ (x >> word(30))
+    x *= word(_M1)
+    x ^= x >> word(27)
+    x *= word(_M2)
+    x ^= x >> word(31)
     return x
 
 

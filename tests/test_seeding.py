@@ -4,7 +4,7 @@ and one chain that gives the same bits on Python ints and on uint64 arrays."""
 import numpy as np
 import pytest
 
-from hypspeeds.seeding import GAMMA, sample_streams, sample_uniforms, stream_bits, stream_uniforms
+from hypspeeds.seeding import GAMMA, _mix, sample_streams, sample_uniforms, stream_bits, stream_uniforms
 
 
 def test_uniforms_in_unit_interval():
@@ -122,3 +122,15 @@ def test_stream_counter_chain_matches_stream_uniforms():
         bits = stream_bits(counters)
         assert ((bits >> np.uint64(11)) * 2.0**-53).tobytes() == stream_uniforms(keys, step).tobytes()
         counters += np.uint64(GAMMA)
+
+
+def test_mix_gives_the_same_word_on_ints_and_on_arrays():
+    # the array path drops the masks and multiplies by uint64 constants
+    mask = 2**64 - 1
+    words = [0, 1, 2**63, mask] + [GAMMA * k & mask for k in range(1, 65)]
+    words += np.random.default_rng(37).integers(0, 2**64, 10_000, dtype=np.uint64).tolist()
+    array = np.asarray(words, dtype=np.uint64)
+    mixed = _mix(array)
+    assert mixed.dtype == np.uint64
+    assert mixed.tolist() == [_mix(word) for word in words]
+    assert array.tolist() == words
