@@ -56,37 +56,19 @@ A pass does only the array work whose result is read.  A lane holds the
 pass at which its walk started, not a step count, and the cut-off reads it
 only from pass ``MAX_STEPS - 1`` on.  The absorbing classes are int8, built
 in place from the boundary test, and the counts add up the ended lanes alone.
-
-``_walk`` splits the samples into contiguous ranges, one per CPU of the
-process's affinity mask and none shorter than ``_MIN_SPLIT``, and walks all
-but the first in ``os.fork`` children.  Each child walks its range off the
-CPU its parent last ran on, writes its counts to a pipe and exits; the
-parent walks the first range, then reads and reaps each child.  Sample i
-draws from stream (seed, i) in whichever range holds it, so the split
-changes no count, as ``chunk`` changes none.  Processes, not threads: a pass
-is some 40 numpy calls of 1-2 ns a lane, each of which hands over the GIL,
-and a two-thread split of a walk used 1.8-2.9 times the CPU time and ran
-slower on a 2-CPU host.  Walks are serial without an affinity mask (macOS,
-Windows), on one CPU and below 2 ``_MIN_SPLIT`` samples.  ``mc_disk_arc``
-stays serial: at about 10 ns a draw, a split of a 100 000-draw arc took 3-4
-ms where one process takes 1.6 ms.
 """
 
 from __future__ import annotations
 
 import cmath
-import contextlib
 import math
-import os
-import signal
-import warnings
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
 from .conformal import KoenigsMap
-from .errors import DomainError, HypspeedsError, NumericError, ParameterError, _positive_int
+from .errors import DomainError, NumericError, ParameterError, _positive_int
 from .hyperbolic import require_disk_point
 from .seeding import GAMMA, sample_streams, stream_bits
 from .semigroup import orbit, speeds
@@ -484,35 +466,9 @@ def _directions(bits: np.ndarray) -> np.ndarray:
     return turn
 
 
-#: Fewest samples per forked range.  A fork, pipe and reap cost about 1.5 ms
-#: in a 38 MB process, and a walk about 0.4 us a sample on the benchmark's
-#: obstacles, so a range of 4096 samples walks for about as long as its fork
-#: costs: smaller ranges would not pay for their process.
-_MIN_SPLIT = 4096
-
-
-def _cpus() -> int:
-    """CPUs in this process's affinity mask, or 1 where the platform has none."""
-    affinity = getattr(os, "sched_getaffinity", None)
-    return len(affinity(0)) if affinity else 1
-
-
-def _other_cpus():
-    """The CPUs of this process's affinity mask but the one this thread last
-    ran on, read from Linux's /proc; None where either is unknown or no other
-    CPU is left.  A child held to these cannot share its parent's CPU: left
-    free, up to 25 of 40 radial-slit walks on a 2-CPU host ran the parent and
-    its child on one CPU from fork to exit, at twice the wall time."""
-    try:
-        with open("/proc/thread-self/stat", "rb") as stat:
-            cpu = int(stat.read().rsplit(b")", 1)[1].split()[36])
-        return os.sched_getaffinity(0) - {cpu} or None
-    except (AttributeError, OSError, ValueError, IndexError):
-        return None
-
-
 def _walk(absorb, z0: complex, n: int, seed: int, chunk: int, max_steps: int, classes: int) -> tuple[list[int], int]:
-    """Walk-on-spheres from z0 for the samples 0 .. n-1.
+    """Walk-on-spheres from z0 for the samples 0 .. n-1 on ``min(chunk, n)``
+    lanes.
 
     ``absorb(p)`` returns, for each position, the radius of the next jump
     and a class: 0 keeps walking, 1 .. ``classes`` absorbs there.  A walk
@@ -520,113 +476,21 @@ def _walk(absorb, z0: complex, n: int, seed: int, chunk: int, max_steps: int, cl
     class ``classes + 1``.  Returns the walks absorbed in each class and the
     walks cut off.
 
-    The samples split into W contiguous ranges, W = min(``_cpus()``,
-    n // ``_MIN_SPLIT``).  Ranges 2 .. W run in ``os.fork`` children, each of
-    which writes its counts to a pipe and exits; this process walks range 1,
-    then reads and reaps every child.  Each child is held to the CPUs of
-    ``_other_cpus()``.  Sample i draws from stream (seed, i) in any range,
-    so W cannot change a count.  A child that raises makes this raise
-    ``HypspeedsError`` naming the child's exception; a range whose fork
-    fails is walked here.  Every child is reaped before this returns or
-    raises.
-    """
-    workers = max(1, min(_cpus(), n // _MIN_SPLIT))
-    bounds = [n * k // workers for k in range(workers + 1)]
-    elsewhere = _other_cpus() if workers > 1 else None
-    size = 1 + (classes + 2) * 8
-
-    def walk(lo, hi):
-        return _walk_range(absorb, z0, lo, hi, seed, chunk, max_steps, classes)
-
-    counts = np.zeros(classes + 2, dtype=np.int64)
-    children = []
-    try:
-        for lo, hi in zip(bounds[1:-1], bounds[2:]):
-            child = _fork(lambda lo=lo, hi=hi: walk(lo, hi), elsewhere)
-            if child is None:
-                counts += walk(lo, hi)
-            else:
-                children.append((*child, lo, hi))
-        counts += walk(0, bounds[1])
-        while children:
-            pid, pipe, lo, hi = children[-1]
-            message = pipe.read()
-            if message[:1] == b"\1":
-                raise HypspeedsError(f"walk of samples {lo} .. {hi - 1} raised in its forked process: {message[1:].decode()}")
-            if message[:1] != b"\0" or len(message) != size:
-                raise HypspeedsError(f"the forked process walking samples {lo} .. {hi - 1} ended without its counts")
-            counts += np.frombuffer(message, dtype=np.int64, offset=1)
-            pipe.close()
-            os.waitpid(pid, 0)
-            children.pop()
-    finally:
-        # on an error: stop the walks still running, and reap every child
-        for pid, pipe, _, _ in children:
-            pipe.close()
-            os.kill(pid, signal.SIGKILL)
-            os.waitpid(pid, 0)
-    return [int(c) for c in counts[1:-1]], int(counts[-1])
-
-
-def _fork(walk, cpus):
-    """(pid, read end of its pipe) of a child that keeps to ``cpus`` where
-    they are given, runs ``walk()``, writes a 0 byte and the counts or a 1
-    byte and the exception's type and message, and exits; None where the
-    fork fails.
-
-    numpy's thread pool makes this process multi-threaded, and since Python
-    3.12 ``os.fork`` warns of that.  The fork is safe all the same: the child
-    runs numpy ufuncs and reductions, ``take``, ``bincount`` and indexing on
-    its own arrays, then one write and ``os._exit``; it makes no BLAS call
-    and imports nothing.
-    """
-    read_end, write_end = os.pipe()
-    try:
-        with warnings.catch_warnings():
-            warnings.filterwarnings("ignore", r"This process .* is multi-threaded", DeprecationWarning)
-            pid = os.fork()
-    except OSError:
-        os.close(read_end)
-        os.close(write_end)
-        return None
-    if pid == 0:
-        try:
-            os.close(read_end)
-            if cpus:
-                with contextlib.suppress(OSError):
-                    os.sched_setaffinity(0, cpus)
-            try:
-                message = b"\0" + walk().tobytes()
-            except BaseException as exc:
-                message = b"\1" + f"{type(exc).__name__}: {exc}".encode(errors="replace")
-            with os.fdopen(write_end, "wb") as pipe:
-                pipe.write(message)
-        finally:
-            os._exit(0)
-    os.close(write_end)
-    return pid, os.fdopen(read_end, "rb")
-
-
-def _walk_range(absorb, z0: complex, lo: int, hi: int, seed: int, chunk: int, max_steps: int, classes: int) -> np.ndarray:
-    """Counts of the samples lo .. hi-1 walked on ``min(chunk, hi - lo)``
-    lanes: the walks absorbed in each class 1 .. ``classes + 1``, after a
-    count for class 0 that stays 0.
-
     The lanes are allocated once: each holds a position, a stream counter
     and the pass at which its walk started, so a walk started at pass b is
     at its step ``passes - b``.  A lane whose walk ends restarts in place at
     z0 with the next sample, and lanes are dropped only once no sample is
-    left to start.  Sample i draws from stream (seed, i) at its own step, so
-    neither ``chunk`` nor which lane a sample takes can change the result.
-    Each counter starts at ``key + GAMMA`` and adds ``GAMMA`` after each
-    jump: the chain of ``stream_uniforms``, with no multiply by the step.
+    left to start.  Sample i draws from stream (seed, i) at its own step, so neither
+    ``chunk`` nor which lane a sample takes can change the result.  Each
+    counter starts at ``key + GAMMA`` and adds ``GAMMA`` after each jump:
+    the chain of ``stream_uniforms``, with no multiply by the step.
     ``_directions`` turns the counter's bits into the jump direction.
     """
     counts = np.zeros(classes + 2, dtype=np.int64)
-    started = min(lo + chunk, hi)
-    pos = np.full(started - lo, z0, dtype=complex)
-    counters = sample_streams(seed, np.arange(lo, started, dtype=np.uint64)) + np.uint64(GAMMA)
-    born = np.zeros(started - lo, dtype=np.intp)
+    started = min(chunk, n)
+    pos = np.full(started, z0, dtype=complex)
+    counters = sample_streams(seed, np.arange(started, dtype=np.uint64)) + np.uint64(GAMMA)
+    born = np.zeros(started, dtype=np.intp)
     passes = 0
     while pos.size:
         radius, cls = absorb(pos)
@@ -641,7 +505,7 @@ def _walk_range(absorb, z0: complex, lo: int, hi: int, seed: int, chunk: int, ma
         pos += jump
         counters += np.uint64(GAMMA)
         passes += 1
-        new, gone = ended[: hi - started], ended[hi - started :]
+        new, gone = ended[: n - started], ended[n - started :]
         if new.size:
             keys = sample_streams(seed, np.arange(started, started + new.size, dtype=np.uint64))
             pos[new], counters[new], born[new] = z0, keys + np.uint64(GAMMA), passes
@@ -651,7 +515,7 @@ def _walk_range(absorb, z0: complex, lo: int, hi: int, seed: int, chunk: int, ma
             keep = np.ones(pos.size, dtype=bool)
             keep[gone] = False
             pos, counters, born = pos[keep], counters[keep], born[keep]
-    return counts
+    return [int(c) for c in counts[1:-1]], int(counts[-1])
 
 
 def _obstacle_absorb(segments: _Segments, eps: float):

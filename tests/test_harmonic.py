@@ -2,11 +2,8 @@
 
 import contextlib
 import math
-import os
 import random
-import threading
 import tracemalloc
-import warnings
 
 import mpmath
 import numpy as np
@@ -17,7 +14,7 @@ from scipy.integrate import quad
 import hypspeeds.harmonic as harmonic
 from hypspeeds.conformal import _h_to_disk
 from hypspeeds.domains import HalfPlaneDom, SlitPlane, StripDom
-from hypspeeds.errors import DomainError, HypspeedsError, ParameterError
+from hypspeeds.errors import DomainError, ParameterError
 from hypspeeds.harmonic import (
     _ARC_CHUNK,
     _ROOTS,
@@ -614,173 +611,6 @@ def test_mc_first_hit_rotation_invariance():
     vert = mc_first_hit([0.5j, 1.0j], 0j, n, seed=88)
     joint = math.sqrt(horiz.std_error**2 + vert.std_error**2)
     assert abs(horiz.value - vert.value) <= 3.0 * joint
-
-
-# ---------------------------------------------------------------------------
-# forked sample ranges
-
-
-def _split_cases():
-    # a straight slit, the curved tail with walks cut off, and the semidisk
-    tail = _slit_tail(1.0)
-
-    def tail_cut(n):
-        with _walk_constants(MAX_STEPS=4):
-            return mc_first_hit(tail, 0j, n, seed=32)
-
-    return {
-        "slit": lambda n: mc_first_hit([0.5 + 0j, 1.0 + 0j], 0j, n, seed=31),
-        "tail_cut": tail_cut,
-        "semidisk": lambda n: semidisk_bisection_check(0.5, n, seed=33),
-    }
-
-
-@contextlib.contextmanager
-def _counted_forks():
-    """Count the forks ``_walk`` makes in this process while the block runs."""
-    forks = []
-    real = harmonic._fork
-
-    def fork(walk, cpus):
-        forks.append(cpus)
-        return real(walk, cpus)
-
-    with _walk_constants(_fork=fork):
-        yield forks
-
-
-def _walked_on(cpus, run, n):
-    """run(n) with ``cpus`` CPUs read for the split, and the forks it made."""
-    with _walk_constants(_cpus=lambda: cpus), _counted_forks() as forks:
-        return run(n), len(forks)
-
-
-@pytest.mark.parametrize("case", ["slit", "tail_cut", "semidisk"])
-def test_worker_count_cannot_change_an_estimate(case):
-    run = _split_cases()[case]
-    # 1601 samples split evenly by none of 2, 3 and 5 workers
-    with _walk_constants(_MIN_SPLIT=300):
-        serial = run(1601)
-        for workers in (2, 3, 5):
-            assert _walked_on(workers, run, 1601) == (serial, workers - 1)
-    if case == "tail_cut":
-        assert serial.truncated > 0
-    # either side of 2 _MIN_SPLIT: one range below, two above
-    split = 2 * harmonic._MIN_SPLIT
-    for n, forks in ((split - 1, 0), (split + 1, 1)):
-        assert _walked_on(5, run, n) == (_walked_on(1, run, n)[0], forks)
-
-
-def _raising_in_the_child(exc):
-    """A range kernel that raises ``exc`` in a forked process only."""
-    parent, real = os.getpid(), harmonic._walk_range
-
-    def walk_range(*args):
-        if os.getpid() != parent:
-            raise exc
-        return real(*args)
-
-    return walk_range
-
-
-def _assert_no_child_left():
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
-
-
-def test_a_child_that_raises_makes_the_walk_raise():
-    kernel = _raising_in_the_child(FloatingPointError("only in the child"))
-    with _walk_constants(_cpus=lambda: 3, _walk_range=kernel):
-        with pytest.raises(HypspeedsError, match="FloatingPointError: only in the child"):
-            mc_first_hit([0.5 + 0j, 1.0 + 0j], 0j, 3 * harmonic._MIN_SPLIT, seed=1)
-    _assert_no_child_left()
-
-
-def test_a_child_that_ends_without_its_counts_makes_the_walk_raise():
-    parent, real = os.getpid(), harmonic._walk_range
-
-    def walk_range(*args):
-        if os.getpid() != parent:
-            os._exit(0)
-        return real(*args)
-
-    with _walk_constants(_cpus=lambda: 2, _walk_range=walk_range):
-        with pytest.raises(HypspeedsError, match="ended without its counts"):
-            semidisk_bisection_check(0.5, 2 * harmonic._MIN_SPLIT, seed=1)
-    _assert_no_child_left()
-
-
-def test_a_walk_that_raises_here_stops_and_reaps_its_children():
-    parent, real = os.getpid(), harmonic._walk_range
-
-    def walk_range(*args):
-        if os.getpid() == parent:
-            raise KeyboardInterrupt
-        return real(*args)
-
-    with _walk_constants(_cpus=lambda: 3, _walk_range=walk_range), pytest.raises(KeyboardInterrupt):
-        mc_first_hit([0.5 + 0j, 1.0 + 0j], 0j, 3 * harmonic._MIN_SPLIT, seed=1)
-    _assert_no_child_left()
-
-
-def test_a_failed_fork_walks_its_range_here():
-    def fork():
-        raise BlockingIOError("no process left")
-
-    run = _split_cases()["slit"]
-    serial = _walked_on(1, run, 2 * harmonic._MIN_SPLIT)[0]
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(os, "fork", fork)
-        assert _walked_on(2, run, 2 * harmonic._MIN_SPLIT) == (serial, 1)
-    _assert_no_child_left()
-
-
-def test_walks_are_serial_without_an_affinity_mask():
-    with pytest.MonkeyPatch.context() as patch:
-        patch.delattr(os, "sched_getaffinity", raising=False)
-        assert harmonic._cpus() == 1
-        assert harmonic._other_cpus() is None
-        with _counted_forks() as forks:
-            mc_first_hit([0.5 + 0j, 1.0 + 0j], 0j, 3 * harmonic._MIN_SPLIT, seed=1)
-    assert forks == []
-
-
-@pytest.mark.skipif(not hasattr(os, "sched_getaffinity"), reason="no affinity mask on this platform")
-def test_a_child_walks_off_the_cpu_of_its_parent():
-    # the child reports its mask through the error path
-    parent, real = os.getpid(), harmonic._walk_range
-
-    def walk_range(*args):
-        if os.getpid() != parent:
-            raise RuntimeError(" ".join(map(str, os.sched_getaffinity(0))))
-        return real(*args)
-
-    mask = os.sched_getaffinity(0)
-    with _walk_constants(_cpus=lambda: 2, _walk_range=walk_range):
-        with pytest.raises(HypspeedsError, match="RuntimeError") as raised:
-            mc_first_hit([0.5 + 0j, 1.0 + 0j], 0j, 2 * harmonic._MIN_SPLIT, seed=1)
-    child = {int(cpu) for cpu in str(raised.value).rsplit(": ", 1)[1].split()}
-    assert child <= mask
-    assert len(child) == max(len(mask) - 1, 1)
-
-
-def test_a_split_walk_warns_of_no_fork_while_a_thread_runs():
-    # since Python 3.12, os.fork warns where the process has a second thread
-    # (an "error" filter does not raise it: CPython clears it); record it
-    run = _split_cases()["semidisk"]
-    stop = threading.Event()
-    thread = threading.Thread(target=stop.wait)
-    thread.start()
-    try:
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            estimates, forks = _walked_on(2, run, 2 * harmonic._MIN_SPLIT)
-    finally:
-        stop.set()
-        thread.join()
-    assert forks == 1
-    assert [str(w.message) for w in caught] == []
-    _assert_no_child_left()
 
 
 # ---------------------------------------------------------------------------
